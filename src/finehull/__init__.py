@@ -9,14 +9,12 @@ the limit object survive at double precision.
 
 from .cantor import (CRule, CantorSpec, ConditionSum, GapInterval,
                      build_cantor_spec, cantor_length, condition_sum,
-                     distance_to_gaps, spec_from_json, spec_to_json,
-                     sum_gap_lengths)
+                     spec_from_json, spec_to_json, sum_gap_lengths)
 from .errors import FinehullError, PreconditionFailure
 from .logspace import LogComplex
 from .product import (BranchTag, TailBound, certify_en_point, eval_f,
                       eval_partial_product, fine_boundary_value, laurent_c1,
-                      log_derivative_coeff, sqrt_branch,
-                      tail_product_minus_one, tail_bound)
+                      sqrt_branch, tail_product_minus_one, tail_bound)
 from .potential import (CompactUnion, ESample, FineSets, GreenModel, Shape,
                         UnionBound, arc, cantor_fine_sets, disk,
                         exact_capacity, exact_log_capacity, fine_witness_u,

@@ -24,8 +24,8 @@ from . import blaschke as bl
 from . import hull as hl
 from . import potential as pt
 from . import product as pr
+from .artifacts import sha256, write_csv, write_json
 from .cantor import CRule, build_cantor_spec, condition_sum, sum_gap_lengths
-from .cli import _sha256, _write_csv, _write_json
 
 __all__ = ["CriterionResult", "run_all", "write_summary"]
 
@@ -48,12 +48,12 @@ class _Artifacts:
 
     def csv(self, name: str, header, rows) -> None:
         if self.outdir is not None:
-            _write_csv(os.path.join(self.outdir, name), header, rows)
+            write_csv(os.path.join(self.outdir, name), header, rows)
             self.names.append(name)
 
     def json(self, name: str, obj) -> None:
         if self.outdir is not None:
-            _write_json(os.path.join(self.outdir, name), obj)
+            write_json(os.path.join(self.outdir, name), obj)
             self.names.append(name)
 
 
@@ -203,6 +203,20 @@ def _c03_branch_system(art: _Artifacts):
     return ratio_ok and norm_ok, detail
 
 
+def _branch_jumps(spec, x: float, kind: str, rows: list) -> list[float]:
+    """|h(x + i eps) - h(x - i eps)| of H_plus at depth 16 over the eps
+    schedule, also appended to rows."""
+    seq = []
+    for eps in EPS_SCHEDULE:
+        hi = pr.sqrt_branch(spec, 16, complex(x, eps),
+                            pr.BranchTag.H_PLUS).to_complex()
+        lo = pr.sqrt_branch(spec, 16, complex(x, -eps),
+                            pr.BranchTag.H_PLUS).to_complex()
+        seq.append(abs(hi - lo))
+        rows.append((kind, x, eps, seq[-1]))
+    return seq
+
+
 def _c04_fine_continuity(art: _Artifacts):
     spec = _spec5()
     points = _band_thirds(7, (0.2, 0.8))
@@ -212,14 +226,7 @@ def _c04_fine_continuity(art: _Artifacts):
         if not pr.certify_en_point(spec, x, 2):
             ok = False
             continue
-        seq = []
-        for eps in EPS_SCHEDULE:
-            hi = pr.sqrt_branch(spec, 16, complex(x, eps),
-                                pr.BranchTag.H_PLUS).to_complex()
-            lo = pr.sqrt_branch(spec, 16, complex(x, -eps),
-                                pr.BranchTag.H_PLUS).to_complex()
-            seq.append(abs(hi - lo))
-            rows.append(("set_point", x, eps, seq[-1]))
+        seq = _branch_jumps(spec, x, "set_point", rows)
         mono = all(seq[k + 1] <= seq[k] for k in range(len(seq) - 1))
         tail = pr.tail_bound(spec, 16, complex(x, EPS_SCHEDULE[-1])).bound
         ok = ok and mono and seq[-1] < 10.0 * (tail + EPS_SCHEDULE[-1])
@@ -230,14 +237,7 @@ def _c04_fine_continuity(art: _Artifacts):
         x = g.center
         f_val, _, _ = pr.eval_f(slow, x)
         target = 2.0 * math.sqrt(abs(f_val.to_complex()))
-        seq = []
-        for eps in EPS_SCHEDULE:
-            hi = pr.sqrt_branch(slow, 16, complex(x, eps),
-                                pr.BranchTag.H_PLUS).to_complex()
-            lo = pr.sqrt_branch(slow, 16, complex(x, -eps),
-                                pr.BranchTag.H_PLUS).to_complex()
-            seq.append(abs(hi - lo))
-            rows.append(("gap_midpoint", x, eps, seq[-1]))
+        seq = _branch_jumps(slow, x, "gap_midpoint", rows)
         rel = abs(seq[-1] / target - 1.0)
         worst_rel = max(worst_rel, rel)
         ok = ok and rel < 0.01
@@ -429,10 +429,10 @@ def _pipeline(base: str) -> None:
     os.makedirs(inputs, exist_ok=True)
     with open(spec_path) as fh:
         spec_obj = json.load(fh)
-    _write_json(j(inputs, "fineset.json"), {"spec": spec_obj, "N": 2})
-    _write_json(j(inputs, "shapes.json"),
+    write_json(j(inputs, "fineset.json"), {"spec": spec_obj, "N": 2})
+    write_json(j(inputs, "shapes.json"),
                 {"shapes": [{"kind": "interval", "a": 0.0, "b": 1.0}]})
-    _write_json(j(inputs, "disk.json"), {
+    write_json(j(inputs, "disk.json"), {
         "alpha": 0.0, "beta": 1.5707963267948966,
         "c_rule": {"kind": "affine", "slope": 5.0, "offset": 0.0},
         "N": 12,
@@ -460,7 +460,7 @@ def _tree_hashes(root: str) -> dict:
     for dirpath, _, files in os.walk(root):
         for f in sorted(files):
             full = os.path.join(dirpath, f)
-            out[os.path.relpath(full, root)] = _sha256(full)
+            out[os.path.relpath(full, root)] = sha256(full)
     return out
 
 
@@ -514,11 +514,11 @@ def run_all(outdir: str | None = None) -> list[CriterionResult]:
 
 
 def write_summary(results: list[CriterionResult], outdir: str) -> list[str]:
-    _write_csv(os.path.join(outdir, "summary.csv"),
+    write_csv(os.path.join(outdir, "summary.csv"),
                ["criterion", "name", "status"],
                [(r.index, r.name, "PASS" if r.passed else "FAIL")
                 for r in results])
-    _write_json(os.path.join(outdir, "acceptance.json"), {
+    write_json(os.path.join(outdir, "acceptance.json"), {
         "all_pass": all(r.passed for r in results),
         "results": [{"criterion": r.index, "name": r.name,
                      "passed": r.passed, "detail": r.detail}

@@ -14,13 +14,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cantor import CRule, condition_sum
-from .errors import (BranchAtCut, ChainNotClosed, DegenerateSet, EmptySample,
-                     NotInEN, PoleHit, PreconditionFailure)
+from .cantor import (HALVING_DENOM, CRule, _last_violation, _spec_obj,
+                     condition_sum)
+from .errors import (BranchAtCut, ChainNotClosed, DegenerateSet, NotInEN,
+                     PoleHit, PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
 from .potential import (CompactUnion, arc, disk, exact_capacity,
-                        fine_witness_u, leja_points, _bound_from_invs,
+                        _bound_from_invs, _certified_tail, _witness_sample,
                         MESH_RESOLUTION, UnionBound)
 
 __all__ = [
@@ -134,6 +136,19 @@ class BlaschkeSpec:
     def max_index(self) -> int:
         return len(self.zeros)
 
+    @cached_property
+    def horizon_poles(self) -> tuple[tuple[int, complex], ...] | None:
+        """(j, 1/conj(a_j)) for j = 1 .. c_rule.horizon(max_index): the
+        materialized arc zeros, then the would-be zeros of the placement
+        rule in closed form e^{i theta_j} / r_j.  None when the horizon
+        lies past the index budget.  Built once per spec object."""
+        H = self.c_rule.horizon(self.max_index)
+        if H is None:
+            return None
+        more = tuple(_arc_zero(self.alpha, self.beta, self.c_rule, j)
+                     for j in range(self.max_index + 1, H + 1))
+        return tuple((z.index, z.pole) for z in self.zeros + more)
+
     def to_json_obj(self) -> dict:
         return {
             "l": self.l,
@@ -146,15 +161,7 @@ class BlaschkeSpec:
 
 
 def blaschke_spec_from_json(text: str) -> BlaschkeSpec:
-    import json
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PreconditionFailure(f"invalid spec JSON: {e}",
-                                  field="config") from e
-    for key in ("alpha", "beta", "c_rule", "N"):
-        if key not in obj:
-            raise PreconditionFailure(f"spec JSON missing {key!r}", field=key)
+    obj = _spec_obj(text, ("alpha", "beta", "c_rule", "N"))
     return build_blaschke_spec(
         float(obj["alpha"]), float(obj["beta"]),
         CRule.from_json_obj(obj["c_rule"]), int(obj["N"]),
@@ -167,14 +174,18 @@ def build_blaschke_spec(alpha: float, beta: float, c_rule: CRule,
     """Materialize N arc zeros (dyadic arguments) plus optional extras."""
     if N < 0:
         raise PreconditionFailure("need N >= 0", field="N")
-    zeros = []
-    for j in range(1, N + 1):
-        theta = alpha + (beta - alpha) * van_der_corput(j)
-        zeros.append(BlaschkeZero(j, theta, radius_from_condition(j, c_rule),
-                                  log_one_minus_radius(j, c_rule),
-                                  -c_rule.jcj(j)))
-    return BlaschkeSpec(l, alpha, beta, c_rule, tuple(zeros),
+    zeros = tuple(_arc_zero(alpha, beta, c_rule, j) for j in range(1, N + 1))
+    return BlaschkeSpec(l, alpha, beta, c_rule, zeros,
                         extra_zeros(alpha, beta, extras))
+
+
+def _arc_zero(alpha: float, beta: float, c_rule: CRule,
+              j: int) -> BlaschkeZero:
+    """Arc zero j of the placement rule: dyadic argument, modulus from
+    the distance condition."""
+    theta = alpha + (beta - alpha) * van_der_corput(j)
+    return BlaschkeZero(j, theta, radius_from_condition(j, c_rule),
+                        log_one_minus_radius(j, c_rule), -c_rule.jcj(j))
 
 
 def extra_zeros(alpha: float, beta: float, count: int) -> tuple[
@@ -228,9 +239,7 @@ def eval_blaschke(spec: BlaschkeSpec, N: int, z: complex) -> LogComplex:
         raise PreconditionFailure("N out of range", field="N")
     out = LogComplex.from_complex(z).powi(spec.l) if spec.l else \
         LogComplex.one()
-    for zero in spec.zeros[:N]:
-        out = out * _factor_log(zero, z)
-    for zero in spec.extras[:N]:
+    for zero in spec.zeros[:N] + spec.extras[:N]:
         out = out * _factor_log(zero, z)
     return out
 
@@ -241,11 +250,10 @@ def _log_q(zero: BlaschkeZero, z: complex) -> float:
     q_j = (1/|a_j|) |a_j - 1/conj(a_j)| / |1/conj(a_j) - z|
         + (1 - |a_j|)/|a_j|.
     """
-    d = abs(zero.pole - z) if not zero.degenerate else \
-        abs(cmath.exp(1j * zero.theta) - z)
+    d = abs(zero.pole - z)
     if d == 0.0:
         raise PoleHit(f"z hits pole 1/conj(a_{zero.index})")
-    log_r = math.log(zero.r) if not zero.degenerate else 0.0
+    log_r = math.log(zero.r)
     t1 = zero.log_condition - log_r - math.log(d)
     t2 = zero.log_one_minus_r - log_r
     hi, lo = max(t1, t2), min(t1, t2)
@@ -267,8 +275,7 @@ def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
         raise PreconditionFailure("N out of range", field="N")
     s = 0.0
     for zero in spec.zeros[N:]:
-        d = abs(zero.pole - z) if not zero.degenerate else \
-            abs(cmath.exp(1j * zero.theta) - z)
+        d = abs(zero.pole - z)
         if d == 0.0 or math.log(d) < -0.5 * spec.c_rule.jcj(zero.index):
             raise NotInEN(
                 f"distance condition fails at index {zero.index}")
@@ -277,18 +284,16 @@ def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
     for zero in spec.extras[N:]:
         lq = _log_q(zero, z)
         s += math.exp(lq) if lq > -745.0 else 0.0
-    M = spec.max_index
     if spec.c_rule.max_defined_index is None:
-        if not spec.c_rule.tail_ratio_halves(M + 1):
-            raise PreconditionFailure(
-                "rule does not certify a geometric tail", field="c_rule")
         # under the distance conditions q_j <= 3 e^{-j c_j / 2} for every
         # index, and the halving certificate makes that geometric with
         # ratio at most 2^{-1/2}
-        log_p_next = -0.5 * spec.c_rule.jcj(M + 1)
-        tail = 3.0 * math.exp(log_p_next) / (1.0 - 0.5 ** 0.5) \
-            if log_p_next > -700.0 else 0.0
-        s += tail
+        log_p_next = spec.c_rule.halving_tail(spec.max_index + 1)
+        if log_p_next is None:
+            raise PreconditionFailure(
+                "rule does not certify a geometric tail", field="c_rule")
+        if log_p_next > -700.0:
+            s += 3.0 * math.exp(log_p_next) / HALVING_DENOM
     return math.expm1(s)
 
 
@@ -311,15 +316,8 @@ class DiskFineSets:
 def _fn_disk_bound(spec: BlaschkeSpec, N: int) -> UnionBound:
     """Analytic union bound over all protection disks from index N on."""
     rule = spec.c_rule
-    H = spec.max_index
-    extra_inv = 0.0
-    if rule.max_defined_index is None:
-        H = max(H, 64)
-        cs = condition_sum(rule, J=H)
-        if cs.tail_bound is None:
-            raise PreconditionFailure("rule carries no tail certificate",
-                                      field="c_rule")
-        extra_inv = 2.0 * cs.tail_bound
+    H, tail = _certified_tail(rule, spec.max_index)
+    extra_inv = 2.0 * tail
     invs = [0.5 * rule.jcj(j) for j in range(N, H + 1)]
     # every disk sits within 1/r_N + radius of the origin
     log_t = -rule.jcj(N)
@@ -378,44 +376,19 @@ def smallest_closing_N(spec: BlaschkeSpec, limit: int | None = None) -> int:
     raise ChainNotClosed(f"no N <= {limit} certifies the capacity chain")
 
 
-def _would_be_pole(spec: BlaschkeSpec, j: int) -> complex:
-    """Pole position of arc zero j under the placement rule, whether or
-    not the zero is materialized."""
-    theta = spec.alpha + (spec.beta - spec.alpha) * van_der_corput(j)
-    r = radius_from_condition(j, spec.c_rule)
-    return cmath.exp(1j * theta) / r
-
-
 def certify_arc_point(spec: BlaschkeSpec, theta: float, N: int) -> bool:
     """Distance conditions |e^{i theta} - 1/conj(a_j)| >= e^{-j c_j / 2}
     for all j >= N at machine resolution.
 
-    Materialized zeros are checked directly.  Beyond them the placement
-    rule still determines every pole position, so the check continues
-    against would-be poles until the threshold e^{-j c_j / 2} underflows
-    to exact zero; past that horizon every remaining condition holds at
-    double precision.  Rules whose thresholds never underflow within a
-    fixed index budget cannot be certified this way.
+    The check runs over spec.horizon_poles: the materialized zeros, then
+    the would-be poles the placement rule determines, until the threshold
+    e^{-j c_j / 2} underflows to exact zero; past that horizon every
+    remaining condition holds at double precision.  Rules whose
+    thresholds never underflow within a fixed index budget cannot be
+    certified this way.
     """
-    z = cmath.exp(1j * theta)
-    for zero in spec.zeros[N - 1:]:
-        d = abs(zero.pole - z) if not zero.degenerate else \
-            abs(cmath.exp(1j * zero.theta) - z)
-        if d == 0.0 or math.log(d) < -0.5 * spec.c_rule.jcj(zero.index):
-            return False
-    rule = spec.c_rule
-    if rule.max_defined_index is not None:
-        return True
-    j = spec.max_index + 1
-    budget = spec.max_index + 8192
-    while j <= budget:
-        if 0.5 * rule.jcj(j) > 746.0:
-            return True
-        d = abs(_would_be_pole(spec, j) - z)
-        if d == 0.0 or math.log(d) < -0.5 * rule.jcj(j):
-            return False
-        j += 1
-    return False
+    last = _last_violation(spec, cmath.exp(1j * theta))
+    return last is not None and last < max(N, 1)
 
 
 @dataclass(frozen=True)
@@ -436,20 +409,12 @@ def blaschke_sample_E(spec: BlaschkeSpec, N: int, samples: int = 16,
     the distance conditions must certify.
     """
     fs = disk_fine_sets(spec, N)
-    model_F = leja_points(fs.FN, n=leja_n)
-    model_J = leja_points(fs.JN, n=leja_n)
-    out = []
-    for i in range(1, samples + 1):
-        frac = 0.5 * van_der_corput(i) + 1.0 / 3.0
-        theta = spec.alpha + (spec.beta - spec.alpha) * frac
-        z = cmath.exp(1j * theta)
-        u = fine_witness_u(model_F, model_J, z)
-        ok = u > 0.0 and certify_arc_point(spec, theta, N)
-        out.append(ArcSample(theta, u, ok))
-    if not any(s.in_EN for s in out):
-        raise EmptySample(
-            "no arc candidate passes both the witness and the conditions")
-    return out
+    thetas = [spec.alpha + (spec.beta - spec.alpha) *
+              (0.5 * van_der_corput(i) + 1.0 / 3.0)
+              for i in range(1, samples + 1)]
+    return _witness_sample(fs, leja_n,
+                           [(t, cmath.exp(1j * t)) for t in thetas],
+                           lambda t: certify_arc_point(spec, t, N), ArcSample)
 
 
 def fb_sheet(spec: BlaschkeSpec, k: int, z: complex,

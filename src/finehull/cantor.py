@@ -12,9 +12,11 @@ exact log length next to the rounded endpoint floats.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GapOverflow, PlacementFailure, PreconditionFailure
 
@@ -26,12 +28,15 @@ __all__ = [
     "build_cantor_spec",
     "condition_sum",
     "cantor_length",
-    "distance_to_gaps",
     "spec_to_json",
     "spec_from_json",
 ]
 
 _LN2 = math.log(2.0)
+
+# sum_{k >= 0} 2^{-k/2} = 1 / HALVING_DENOM bounds a tail whose terms at
+# least halve in square: sum_{n >= j} p_n <= p_j / HALVING_DENOM
+HALVING_DENOM = 1.0 - 0.5 ** 0.5
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,29 @@ class CRule:
             return True
         return False
 
+    def halving_tail(self, j: int) -> float | None:
+        """log p_j = -j c_j / 2 when tail_ratio_halves(j), so that the
+        majorant p_j / HALVING_DENOM bounds sum_{n >= j} p_n; None when
+        the rule does not certify halving."""
+        return -0.5 * self.jcj(j) if self.tail_ratio_halves(j) else None
+
+    def horizon(self, N: int) -> int | None:
+        """Last index, at least N, whose distance threshold e^{-j c_j / 2}
+        is still a positive double; past it every remaining distance
+        condition holds at double precision.
+
+        None when thresholds stay representable past a fixed index budget
+        beyond N.  An explicit rule ends at its materialized prefix N.
+        """
+        if self.max_defined_index is not None:
+            return N
+        H = N
+        while 0.5 * self.jcj(H + 1) <= 746.0:
+            H += 1
+            if H >= N + 8192:
+                return None
+        return H
+
     def to_json_obj(self) -> dict:
         if self.kind == "affine":
             return {"kind": "affine", "slope": _fmt(self.slope),
@@ -119,13 +147,13 @@ class CRule:
     def from_json_obj(obj: dict) -> "CRule":
         kind = obj.get("kind")
         if kind == "affine":
-            return CRule("affine", slope=_num(obj.get("slope", 0.0)),
-                         offset=_num(obj.get("offset", 0.0)))
+            return CRule("affine", slope=float(obj.get("slope", 0.0)),
+                         offset=float(obj.get("offset", 0.0)))
         if kind == "factorial":
             return CRule("factorial", shift=int(obj.get("shift", 2)))
         if kind == "explicit":
             return CRule("explicit",
-                         values=tuple(_num(v) for v in obj.get("values", ())))
+                         values=tuple(float(v) for v in obj.get("values", ())))
         raise PreconditionFailure(f"unknown c rule kind {kind!r}", field="c_rule")
 
 
@@ -181,14 +209,35 @@ class CantorSpec:
         """log of the tail-control sequence p(j) = exp(-j*c(j)/2)."""
         return -0.5 * self.c_rule.jcj(j)
 
+    @cached_property
+    def horizon_poles(self) -> tuple[tuple[int, float], ...] | None:
+        """(j, b_j) for j = 1 .. c_rule.horizon(max_index): the materialized
+        right endpoints, then the would-be gaps that bisect placement
+        adds next, resumed from the remaining pieces.
+
+        None when the horizon lies past the index budget or the extension
+        is refused (GapOverflow, PlacementFailure, non-increasing c).
+        Built once per spec object.
+        """
+        H = self.c_rule.horizon(self.max_index)
+        if H is None:
+            return None
+        gaps = self.gaps
+        if H > self.max_index:
+            try:
+                more, _ = _place_gaps(self.c_rule, self.root_length,
+                                      self.remaining, sum_gap_lengths(self),
+                                      self.max_index + 1, H)
+            except PreconditionFailure:
+                return None
+            gaps += tuple(more)
+        return tuple((g.index, g.b) for g in gaps)
+
     def poles(self, upto: int | None = None) -> list[float]:
         """Pole locations of the truncated product: a0 and the right gap
         endpoints."""
         n = self.max_index if upto is None else upto
         return [self.a0] + [g.b for g in self.gaps[:n]]
-
-    def min_remaining_length(self) -> float:
-        return min(hi - lo for lo, hi in self.remaining)
 
 
 def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
@@ -208,26 +257,38 @@ def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
         raise PreconditionFailure("N must be >= 0", field="N")
     if c_rule.max_defined_index is not None and N > c_rule.max_defined_index:
         raise PreconditionFailure("explicit rule shorter than N", field="N")
-    last = 0.0
-    for j in range(1, N + 1):
+    gaps, pieces = _place_gaps(c_rule, b0 - a0, [(a0, b0)], 0.0, 1, N)
+    return CantorSpec(a0, b0, c_rule, placement, N, tuple(gaps),
+                      tuple(pieces))
+
+
+def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
+               first: int, last: int):
+    """Bisect placement of gaps first..last into the remaining pieces.
+
+    Gap j is centered in the largest piece, ties broken leftward: a heap
+    keyed (-length, lo) pops exactly that piece.  `used` is the removed
+    length of gaps 1..first-1, summed in index order, so a resumed
+    placement reproduces a full build bit for bit.  Returns the new gaps
+    and the sorted remaining pieces.
+    """
+    prev = c_rule.value(first - 1) if first > 1 else 0.0
+    for j in range(first, last + 1):
         c = c_rule.value(j)
-        if c <= last:
+        if c <= prev:
             raise PreconditionFailure("c rule must increase strictly",
                                       field="c_rule")
-        last = c
-
-    pieces = [(a0, b0)]
+        prev = c
+    heap = [(lo - hi, lo, hi) for lo, hi in pieces]
+    heapq.heapify(heap)
     gaps: list[GapInterval] = []
-    used = 0.0
-    for j in range(1, N + 1):
+    for j in range(first, last + 1):
         log_len = -c_rule.jcj(j)
         length = math.exp(log_len) if log_len > -744.0 else 0.0
-        if used + length >= (b0 - a0):
+        if used + length >= root_length:
             raise GapOverflow(
                 f"gap {j} would push removed length past the root interval")
-        k = max(range(len(pieces)), key=lambda i: (pieces[i][1] - pieces[i][0],
-                                                   -pieces[i][0]))
-        lo, hi = pieces[k]
+        _, lo, hi = heap[0]
         if length >= hi - lo:
             raise PlacementFailure(
                 f"gap {j} of length {length:.3e} does not fit in the largest "
@@ -235,10 +296,28 @@ def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
         center = 0.5 * (lo + hi)
         half = math.exp(log_len - _LN2) if log_len > -744.0 else 0.0
         gaps.append(GapInterval(j, center, log_len))
-        pieces[k:k + 1] = [(lo, center - half), (center + half, hi)]
+        heapq.heapreplace(heap, (lo - (center - half), lo, center - half))
+        heapq.heappush(heap, ((center + half) - hi, center + half, hi))
         used += length
-    pieces.sort()
-    return CantorSpec(a0, b0, c_rule, placement, N, tuple(gaps), tuple(pieces))
+    return gaps, sorted((lo, hi) for _, lo, hi in heap)
+
+
+def _last_violation(spec, z) -> int | None:
+    """Largest j whose distance condition |z - pole_j| >= e^{-j c_j / 2}
+    fails over spec.horizon_poles, scanned from the horizon down; 0 when
+    every condition holds, None when the walk cannot be certified.
+
+    Conditions hold for all j >= N exactly when the result is below
+    max(N, 1); either spec family supplies horizon_poles and c_rule.
+    """
+    walk = spec.horizon_poles
+    if walk is None:
+        return None
+    for j, pole in reversed(walk):
+        d = abs(z - pole)
+        if d == 0.0 or math.log(d) < -0.5 * spec.c_rule.jcj(j):
+            return j
+    return 0
 
 
 @dataclass(frozen=True)
@@ -330,28 +409,10 @@ def _seg_distance(z: complex, lo: float, hi: float) -> float:
     return math.hypot(dx, y)
 
 
-def distance_to_gaps(spec: CantorSpec, z: complex, N: int | None = None) -> float:
-    """Distance from z to the root segment and the first N gap segments.
-
-    A certified lower bound for the distance to the limit set whenever z
-    lies off the root interval.
-    """
-    n = spec.max_index if N is None else min(N, spec.max_index)
-    z = complex(z)
-    d = _seg_distance(z, spec.a0, spec.b0)
-    for g in spec.gaps[:n]:
-        d = min(d, _seg_distance(z, g.a, g.b))
-    return d
-
-
 # -- JSON (17 significant digits keeps floats bit-stable) ---------------
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _num(v) -> float:
-    return float(v)
 
 
 def spec_to_json(spec: CantorSpec) -> str:
@@ -365,15 +426,21 @@ def spec_to_json(spec: CantorSpec) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def spec_from_json(text: str) -> CantorSpec:
+def _spec_obj(text: str, keys) -> dict:
+    """Parsed spec JSON object holding every required key."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise PreconditionFailure(f"invalid spec JSON: {e}", field="config") from e
-    for key in ("a0", "b0", "c_rule", "N"):
+    for key in keys:
         if key not in obj:
             raise PreconditionFailure(f"spec JSON missing {key!r}", field=key)
+    return obj
+
+
+def spec_from_json(text: str) -> CantorSpec:
+    obj = _spec_obj(text, ("a0", "b0", "c_rule", "N"))
     return build_cantor_spec(
-        _num(obj["a0"]), _num(obj["b0"]),
+        float(obj["a0"]), float(obj["b0"]),
         CRule.from_json_obj(obj["c_rule"]),
         obj.get("placement", "bisect"), int(obj["N"]))

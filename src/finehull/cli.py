@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -19,6 +20,7 @@ from . import blaschke as bl
 from . import hull as hl
 from . import potential as pt
 from . import product as pr
+from .artifacts import sha256, write_csv, write_json, write_text
 from .cantor import (CRule, build_cantor_spec, cantor_length, condition_sum,
                      spec_from_json, spec_to_json, sum_gap_lengths)
 from .errors import PreconditionFailure, UnsupportedShape
@@ -28,90 +30,22 @@ __all__ = ["main"]
 ENV_PREFIX = "FINEHULL_"
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_manifest(outdir: str, command: str, cfg: dict,
                     names: list[str]) -> None:
-    # output location and thread count must never change artifact bytes;
-    # file-valued inputs are recorded by content, not by location
-    cfg = {k: v for k, v in cfg.items() if k not in ("out", "threads")}
+    # output location must never change artifact bytes; file-valued
+    # inputs are recorded by content, not by location
+    cfg = {k: v for k, v in cfg.items() if k != "out"}
     for k in ("spec", "set"):
         if isinstance(cfg.get(k), str) and os.path.exists(cfg[k]):
-            cfg[k] = {"sha256": _sha256(cfg[k])}
+            cfg[k] = {"sha256": sha256(cfg[k])}
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     manifest = {
         "command": command,
         "config": cfg,
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
-        "outputs": {n: _sha256(os.path.join(outdir, n)) for n in names},
+        "outputs": {n: sha256(os.path.join(outdir, n)) for n in names},
     }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
-
-
-def _parse_point(v) -> complex:
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)):
-        parts = [float(x) for x in v]
-    else:
-        try:
-            parts = [float(x) for x in str(v).split(",")]
-        except ValueError as e:
-            raise PreconditionFailure(f"cannot parse point {v!r}",
-                                      field="at") from e
-    if len(parts) == 1:
-        return complex(parts[0], 0.0)
-    if len(parts) != 2:
-        raise PreconditionFailure(f"point needs re,im, got {v!r}", field="at")
-    return complex(parts[0], parts[1])
-
-
-def _parse_floats(v, count: int, field: str) -> tuple:
-    if isinstance(v, (list, tuple)):
-        parts = [float(x) for x in v]
-    else:
-        try:
-            parts = [float(x) for x in str(v).split(",")]
-        except ValueError as e:
-            raise PreconditionFailure(f"cannot parse {field} {v!r}",
-                                      field=field) from e
-    if len(parts) != count:
-        raise PreconditionFailure(f"{field} needs {count} numbers",
-                                  field=field)
-    return tuple(parts)
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _coerce(value, kind):
@@ -121,13 +55,15 @@ def _coerce(value, kind):
         return str(value).strip().lower() in ("1", "true", "yes", "on")
     if value is None:
         return None
-    return kind(value)
+    value = kind(value)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 # (name, type, default, help); type None keeps raw strings/objects
 _COMMON = [
     ("out", str, "out", "output directory"),
-    ("threads", int, 1, "worker budget, never affects output"),
 ]
 
 _PARAMS = {
@@ -236,7 +172,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             cfg[name] = given
     for name, kind, _, _ in params:
         if kind is not None:
-            cfg[name] = _coerce(cfg[name], kind)
+            try:
+                cfg[name] = _coerce(cfg[name], kind)
+            except (TypeError, ValueError) as e:
+                raise PreconditionFailure(
+                    f"cannot parse {name} {cfg[name]!r} as {kind.__name__}",
+                    field=name) from e
     return cfg
 
 
@@ -247,14 +188,44 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _load_cantor(cfg: dict):
-    path = _require(cfg, "spec")
+def _floats(cfg: dict, key: str, count: int | None) -> tuple:
+    """Finite numbers from a setting given as "a,b,..." or a JSON list;
+    count None accepts any length."""
+    v = _require(cfg, key)
+    try:
+        parts = tuple(float(x) for x in (
+            v if isinstance(v, (list, tuple)) else str(v).split(",")))
+    except (TypeError, ValueError) as e:
+        raise PreconditionFailure(f"cannot parse {key} {v!r}",
+                                  field=key) from e
+    if not all(math.isfinite(x) for x in parts):
+        raise PreconditionFailure(f"{key} needs finite numbers, got {v!r}",
+                                  field=key)
+    if count is not None and len(parts) != count:
+        raise PreconditionFailure(f"{key} needs {count} numbers", field=key)
+    return parts
+
+
+def _point(cfg: dict, key: str) -> complex:
+    parts = _floats(cfg, key, None)
+    if len(parts) not in (1, 2):
+        raise PreconditionFailure(f"{key} needs re,im, got {cfg[key]!r}",
+                                  field=key)
+    return complex(*parts)
+
+
+def _read(cfg: dict, key: str, parse):
+    """parse() applied to the text of the file a setting names."""
+    path = _require(cfg, key)
     try:
         with open(path) as fh:
-            return spec_from_json(fh.read())
+            return parse(fh.read())
     except OSError as e:
-        raise PreconditionFailure(f"cannot read spec: {e}",
-                                  field="spec") from e
+        raise PreconditionFailure(f"cannot read {key}: {e}",
+                                  field=key) from e
+    except json.JSONDecodeError as e:
+        raise PreconditionFailure(f"invalid {key} JSON: {e}",
+                                  field=key) from e
 
 
 def _rule_from_cfg(cfg: dict) -> CRule:
@@ -264,9 +235,7 @@ def _rule_from_cfg(cfg: dict) -> CRule:
     if rule == "factorial":
         return CRule("factorial", shift=cfg["shift"])
     if rule == "explicit":
-        raw = _require(cfg, "values")
-        vals = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-        return CRule("explicit", values=tuple(float(v) for v in vals))
+        return CRule("explicit", values=_floats(cfg, "values", None))
     raise PreconditionFailure(f"unknown rule {rule!r}", field="rule")
 
 
@@ -294,47 +263,27 @@ def _shapes_from_obj(obj, field: str = "shapes") -> tuple:
     return tuple(shapes)
 
 
-def _load_set(cfg: dict) -> dict:
-    path = _require(cfg, "set")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise PreconditionFailure(f"cannot read set: {e}",
-                                  field="set") from e
-    except json.JSONDecodeError as e:
-        raise PreconditionFailure(f"invalid set JSON: {e}",
-                                  field="set") from e
-
-
-def _cond_sum_obj(cs) -> dict:
-    return {
-        "partial": cs.partial,
-        "tail_bound": cs.tail_bound,
-        "total": cs.total,
-        "satisfied": cs.satisfied,
-    }
-
-
 def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
     spec = build_cantor_spec(cfg["a0"], cfg["b0"], _rule_from_cfg(cfg),
                              cfg["placement"], cfg["depth"])
-    _write_text(os.path.join(outdir, "spec.json"), spec_to_json(spec))
+    write_text(os.path.join(outdir, "spec.json"), spec_to_json(spec))
     cs = condition_sum(spec)
     build = {
         "root_length": spec.root_length,
         "gap_log_lengths": [g.log_length for g in spec.gaps],
         "sum_gap_lengths": sum_gap_lengths(spec),
         "set_length": cantor_length(spec),
-        "condition_sum": _cond_sum_obj(cs),
+        "condition_sum": {"partial": cs.partial,
+                          "tail_bound": cs.tail_bound,
+                          "total": cs.total, "satisfied": cs.satisfied},
     }
-    _write_json(os.path.join(outdir, "build.json"), build)
+    write_json(os.path.join(outdir, "build.json"), build)
     return ["spec.json", "build.json"]
 
 
 def cmd_eval(cfg: dict, outdir: str) -> list[str]:
-    spec = _load_cantor(cfg)
-    z = _parse_point(_require(cfg, "at"))
+    spec = _read(cfg, "spec", spec_from_json)
+    z = _point(cfg, "at")
     branch = cfg["branch"]
     if branch == "product":
         if cfg["depth"] is None:
@@ -359,14 +308,14 @@ def cmd_eval(cfg: dict, outdir: str) -> list[str]:
     else:
         raise PreconditionFailure(f"unknown branch {branch!r}",
                                   field="branch")
-    _write_csv(os.path.join(outdir, "eval.csv"),
+    write_csv(os.path.join(outdir, "eval.csv"),
                ["z_re", "z_im", "log_mag", "arg", "err", "n_used"],
                [(z.real, z.imag, val.log_mag, val.arg, err, n_used)])
     return ["eval.csv"]
 
 
 def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
-    obj = _load_set(cfg)
+    obj = _read(cfg, "set", json.loads)
     if "shapes" in obj:
         tail = tuple(float(v) for v in obj.get("tail_inv_log_caps", ()))
         union = pt.CompactUnion(_shapes_from_obj(obj["shapes"]), tail)
@@ -381,51 +330,42 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
         if len(union.shapes) == 1 and not tail:
             out["exact_log_capacity"] = pt.exact_log_capacity(
                 union.shapes[0])
-    elif "spec" in obj:
-        spec = spec_from_json(json.dumps(obj["spec"]))
+    elif "spec" in obj or "blaschke" in obj:
         N = int(obj.get("N", 1))
-        fs = pt.cantor_fine_sets(spec, N)
-        out = {
-            "N": fs.N,
-            "fn_log_bound": fs.fn_bound.log_bound,
-            "fn_bound": fs.fn_bound.bound,
-            "members": fs.fn_bound.members,
-            "sum_segments": fs.sum_segments,
-            "sum_disks": fs.sum_disks,
-            "cap_ambient_floor": fs.cap_ambient_floor,
-            "chain_closes": fs.chain_closes,
-            "meshable_fn_shapes": len(fs.FN.shapes),
-        }
-    elif "blaschke" in obj:
-        spec = bl.blaschke_spec_from_json(json.dumps(obj["blaschke"]))
-        N = int(obj.get("N", 1))
-        fs = bl.disk_fine_sets(spec, N)
-        out = {
+        if "spec" in obj:
+            fs = pt.cantor_fine_sets(
+                spec_from_json(json.dumps(obj["spec"])), N)
+            out = {"sum_segments": fs.sum_segments,
+                   "cap_ambient_floor": fs.cap_ambient_floor}
+        else:
+            fs = bl.disk_fine_sets(
+                bl.blaschke_spec_from_json(json.dumps(obj["blaschke"])), N)
+            out = {"cap_arc": fs.cap_S}
+        out.update({
             "N": fs.N,
             "fn_log_bound": fs.fn_bound.log_bound,
             "fn_bound": fs.fn_bound.bound,
             "members": fs.fn_bound.members,
             "sum_disks": fs.sum_disks,
-            "cap_arc": fs.cap_S,
             "chain_closes": fs.chain_closes,
             "meshable_fn_shapes": len(fs.FN.shapes),
-        }
+        })
     else:
         raise PreconditionFailure(
             "set JSON needs 'shapes', 'spec', or 'blaschke'", field="set")
-    _write_json(os.path.join(outdir, "capacity.json"), out)
+    write_json(os.path.join(outdir, "capacity.json"), out)
     return ["capacity.json"]
 
 
 def cmd_green(cfg: dict, outdir: str) -> list[str]:
-    obj = _load_set(cfg)
+    obj = _read(cfg, "set", json.loads)
     if "shapes" not in obj:
         raise PreconditionFailure("set JSON needs 'shapes'", field="set")
     union = pt.CompactUnion(_shapes_from_obj(obj["shapes"]))
-    z = _parse_point(_require(cfg, "at"))
+    z = _point(cfg, "at")
     model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
     value = pt.green_eval(model, z)
-    _write_json(os.path.join(outdir, "green.json"), {
+    write_json(os.path.join(outdir, "green.json"), {
         "n": len(model.points),
         "cap_estimate": model.cap_estimate,
         "log_cap_estimate": model.log_cap_estimate,
@@ -438,68 +378,57 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
         d_k = model.d_seq[k - 1] if 1 <= k <= len(model.d_seq) else \
             float("nan")
         rows.append((k, p.real, p.imag, d_k))
-    _write_csv(os.path.join(outdir, "leja.csv"),
+    write_csv(os.path.join(outdir, "leja.csv"),
                ["k", "re", "im", "d_k"], rows)
     return ["green.json", "leja.csv"]
 
 
 def cmd_sample_e(cfg: dict, outdir: str) -> list[str]:
-    spec = _load_cantor(cfg)
+    spec = _read(cfg, "spec", spec_from_json)
     depth = _require(cfg, "depth")
     rows = pt.sample_E(spec, depth, samples=cfg["samples"],
                        leja_n=cfg["leja_n"])
-    _write_csv(os.path.join(outdir, "esample.csv"), ["x", "u", "in_EN"],
+    write_csv(os.path.join(outdir, "esample.csv"), ["x", "u", "in_EN"],
                [(r.x, r.u, r.in_EN) for r in rows])
     return ["esample.csv"]
 
 
 def cmd_hull_scan(cfg: dict, outdir: str) -> list[str]:
-    spec = _load_cantor(cfg)
-    z = _parse_point(_require(cfg, "z"))
-    wrect = _parse_floats(_require(cfg, "wrect"), 4, "wrect")
+    spec = _read(cfg, "spec", spec_from_json)
+    z = _point(cfg, "z")
+    wrect = _floats(cfg, "wrect", 4)
     hps = hl.make_hull_spec(spec, cfg["depth"], scheme=cfg["scheme"])
     grid = hl.fiber_scan(hps, z, wrect, cfg["res"], sq=cfg["sq"],
                          delta=cfg["delta"])
-    _write_csv(os.path.join(outdir, "grid.csv"), ["w_re", "w_im", "v"],
+    write_csv(os.path.join(outdir, "grid.csv"), ["w_re", "w_im", "v"],
                hl.grid_rows(grid))
-    _write_json(os.path.join(outdir, "dips.json"), hl.grid_report(grid))
+    write_json(os.path.join(outdir, "dips.json"), hl.grid_report(grid))
     return ["grid.csv", "dips.json"]
 
 
-def _load_blaschke(cfg: dict):
-    path = _require(cfg, "spec")
-    try:
-        with open(path) as fh:
-            return bl.blaschke_spec_from_json(fh.read())
-    except OSError as e:
-        raise PreconditionFailure(f"cannot read spec: {e}",
-                                  field="spec") from e
-
-
 def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
-    spec = _load_blaschke(cfg)
+    spec = _read(cfg, "spec", bl.blaschke_spec_from_json)
     names: list[str] = []
     depth = cfg["depth"] if cfg["depth"] is not None else spec.max_index
     if cfg["at"] is not None:
-        z = _parse_point(cfg["at"])
+        z = _point(cfg, "at")
         val = bl.eval_blaschke(spec, depth, z)
         try:
             tail = bl.blaschke_tail_bound(spec, depth, z)
         except PreconditionFailure:
             tail = float("nan")
-        _write_csv(os.path.join(outdir, "blaschke.csv"),
+        write_csv(os.path.join(outdir, "blaschke.csv"),
                    ["z_re", "z_im", "log_mag", "arg", "tail"],
                    [(z.real, z.imag, val.log_mag, val.arg, tail)])
         names.append("blaschke.csv")
         if cfg["sheets"] is not None:
-            k0, k1 = (int(v) for v in _parse_floats(cfg["sheets"], 2,
-                                                    "sheets"))
+            k0, k1 = (int(v) for v in _floats(cfg, "sheets", 2))
             spacing = bl.fb_sheet_spacing(spec, z, depth).to_complex()
             sheets = []
             for k in range(k0, k1 + 1):
                 w = bl.fb_sheet(spec, k, z, depth).to_complex()
                 sheets.append({"k": k, "re": w.real, "im": w.imag})
-            _write_json(os.path.join(outdir, "sheets.json"), {
+            write_json(os.path.join(outdir, "sheets.json"), {
                 "at": [z.real, z.imag],
                 "depth": depth,
                 "spacing": [spacing.real, spacing.imag],
@@ -512,7 +441,7 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
         rows = bl.blaschke_sample_E(spec, cfg["sample_depth"],
                                     samples=cfg["samples"],
                                     leja_n=cfg["leja_n"])
-        _write_csv(os.path.join(outdir, "bsample.csv"),
+        write_csv(os.path.join(outdir, "bsample.csv"),
                    ["theta", "u", "in_EN"],
                    [(r.theta, r.u, r.in_EN) for r in rows])
         names.append("bsample.csv")
@@ -553,9 +482,7 @@ def main(argv=None) -> int:
         outdir = cfg["out"]
         os.makedirs(outdir, exist_ok=True)
         names = _DISPATCH[command](cfg, outdir)
-        manifest_cfg = {k: (v if not isinstance(v, complex) else
-                            [v.real, v.imag]) for k, v in cfg.items()}
-        _write_manifest(outdir, command, manifest_cfg, names)
+        _write_manifest(outdir, command, cfg, names)
         for n in names:
             print(os.path.join(outdir, n))
     except PreconditionFailure as e:

@@ -138,14 +138,16 @@ def make_hull_spec(spec: CantorSpec, M: int, scheme: str = "flat_head",
     return HullPotentialSpec(spec, build_weights(spec, M, scheme, strict), M)
 
 
-def _pq(spec: CantorSpec, n: int, z: complex) -> tuple[complex, complex]:
-    """Monic numerator/denominator pair of the n-th partial product."""
+def _pq_prefixes(spec: CantorSpec, n: int, z: complex):
+    """Monic numerator/denominator pairs (P_k, Q_k) of the partial
+    products f_k, for k = 0..n."""
     P = z - spec.b0
     Q = z - spec.a0
+    yield P, Q
     for g in spec.gaps[:n]:
         P *= z - g.a
         Q *= z - g.b
-    return P, Q
+        yield P, Q
 
 
 def v_n(spec: CantorSpec, n: int, z: complex, w: complex) -> float:
@@ -156,7 +158,7 @@ def v_n(spec: CantorSpec, n: int, z: complex, w: complex) -> float:
     """
     if not 0 <= n <= spec.max_index:
         raise PreconditionFailure("n out of range", field="n")
-    P, Q = _pq(spec, n, complex(z))
+    *_, (P, Q) = _pq_prefixes(spec, n, complex(z))
     r = abs(complex(w) * Q - P)
     return math.log(r) if r > 0.0 else float("-inf")
 
@@ -165,12 +167,9 @@ def eval_v(hps: HullPotentialSpec, z: complex, w: complex) -> float:
     """Truncated weighted potential sum_{n<=M} e_n/(n c_n) max(v_n, floor)."""
     z, w = complex(z), complex(w)
     total = 0.0
-    P = z - hps.spec.b0
-    Q = z - hps.spec.a0
-    for n in range(1, hps.M + 1):
-        g = hps.spec.gap(n)
-        P *= z - g.a
-        Q *= z - g.b
+    pq = _pq_prefixes(hps.spec, hps.M, z)
+    next(pq)
+    for n, (P, Q) in enumerate(pq, start=1):
         r = abs(w * Q - P)
         vn = math.log(r) if r > 0.0 else float("-inf")
         total += hps.term_scale(n) * max(vn, hps.floor(n))
@@ -274,13 +273,10 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     W = xs[None, :] + 1j * ys[:, None]
     Warg = W * W if sq else W
     vals = np.zeros((res, res))
-    P = z - hps.spec.b0
-    Q = z - hps.spec.a0
+    pq = _pq_prefixes(hps.spec, hps.M, z)
+    next(pq)
     with np.errstate(divide="ignore"):
-        for n in range(1, hps.M + 1):
-            g = hps.spec.gap(n)
-            P *= z - g.a
-            Q *= z - g.b
+        for n, (P, Q) in enumerate(pq, start=1):
             vn = np.log(np.abs(Warg * Q - P))
             vals += hps.term_scale(n) * np.maximum(vn, hps.floor(n))
     clamped = int(np.sum(vals < SENTINEL))

@@ -133,14 +133,6 @@ class LogComplex:
             return self if k > 0 else LogComplex.one()
         return LogComplex(k * self.log_mag, wrap_angle(k * self.arg))
 
-    def scaled(self, t: float) -> "LogComplex":
-        """Multiply by a positive real given as plain float."""
-        if t <= 0.0:
-            raise ValueError("scaled() needs a positive factor")
-        if self.is_zero:
-            return self
-        return LogComplex(self.log_mag + math.log(t), self.arg)
-
 
 def logsum(terms: list[LogComplex]) -> LogComplex:
     """Sum of log-polar values, accurate when one term dominates.

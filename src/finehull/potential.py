@@ -278,8 +278,6 @@ def leja_points(sets: CompactUnion, n: int = 64,
     if not meshes:
         raise DegenerateSet("no meshable shapes in the union")
     cands = np.concatenate(meshes)
-    if np.all(cands == cands[0]):
-        raise DegenerateSet("candidate mesh is a single point")
 
     idx = int(np.argmax(np.abs(cands)))
     pts = [cands[idx]]
@@ -295,6 +293,11 @@ def leja_points(sets: CompactUnion, n: int = 64,
             logprod += np.log(np.abs(cands - cands[idx]))
         d_seq.append(math.exp(2.0 * pair_log / (k * (k + 1))))
     gain_next = float(np.max(logprod))
+    if gain_next == -math.inf:
+        # every candidate coincides with a node: fewer than n + 1 distinct
+        raise DegenerateSet(
+            f"candidate mesh needs more than n={n} distinct points",
+            field="n")
     cap_est = math.exp(gain_next / n)
     points = np.array(pts)
     with np.errstate(divide="ignore"):
@@ -345,6 +348,34 @@ class FineSets:
         return self.fn_bound.bound < self.cap_ambient_floor
 
 
+def _certified_tail(rule, M: int) -> tuple[int, float]:
+    """Horizon H = max(M, 64) for analytic member lists and the certified
+    bound on sum_{j > H} 1/(j c_j) that charges the omitted members; an
+    explicit rule stops at its materialized prefix with nothing omitted."""
+    if rule.max_defined_index is not None:
+        return M, 0.0
+    H = max(M, 64)
+    return H, condition_sum(rule, J=H).tail_bound
+
+
+def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
+    """Score (key, z) candidates by the Green witness u = g_F - g_J at z.
+
+    A row is in E_N when u > 0 and certify(key) holds; raises EmptySample
+    when no row is.
+    """
+    model_F = leja_points(fs.FN, n=leja_n)
+    model_J = leja_points(fs.JN, n=leja_n)
+    out = []
+    for key, z in cands:
+        u = fine_witness_u(model_F, model_J, z)
+        out.append(row(key, u, u > 0.0 and certify(key)))
+    if not any(s.in_EN for s in out):
+        raise EmptySample(
+            "no candidate passes both the witness and distance conditions")
+    return out
+
+
 def _fn_analytic_bound(spec: CantorSpec, N: int) -> UnionBound:
     """Union capacity bound for F_N with every member charged analytically.
 
@@ -355,15 +386,8 @@ def _fn_analytic_bound(spec: CantorSpec, N: int) -> UnionBound:
     rule's closed-form tail.
     """
     rule = spec.c_rule
-    H = spec.max_index
-    extra_inv = 0.0
-    if rule.max_defined_index is None:
-        H = max(H, 64)
-        cs = condition_sum(rule, J=H)
-        if cs.tail_bound is None:
-            raise PreconditionFailure("rule carries no tail certificate",
-                                      field="c_rule")
-        extra_inv = 3.0 * cs.tail_bound
+    H, tail = _certified_tail(rule, spec.max_index)
+    extra_inv = 3.0 * tail
     invs: list[float] = []
     for j in range(1, H + 1):
         jcj = rule.jcj(j)
@@ -442,8 +466,6 @@ def sample_E(spec: CantorSpec, N: int, samples: int = 32,
         raise PreconditionFailure(
             f"union bound {fs.fn_bound.bound:.3g} does not beat the "
             f"ambient capacity floor {fs.cap_ambient_floor:.3g} at N={N}")
-    model_F = leja_points(fs.FN, n=leja_n)
-    model_J = leja_points(fs.JN, n=leja_n)
     # endpoints of the remaining intervals at depth N; all lie in the
     # limit set exactly (gap endpoints persist through the construction)
     cands: list[float] = [spec.a0, spec.b0]
@@ -455,12 +477,5 @@ def sample_E(spec: CantorSpec, N: int, samples: int = 32,
     if samples < len(cands):
         step = len(cands) / samples
         cands = [cands[int(i * step)] for i in range(samples)]
-    out: list[ESample] = []
-    for x in cands:
-        u = fine_witness_u(model_F, model_J, x)
-        ok = u > 0.0 and certify_en_point(spec, x, N)
-        out.append(ESample(x, u, ok))
-    if not any(s.in_EN for s in out):
-        raise EmptySample(
-            "no candidate passes both the witness and distance conditions")
-    return out
+    return _witness_sample(fs, leja_n, [(x, x) for x in cands],
+                           lambda x: certify_en_point(spec, x, N), ESample)

@@ -17,10 +17,9 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .cantor import (CantorSpec, _seg_distance, build_cantor_spec,
-                     sum_gap_lengths)
+from .cantor import (HALVING_DENOM, CantorSpec, _last_violation,
+                     _seg_distance, sum_gap_lengths)
 from .errors import (DomainViolation, NoConvergence, NotInEN, PoleHit,
                      PreconditionFailure, QuadratureFailure, RegionViolatesEN)
 from .logspace import LogComplex, log1p_complex, logsum, wrap_angle
@@ -34,7 +33,6 @@ __all__ = [
     "sqrt_branch",
     "laurent_c1",
     "LaurentC1",
-    "log_derivative_coeff",
     "fine_boundary_value",
     "tail_product_minus_one",
     "certify_en_point",
@@ -109,17 +107,23 @@ def _factor_logs(spec: CantorSpec, N: int, z: complex):
     return logs
 
 
-def eval_partial_product(spec: CantorSpec, N: int, z: complex) -> LogComplex:
-    """Truncation f_N(z) with N gap factors, as a log-polar value."""
+def _factor_power(spec: CantorSpec, N: int, z: complex,
+                  p: float) -> LogComplex:
+    """f_N(z)^p as the product of per-factor principal powers."""
     logs = _factor_logs(spec, N, z)
     if logs is None:
         return LogComplex.zero()
     re = 0.0
     im = 0.0
     for l in logs:
-        re += l.real
-        im += l.imag
+        re += p * l.real
+        im += p * l.imag
     return LogComplex.from_polar(re, wrap_angle(im))
+
+
+def eval_partial_product(spec: CantorSpec, N: int, z: complex) -> LogComplex:
+    """Truncation f_N(z) with N gap factors, as a log-polar value."""
+    return _factor_power(spec, N, z, 1.0)
 
 
 @dataclass(frozen=True)
@@ -167,26 +171,15 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     """
     if N < 0 or N > spec.max_index:
         raise PreconditionFailure("N out of range", field="N")
-    logs = []
-    M = spec.max_index
-    for g in spec.gaps[N:M]:
-        d = _dist_to_point(region, g.b)
-        if d == 0.0:
-            raise RegionViolatesEN(f"region touches pole b_{g.index}")
-        log_u = g.log_length - math.log(d)
-        if log_u > spec.log_p(g.index):
-            raise RegionViolatesEN(
-                f"distance condition fails at gap {g.index}")
-        logs.append(log_u)
-    # unmaterialized tail
     rule = spec.c_rule
-    if rule.max_defined_index is not None:
-        # finite construction: nothing beyond the explicit prefix
-        pass
-    else:
-        if not rule.tail_ratio_halves(M + 1):
+    M = spec.max_index
+    poles = [(g.index, g.b) for g in spec.gaps[N:M]]
+    tail = None
+    # an explicit rule is a finite construction: nothing beyond its prefix
+    if rule.max_defined_index is None:
+        log_p_next = rule.halving_tail(M + 1)
+        if log_p_next is None:
             raise RegionViolatesEN("rule tail does not certify halving")
-        log_p_next = spec.log_p(M + 1)
         if isinstance(region, tuple):
             c, rad = region
             droot = max(_seg_distance(complex(c), spec.a0, spec.b0) - rad, 0.0)
@@ -194,32 +187,31 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
             droot = _seg_distance(complex(region), spec.a0, spec.b0)
         if droot > 0.0 and log_p_next <= math.log(droot):
             # off the root interval: |u_n| <= length_n / droot, halving sum
-            lead = -rule.jcj(M + 1) - math.log(droot)
-            logs.append(lead + math.log(2.0))
+            tail = -rule.jcj(M + 1) - math.log(droot) + math.log(2.0)
         else:
             # inside or near the root: the placement rule fixes every
-            # later gap, so check the distance conditions against
-            # would-be poles out to the underflow horizon
-            work = _horizon_spec(spec)
-            if work is None:
+            # later gap, so the would-be poles out to the underflow
+            # horizon join the check; past it each term stays below p_n
+            walk = spec.horizon_poles
+            if walk is None:
                 raise RegionViolatesEN(
                     "rule keeps thresholds representable past the "
                     "index budget")
-            for g in work.gaps[M:]:
-                d = _dist_to_point(region, g.b)
-                if d == 0.0:
-                    raise RegionViolatesEN(
-                        f"region touches would-be pole b_{g.index}")
-                log_u = g.log_length - math.log(d)
-                if log_u > work.log_p(g.index):
-                    raise RegionViolatesEN(
-                        f"distance condition fails at would-be gap "
-                        f"{g.index}")
-                logs.append(log_u)
-            # past the horizon each term stays below p_n, a certified
-            # geometric series with ratio 2^{-1/2}
-            logs.append(work.log_p(len(work.gaps) + 1) +
-                        math.log(1.0 / (1.0 - 0.5 ** 0.5)))
+            poles = walk[N:]
+            H = len(walk)           # walk holds j = 1 .. H
+            tail = rule.halving_tail(H + 1) + math.log(1.0 / HALVING_DENOM)
+    logs = []
+    for j, b in poles:
+        d = _dist_to_point(region, b)
+        if d == 0.0:
+            raise RegionViolatesEN(f"region touches pole b_{j}")
+        jcj = rule.jcj(j)
+        log_u = -jcj - math.log(d)
+        if log_u > -0.5 * jcj:
+            raise RegionViolatesEN(f"distance condition fails at gap {j}")
+        logs.append(log_u)
+    if tail is not None:
+        logs.append(tail)
     if not logs:
         return TailBound(float("-inf"), 0)
     lead = max(logs)
@@ -258,7 +250,7 @@ def sqrt_branch(spec: CantorSpec, N: int, z: complex, tag: BranchTag) -> LogComp
             raise DomainViolation(
                 "H-family branches need Im z != 0; use fine_boundary_value "
                 "for boundary values on the set")
-        d_plus = _d_plus(spec, N, z)
+        d_plus = _factor_power(spec, N, z, 0.5)
         val = d_plus if z.imag > 0.0 else -d_plus
         return val if tag is BranchTag.H_PLUS else -val
     if z.imag == 0.0 and spec.a0 <= z.real <= spec.b0:
@@ -267,20 +259,8 @@ def sqrt_branch(spec: CantorSpec, N: int, z: complex, tag: BranchTag) -> LogComp
         if not inside_gap:
             raise DomainViolation(
                 "D-family branches are undefined on the set between gaps")
-    d_plus = _d_plus(spec, N, z)
+    d_plus = _factor_power(spec, N, z, 0.5)
     return d_plus if tag is BranchTag.D_PLUS else -d_plus
-
-
-def _d_plus(spec: CantorSpec, N: int, z: complex) -> LogComplex:
-    logs = _factor_logs(spec, N, z)
-    if logs is None:
-        return LogComplex.zero()
-    re = 0.0
-    im = 0.0
-    for l in logs:
-        re += 0.5 * l.real
-        im += 0.5 * l.imag
-    return LogComplex.from_polar(re, wrap_angle(im))
 
 
 @dataclass(frozen=True)
@@ -320,83 +300,19 @@ def laurent_c1(spec: CantorSpec, N: int | None = None, nodes: int = 4096,
     return LaurentC1(formula, acc.real, R, nodes)
 
 
-def log_derivative_coeff(spec: CantorSpec, k: int, N: int | None = None) -> float:
-    """Moment sum b0^k - a0^k - sum_j (b_j^k - a_j^k) for k >= 1.
-
-    Each gap difference is expanded as length * sum b^i a^(k-1-i), which
-    avoids cancellation for short gaps.
-    """
-    if k < 1:
-        raise PreconditionFailure("k must be >= 1", field="k")
-    n = spec.max_index if N is None else N
-
-    def pow_diff(a: float, b: float, length: float) -> float:
-        s = 0.0
-        for i in range(k):
-            s += b ** i * a ** (k - 1 - i)
-        return length * s
-
-    total = pow_diff(spec.a0, spec.b0, spec.root_length)
-    for g in spec.gaps[:n]:
-        total -= pow_diff(g.a, g.b, g.length)
-    return total
-
-
-@lru_cache(maxsize=16)
-def _extended(spec: CantorSpec, H: int) -> CantorSpec:
-    return build_cantor_spec(spec.a0, spec.b0, spec.c_rule,
-                             spec.placement, H)
-
-
-def _horizon_spec(spec: CantorSpec) -> CantorSpec | None:
-    """The spec extended with would-be gaps until the distance threshold
-    e^{-j c_j / 2} underflows to exact zero.
-
-    Past that horizon every remaining distance condition holds at double
-    precision.  Returns None when the rule keeps thresholds representable
-    beyond a fixed index budget, or when the extension cannot be built.
-    """
-    rule = spec.c_rule
-    if rule.max_defined_index is not None:
-        return spec
-    horizon = spec.max_index
-    j = spec.max_index + 1
-    while 0.5 * rule.jcj(j) <= 746.0:
-        horizon = j
-        j += 1
-        if j > spec.max_index + 8192:
-            return None
-    if horizon <= spec.max_index:
-        return spec
-    try:
-        return _extended(spec, horizon)
-    except PreconditionFailure:
-        return None
-
-
 def certify_en_point(spec: CantorSpec, x: float, N: int) -> bool:
     """Distance conditions |x - b_n| >= exp(-n c_n / 2) for all n >= N
     at machine resolution.
 
-    Materialized gaps are checked directly in log space.  The placement
-    rule determines every later gap as well, so the check continues
-    against would-be gaps until the threshold e^{-n c_n / 2} underflows
-    to exact zero; past that horizon the remaining conditions hold at
-    double precision.  A rule whose thresholds stay representable beyond
-    a fixed index budget cannot be certified this way.
+    The check runs over spec.horizon_poles: the materialized gaps, then
+    the would-be gaps the placement rule determines, until the threshold
+    e^{-n c_n / 2} underflows to exact zero; past that horizon the
+    remaining conditions hold at double precision.  A rule whose
+    thresholds stay representable beyond a fixed index budget cannot be
+    certified this way.
     """
-    work = _horizon_spec(spec)
-    if work is None:
-        return False
-    for g in work.gaps:
-        if g.index < N:
-            continue
-        d = abs(x - g.b)
-        if d == 0.0:
-            return False
-        if math.log(d) < -0.5 * spec.c_rule.jcj(g.index):
-            return False
-    return True
+    last = _last_violation(spec, x)
+    return last is not None and last < max(N, 1)
 
 
 def fine_boundary_value(spec: CantorSpec, x: float, tag: BranchTag,
@@ -418,13 +334,12 @@ def fine_boundary_value(spec: CantorSpec, x: float, tag: BranchTag,
     scale = max(abs(spec.a0), abs(spec.b0), 1.0)
     if d_set > 64.0 * 2.220446049250313e-16 * scale:
         raise NotInEN("x not within certified distance of the set")
-    n_cert = None
-    for n in range(1, spec.max_index + 2):
-        if certify_en_point(spec, x, n):
-            n_cert = n
-            break
-    if n_cert is None:
+    # certify_en_point holds from N on exactly when N exceeds the last
+    # violated index, so one walk gives the smallest certified depth
+    last = _last_violation(spec, x)
+    if last is None or last > spec.max_index:
         raise NotInEN("distance conditions fail at every materialized depth")
+    n_cert = last + 1
     for g in spec.gaps:
         if g.length > 0.0 and x == g.b:
             raise PoleHit("x is a materialized pole")
@@ -455,7 +370,6 @@ def tail_product_minus_one(spec: CantorSpec, n: int, z: complex,
         raise PreconditionFailure("need 0 <= n < upto <= materialization")
     z = complex(z)
     terms = []
-    log_terms = []
     for g in spec.gaps[n:M]:
         w = z - g.b
         if w == 0:
@@ -463,7 +377,6 @@ def tail_product_minus_one(spec: CantorSpec, n: int, z: complex,
         lw = LogComplex.from_complex(w)
         u = LogComplex(g.log_length - lw.log_mag, wrap_angle(-lw.arg))
         terms.append(u)
-        log_terms.append(u.log_mag)
     if not terms:
         return LogComplex.zero()
     # L = sum log(1+u_j); each log(1+u) = u * (1 - u/2 + ...) with the

@@ -106,6 +106,19 @@ def test_certification_against_would_be_poles():
     assert certify_arc_point(SPEC, QUARTER / 3.0, 16)
 
 
+@pytest.mark.parametrize("N", [0, 4, 16])
+def test_would_be_poles_match_a_deeper_build(N):
+    rule = CRule("affine", slope=0.05, offset=1.0)
+    spec = build_blaschke_spec(0.0, QUARTER, rule, N)
+    deeper = build_blaschke_spec(0.0, QUARTER, rule, N + 8)
+    walk = spec.horizon_poles
+    assert walk[:N] == tuple((z.index, z.pole) for z in spec.zeros)
+    assert walk[N:N + 8] == tuple((z.index, z.pole)
+                                  for z in deeper.zeros[N:])
+    # moduli round to 1 from index 19 on: the closed form covers them too
+    assert any(z.degenerate for z in deeper.zeros) == (N == 16)
+
+
 def test_spec_json_roundtrip():
     assert blaschke_spec_from_json(json.dumps(SPEC.to_json_obj())) == SPEC
 

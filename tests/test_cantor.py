@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finehull.cantor import (CRule, build_cantor_spec, cantor_length,
-                             condition_sum, distance_to_gaps, spec_from_json,
+from finehull.cantor import (CRule, _place_gaps, build_cantor_spec,
+                             cantor_length, condition_sum, spec_from_json,
                              spec_to_json, sum_gap_lengths)
 from finehull.errors import GapOverflow, PlacementFailure, PreconditionFailure
 
@@ -101,14 +101,47 @@ def test_underflowed_gap_has_zero_width_but_exact_log():
     assert g.a == g.b == g.center
 
 
-def test_distance_to_gaps():
-    # the root segment participates, so only off-interval points count
-    s = spec5()
-    g = s.gap(1)
-    assert distance_to_gaps(s, complex(g.center, 0.0), 1) == 0.0
-    assert distance_to_gaps(s, complex(-0.5, 0.0), 1) == 0.5
-    assert distance_to_gaps(s, complex(g.center, 2.0), 1) == \
-        pytest.approx(2.0, rel=1e-9)
+def _scan_placement(rule, N):
+    """Reference bisect placement: scan every piece for the largest,
+    leftmost first, and splice the two halves in place."""
+    pieces = [(0.0, 1.0)]
+    centers = []
+    for j in range(1, N + 1):
+        log_len = -rule.jcj(j)
+        half = math.exp(log_len - math.log(2.0)) if log_len > -744.0 else 0.0
+        k = max(range(len(pieces)),
+                key=lambda i: (pieces[i][1] - pieces[i][0], -pieces[i][0]))
+        lo, hi = pieces[k]
+        center = 0.5 * (lo + hi)
+        centers.append(center)
+        pieces[k:k + 1] = [(lo, center - half), (center + half, hi)]
+    return centers, sorted(pieces)
+
+
+@pytest.mark.parametrize("rule", [
+    CRule("affine", slope=0.002, offset=1.0),
+    CRule("affine", slope=0.05, offset=1.0),
+    RULE5,
+    CRule("factorial", shift=0),
+    RULEF,
+], ids=lambda r: f"{r.kind}-{r.slope or r.shift}")
+@pytest.mark.parametrize("depth", [0, 6, 16])
+def test_resumed_placement_matches_full_build(rule, depth):
+    spec = build_cantor_spec(0.0, 1.0, rule, N=depth)
+    H = max(rule.horizon(depth), depth + 8)
+    full = build_cantor_spec(0.0, 1.0, rule, N=H)
+    more, pieces = _place_gaps(rule, spec.root_length, spec.remaining,
+                               sum_gap_lengths(spec), depth + 1, H)
+    assert spec.gaps + tuple(more) == full.gaps
+    assert tuple(pieces) == full.remaining
+    centers, ref_pieces = _scan_placement(rule, H)
+    assert [g.center for g in full.gaps] == centers
+    assert list(full.remaining) == ref_pieces
+    # the horizon walk is the same resumed placement, built once per spec
+    walk = spec.horizon_poles
+    assert walk is spec.horizon_poles
+    assert walk == tuple((g.index, g.b)
+                         for g in full.gaps[:rule.horizon(depth)])
 
 
 def test_gap_overflow_and_placement_failure():

@@ -86,13 +86,42 @@ def test_env_overrides_defaults_and_flags_override_env(tmp_path, capsys,
 def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    for out, threads in ((a, "1"), (b, "7")):
+    for out in (a, b):
         rc, _ = run(["spec-build", "--rule", "factorial", "--depth", "6",
-                     "--threads", threads, "--out", str(out)], capsys)
+                     "--out", str(out)], capsys)
         assert rc == 0
     assert (a / "manifest.json").read_bytes() == \
         (b / "manifest.json").read_bytes()
     assert (a / "spec.json").read_bytes() == (b / "spec.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["spec-build", "--depth", "x"], "depth"),
+    (["spec-build", "--rule", "explicit", "--values", "a,b"], "values"),
+    (["spec-build", "--slope", "nan"], "slope"),
+    (["green", "--set", "{shapes}", "--at", "3,0", "--n", "4",
+      "--mesh", "2"], "n"),
+    (["hull-scan", "--spec", "{fact}", "--z", "nan,0",
+      "--wrect=-1.5,1.5,-1.5,1.5"], "z"),
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=-1.5,inf,-1.5,1.5"], "wrect"),
+    (["eval", "--spec", "{spec}", "--at", "nan,0"], "at"),
+])
+def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
+                                              field):
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps(
+        {"shapes": [{"kind": "interval", "a": 0.0, "b": 1.0}]}))
+    run(["spec-build", "--rule", "factorial", "--depth", "12",
+         "--out", str(tmp_path / "fact")], capsys)
+    paths = {"shapes": str(shapes), "spec": _spec_path(tmp_path, capsys),
+             "fact": str(tmp_path / "fact" / "spec.json")}
+    out = tmp_path / "bad"
+    rc, stdout = run([a.format(**paths) for a in argv] + ["--out", str(out)],
+                     capsys)
+    assert rc == 1
+    assert json.loads(stdout.strip().splitlines()[-1])["field"] == field
+    assert not (out / "manifest.json").exists()
 
 
 def test_capacity_fine_sets(tmp_path, capsys):

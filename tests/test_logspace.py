@@ -65,13 +65,6 @@ def test_integer_powers(z, k):
     assert got == pytest.approx(z ** k, rel=1e-9)
 
 
-def test_scaled_requires_positive_factor():
-    z = LogComplex.from_complex(1.0 + 1.0j)
-    assert z.scaled(2.0).to_complex() == pytest.approx(2.0 + 2.0j)
-    with pytest.raises(ValueError):
-        z.scaled(0.0)
-
-
 def test_logsum_oracle():
     terms = [LogComplex.from_real(3.0), LogComplex.from_real(4.0)]
     assert logsum(terms).to_complex() == pytest.approx(7.0)

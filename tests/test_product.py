@@ -3,13 +3,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finehull import acceptance
 from finehull.cantor import CRule, build_cantor_spec, cantor_length
 from finehull.errors import (DomainViolation, NotInEN, PoleHit,
                              RegionViolatesEN)
 from finehull.product import (BranchTag, certify_en_point, eval_f,
                               eval_partial_product, fine_boundary_value,
-                              laurent_c1, log_derivative_coeff, sqrt_branch,
-                              tail_bound, tail_product_minus_one)
+                              laurent_c1, sqrt_branch, tail_bound,
+                              tail_product_minus_one)
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
 RULEF = CRule("factorial", shift=2)
@@ -87,6 +88,33 @@ def test_certification_sees_would_be_gaps():
     assert certify_en_point(SPEC5, lo + (hi - lo) / 3.0, 2)
 
 
+@pytest.mark.parametrize("spec_fn", [acceptance._spec5, acceptance._specf,
+                                     acceptance._spec_slow])
+def test_fine_boundary_depth_is_smallest_certified_depth(spec_fn):
+    spec = spec_fn()
+    xs = [hi for _, hi in spec.remaining] + [
+        lo + (hi - lo) * t for lo, hi in spec.remaining
+        for t in (1 / 3, 2 / 3)]
+    depths = set()
+    for x in xs:
+        ref = None
+        for n in range(1, spec.max_index + 2):
+            if certify_en_point(spec, x, n):
+                ref = n
+                break
+        if ref is None:
+            with pytest.raises(NotInEN):
+                fine_boundary_value(spec, x, BranchTag.H_PLUS)
+            continue
+        try:
+            _, _, n_cert = fine_boundary_value(spec, x, BranchTag.H_PLUS)
+        except PoleHit:
+            continue            # certified, but x is a degenerate gap's pole
+        assert n_cert == ref
+        depths.add(n_cert)
+    assert len(depths) >= 5
+
+
 def test_tail_bound_at_certified_point():
     lo, hi = max(SPEC5.remaining, key=lambda p: p[1] - p[0])
     x = lo + (hi - lo) / 3.0
@@ -124,11 +152,6 @@ def test_laurent_first_moment():
     for n in range(0, 9):
         lc = laurent_c1(SPEC5, n)
         assert lc.formula == -cantor_length(SPEC5, n)
-
-
-def test_log_derivative_coefficient_matches_length():
-    assert log_derivative_coeff(SPEC5, 1) == \
-        pytest.approx(cantor_length(SPEC5), rel=1e-15)
 
 
 def test_tail_product_minus_one_leading_term():
