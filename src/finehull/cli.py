@@ -28,6 +28,8 @@ from .errors import PreconditionFailure, UnsupportedShape
 __all__ = ["main"]
 
 ENV_PREFIX = "FINEHULL_"
+# most logarithm sheets one blaschke --sheets=k0,k1 run may write
+MAX_SHEETS = 4096
 
 
 def _write_manifest(outdir: str, command: str, cfg: dict,
@@ -331,7 +333,11 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
             out["exact_log_capacity"] = pt.exact_log_capacity(
                 union.shapes[0])
     elif "spec" in obj or "blaschke" in obj:
-        N = int(obj.get("N", 1))
+        try:
+            N = int(obj.get("N", 1))
+        except (TypeError, ValueError) as e:
+            raise PreconditionFailure(f"cannot parse N {obj['N']!r}",
+                                      field="N") from e
         if "spec" in obj:
             fs = pt.cantor_fine_sets(
                 spec_from_json(json.dumps(obj["spec"])), N)
@@ -412,6 +418,12 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
     depth = cfg["depth"] if cfg["depth"] is not None else spec.max_index
     if cfg["at"] is not None:
         z = _point(cfg, "at")
+        if cfg["sheets"] is not None:
+            k0, k1 = (int(v) for v in _floats(cfg, "sheets", 2))
+            if k1 - k0 >= MAX_SHEETS:
+                raise PreconditionFailure(
+                    f"sheet range {k0},{k1} spans more than {MAX_SHEETS} "
+                    "sheets", field="sheets")
         val = bl.eval_blaschke(spec, depth, z)
         try:
             tail = bl.blaschke_tail_bound(spec, depth, z)
@@ -422,7 +434,6 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
                    [(z.real, z.imag, val.log_mag, val.arg, tail)])
         names.append("blaschke.csv")
         if cfg["sheets"] is not None:
-            k0, k1 = (int(v) for v in _floats(cfg, "sheets", 2))
             spacing = bl.fb_sheet_spacing(spec, z, depth).to_complex()
             sheets = []
             for k in range(k0, k1 + 1):

@@ -271,24 +271,38 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
     W = xs[None, :] + 1j * ys[:, None]
-    Warg = W * W if sq else W
+    if sq:
+        np.multiply(W, W, out=W)
+    # each term runs through one complex and one float buffer in the
+    # order log|W Q - P|, floor, scale, so no per-term temporaries
+    cbuf = np.empty_like(W)
+    term = np.empty((res, res))
     vals = np.zeros((res, res))
     pq = _pq_prefixes(hps.spec, hps.M, z)
     next(pq)
     with np.errstate(divide="ignore"):
         for n, (P, Q) in enumerate(pq, start=1):
-            vn = np.log(np.abs(Warg * Q - P))
-            vals += hps.term_scale(n) * np.maximum(vn, hps.floor(n))
+            np.multiply(W, Q, out=cbuf)
+            np.subtract(cbuf, P, out=cbuf)
+            np.abs(cbuf, out=term)
+            np.log(term, out=term)
+            np.maximum(term, hps.floor(n), out=term)
+            np.multiply(term, hps.term_scale(n), out=term)
+            vals += term
+    del W, cbuf, term
     clamped = int(np.sum(vals < SENTINEL))
     np.maximum(vals, SENTINEL, out=vals)
     median = float(np.median(vals))
 
     # interior non-strict local minima over 8 neighbors
     c = vals[1:-1, 1:-1]
-    neigh = np.stack([vals[1 + di:res - 1 + di, 1 + dj:res - 1 + dj]
-                      for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                      if (di, dj) != (0, 0)])
-    mins = np.argwhere(c <= neigh.min(axis=0)) + 1
+    neigh = np.full_like(c, np.inf)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) != (0, 0):
+                np.minimum(neigh, vals[1 + di:res - 1 + di,
+                                       1 + dj:res - 1 + dj], out=neigh)
+    mins = np.argwhere(c <= neigh) + 1
 
     f = eval_partial_product(hps.spec, hps.M, z)
     if sq:

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 MESH_RESOLUTION = 1e-12
+# nodes x candidates of one Leja model: 2**26, over three times the
+# largest model in use (n = 256 on 5 shapes of 64*256 nodes)
+LEJA_MAX_WORK = 1 << 26
 _LOG4 = math.log(4.0)
 
 
@@ -248,7 +251,9 @@ class GreenModel:
     cap_estimate is the n-th root of the next greedy gain, which tracks
     the Chebyshev constant; the transfinite-diameter sequence d_seq is
     recorded alongside for diagnostics.  node_tol is the largest |ghat|
-    over the candidate mesh itself, the natural clamping scale.
+    over the candidate mesh itself, the natural clamping scale; it is
+    read off the greedy loop's running log-product, so no nodes x mesh
+    matrix is formed.
     """
 
     support: CompactUnion
@@ -266,18 +271,28 @@ def leja_points(sets: CompactUnion, n: int = 64,
                 mesh_per_shape: int | None = None) -> GreenModel:
     """Greedy max-product nodes on the union boundary.
 
-    The candidate mesh has at least 64*n nodes per meshable shape; shapes
-    below MESH_RESOLUTION are excluded (they are charged analytically in
-    bounds, not sampled).  Deterministic: ties resolve to the lowest
-    candidate index.
+    The candidate mesh has mesh_per_shape nodes (at least 2; default
+    64*n) per meshable shape; shapes below MESH_RESOLUTION are excluded
+    (they are charged analytically in bounds, not sampled).  The work is
+    n times the candidate count, capped at LEJA_MAX_WORK; memory is
+    O(|mesh|), since node_tol is read off the greedy loop's running
+    log-product.  Deterministic: ties resolve to the lowest candidate
+    index.
     """
     if n < 2:
         raise PreconditionFailure("need n >= 2 nodes", field="n")
-    m = mesh_per_shape or 64 * n
-    meshes = [s.boundary_mesh(m) for s in sets.shapes if s.meshable]
-    if not meshes:
+    if mesh_per_shape is not None and mesh_per_shape < 2:
+        raise PreconditionFailure("need mesh >= 2 nodes per shape",
+                                  field="mesh")
+    m = 64 * n if mesh_per_shape is None else mesh_per_shape
+    shapes = [s for s in sets.shapes if s.meshable]
+    if not shapes:
         raise DegenerateSet("no meshable shapes in the union")
-    cands = np.concatenate(meshes)
+    if n * m * len(shapes) > LEJA_MAX_WORK:
+        raise PreconditionFailure(
+            f"n={n} nodes over {m * len(shapes)} candidates exceeds the "
+            f"work cap {LEJA_MAX_WORK}", field="n")
+    cands = np.concatenate([s.boundary_mesh(m) for s in shapes])
 
     idx = int(np.argmax(np.abs(cands)))
     pts = [cands[idx]]
@@ -299,13 +314,11 @@ def leja_points(sets: CompactUnion, n: int = 64,
             f"candidate mesh needs more than n={n} distinct points",
             field="n")
     cap_est = math.exp(gain_next / n)
-    points = np.array(pts)
-    with np.errstate(divide="ignore"):
-        raw = np.mean(np.log(np.abs(cands[None, :] - points[:, None])),
-                      axis=0) - math.log(cap_est)
+    # logprod[i] = sum over the n nodes of log|cand_i - node|
+    raw = logprod / n - math.log(cap_est)
     raw = raw[np.isfinite(raw)]
     node_tol = float(np.max(np.abs(raw))) if raw.size else 0.0
-    return GreenModel(sets, points, tuple(d_seq), cap_est, node_tol)
+    return GreenModel(sets, np.array(pts), tuple(d_seq), cap_est, node_tol)
 
 
 def green_eval(model: GreenModel, z: complex) -> float:

@@ -106,6 +106,13 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["hull-scan", "--spec", "{fact}", "--z", "2,0",
       "--wrect=-1.5,inf,-1.5,1.5"], "wrect"),
     (["eval", "--spec", "{spec}", "--at", "nan,0"], "at"),
+    (["green", "--set", "{shapes}", "--at", "3,0", "--mesh", "1"], "mesh"),
+    (["green", "--set", "{shapes}", "--at", "3,0", "--mesh", "0"], "mesh"),
+    (["green", "--set", "{shapes}", "--at", "3,0", "--mesh=-3"], "mesh"),
+    (["green", "--set", "{shapes}", "--at", "3,0", "--n", "100000"], "n"),
+    (["capacity", "--set", "{fineset}"], "N"),
+    (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2", "--sheets=0,1e9"],
+     "sheets"),
 ])
 def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                               field):
@@ -114,8 +121,19 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
         {"shapes": [{"kind": "interval", "a": 0.0, "b": 1.0}]}))
     run(["spec-build", "--rule", "factorial", "--depth", "12",
          "--out", str(tmp_path / "fact")], capsys)
-    paths = {"shapes": str(shapes), "spec": _spec_path(tmp_path, capsys),
-             "fact": str(tmp_path / "fact" / "spec.json")}
+    spec = _spec_path(tmp_path, capsys)
+    fineset = tmp_path / "fineset.json"
+    fineset.write_text(json.dumps(
+        {"spec": json.loads(open(spec).read()), "N": "x"}))
+    disk = tmp_path / "disk.json"
+    disk.write_text(json.dumps({
+        "alpha": 0.0, "beta": 1.5707963267948966,
+        "c_rule": {"kind": "affine", "slope": 5.0, "offset": 0.0},
+        "N": 12,
+    }))
+    paths = {"shapes": str(shapes), "spec": spec,
+             "fact": str(tmp_path / "fact" / "spec.json"),
+             "fineset": str(fineset), "disk": str(disk)}
     out = tmp_path / "bad"
     rc, stdout = run([a.format(**paths) for a in argv] + ["--out", str(out)],
                      capsys)

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finehull.cantor import CRule, build_cantor_spec
 from finehull.errors import (DomainViolation, NoValidWeights, PoleHit,
                              PreconditionFailure)
-from finehull.hull import (build_weights, eval_v, eval_v_on_graph,
-                           fiber_scan, graph_depth_bound, grid_report,
-                           grid_rows, make_hull_spec, v_n)
+from finehull.hull import (SENTINEL, Dip, build_weights, eval_v,
+                           eval_v_on_graph, fiber_scan, graph_depth_bound,
+                           grid_report, grid_rows, make_hull_spec, v_n)
 from finehull.product import eval_partial_product
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -122,3 +124,69 @@ def test_potential_dominated_by_graph_value(z, w):
     # the graph is the global minimum of the fiber potential
     hps = make_hull_spec(SPECF, 4)
     assert eval_v(hps, z, w) >= eval_v_on_graph(hps, z) - 1e-9
+
+
+
+def _stacked_scan(hps, z, res, sq, delta):
+    """(values, median, clamped, dips) with per-term temporaries and an
+    8-plane neighbour stack."""
+    xs = np.linspace(WRECT[0], WRECT[1], res)
+    ys = np.linspace(WRECT[2], WRECT[3], res)
+    W = xs[None, :] + 1j * ys[:, None]
+    Warg = W * W if sq else W
+    vals = np.zeros((res, res))
+    P, Q = z - hps.spec.b0, z - hps.spec.a0
+    with np.errstate(divide="ignore"):
+        for n in range(1, hps.M + 1):
+            g = hps.spec.gap(n)
+            P *= z - g.a
+            Q *= z - g.b
+            vn = np.log(np.abs(Warg * Q - P))
+            vals += hps.term_scale(n) * np.maximum(vn, hps.floor(n))
+    clamped = int(np.sum(vals < SENTINEL))
+    np.maximum(vals, SENTINEL, out=vals)
+    median = float(np.median(vals))
+    neigh = np.stack([vals[1 + di:res - 1 + di, 1 + dj:res - 1 + dj]
+                      for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                      if (di, dj) != (0, 0)])
+    mins = np.argwhere(vals[1:-1, 1:-1] <= neigh.min(axis=0)) + 1
+    f = eval_partial_product(hps.spec, hps.M, z)
+    targets = {f.sqrt().to_complex(), (-f.sqrt()).to_complex()} if sq \
+        else {f.to_complex()}
+    depth = median - eval_v_on_graph(hps, z)
+    reach = 1.5 * math.hypot(3.0 / (res - 1), 3.0 / (res - 1))
+    dips = []
+    for t in targets:
+        nodes = [complex(xs[ix], ys[iy]) for iy, ix in mins]
+        best = min(nodes, key=lambda p: abs(p - t), default=None)
+        if best is not None and abs(best - t) <= reach and depth >= delta:
+            dips.append(Dip(t, best, depth))
+    dips.sort(key=lambda p: (p.w.real, p.w.imag))
+    return vals, median, clamped, tuple(dips)
+
+
+@pytest.mark.parametrize("M", [1, 4])
+@pytest.mark.parametrize("res", [64, 128])
+@pytest.mark.parametrize("sq", [False, True])
+@pytest.mark.parametrize("z", [2.0 + 0.0j, 0.3 + 0.2j])
+def test_fiber_scan_buffers_match_stacked_reference(M, res, sq, z):
+    hps = make_hull_spec(SPECF, M)
+    grid = fiber_scan(hps, z, WRECT, res, sq=sq, delta=1.0)
+    vals, median, clamped, dips = _stacked_scan(hps, z, res, sq, 1.0)
+    assert grid.values.tobytes() == vals.tobytes()
+    assert grid.median == median
+    assert grid.clamped == clamped
+    assert grid.dips == dips
+
+
+def test_fiber_scan_memory_scales_with_the_grid():
+    # one complex and one float buffer per scan; per-term temporaries or
+    # an 8-plane neighbour stack would pass 8 grids
+    hps = make_hull_spec(SPECF, 8)
+    tracemalloc.start()
+    try:
+        grid = fiber_scan(hps, 2.0 + 0.0j, WRECT, 512, sq=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.values.nbytes

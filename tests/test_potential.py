@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finehull.cantor import CRule, build_cantor_spec
 from finehull.errors import PreconditionFailure
-from finehull.potential import (CompactUnion, arc, cantor_fine_sets, disk,
-                                exact_capacity, fine_witness_u, green_eval,
-                                interval, leja_points, sample_E,
-                                union_capacity_bound)
+from finehull.potential import (LEJA_MAX_WORK, CompactUnion, arc,
+                                cantor_fine_sets, disk, exact_capacity,
+                                fine_witness_u, green_eval, interval,
+                                leja_points, sample_E, union_capacity_bound)
 
 SPEC5 = build_cantor_spec(0.0, 1.0, CRule("affine", slope=5.0, offset=0.0),
                           N=16)
@@ -111,3 +113,75 @@ _MODEL_J = leja_points(_FS2.JN, n=24)
 @given(st.floats(-3.0, 3.0), st.floats(0.1, 3.0))
 def test_fine_witness_nonnegative(x, y):
     assert fine_witness_u(_MODEL_F, _MODEL_J, complex(x, y)) >= 0.0
+
+
+def _dense_leja(sets, n, m):
+    """Leja model with node_tol from the full nodes x mesh matrix."""
+    cands = np.concatenate([s.boundary_mesh(m) for s in sets.shapes
+                            if s.meshable])
+    idx = int(np.argmax(np.abs(cands)))
+    pts = [cands[idx]]
+    with np.errstate(divide="ignore"):
+        logprod = np.log(np.abs(cands - pts[0]))
+    pair_log = 0.0
+    d_seq = []
+    for k in range(1, n):
+        idx = int(np.argmax(logprod))
+        pts.append(cands[idx])
+        pair_log += float(logprod[idx])
+        with np.errstate(divide="ignore"):
+            logprod += np.log(np.abs(cands - cands[idx]))
+        d_seq.append(math.exp(2.0 * pair_log / (k * (k + 1))))
+    cap_est = math.exp(float(np.max(logprod)) / n)
+    points = np.array(pts)
+    with np.errstate(divide="ignore"):
+        raw = np.mean(np.log(np.abs(cands[None, :] - points[:, None])),
+                      axis=0) - math.log(cap_est)
+    raw = raw[np.isfinite(raw)]
+    node_tol = float(np.max(np.abs(raw))) if raw.size else 0.0
+    return points, tuple(d_seq), cap_est, node_tol
+
+
+_SPECF = build_cantor_spec(0.0, 1.0, CRule("factorial", shift=2), N=16)
+
+
+@pytest.mark.parametrize("spec", [SPEC5, _SPECF], ids=["affine5", "fact"])
+@pytest.mark.parametrize("which", ["FN", "JN"])
+@pytest.mark.parametrize("n, mesh", [(2, None), (8, None), (64, None),
+                                     (24, 96)])
+def test_leja_running_node_tol_matches_dense_matrix(spec, which, n, mesh):
+    sets = getattr(cantor_fine_sets(spec, 2), which)
+    model = leja_points(sets, n=n, mesh_per_shape=mesh)
+    points, d_seq, cap_est, node_tol = _dense_leja(
+        sets, n, 64 * n if mesh is None else mesh)
+    assert model.node_tol == node_tol
+    assert model.cap_estimate == cap_est
+    assert model.d_seq == d_seq
+    assert model.points.tobytes() == points.tobytes()
+
+
+def test_leja_rejects_bad_mesh_and_caps_work():
+    sets = CompactUnion((interval(0.0, 1.0),))
+    for mesh in (1, 0, -3):
+        with pytest.raises(PreconditionFailure) as exc:
+            leja_points(sets, n=4, mesh_per_shape=mesh)
+        assert exc.value.field == "mesh"
+    with pytest.raises(PreconditionFailure) as exc:
+        leja_points(sets, n=100000)
+    assert exc.value.field == "n"
+    with pytest.raises(PreconditionFailure) as exc:
+        leja_points(sets, n=64, mesh_per_shape=LEJA_MAX_WORK // 64 + 1)
+    assert exc.value.field == "n"
+
+
+def test_leja_memory_scales_with_the_mesh():
+    # the running log-product keeps the peak at a few mesh-sized arrays;
+    # a nodes x mesh matrix at n = 128 would take over 100 MB
+    sets = cantor_fine_sets(SPEC5, 2).JN
+    tracemalloc.start()
+    try:
+        leja_points(sets, n=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
