@@ -22,13 +22,13 @@ from .potential import (CompactUnion, ESample, FineSets, GreenModel, Shape,
                         union_capacity_bound)
 from .hull import (Dip, HullGrid, HullPotentialSpec, WeightScheme,
                    build_weights, eval_v, eval_v_on_graph, fiber_scan,
-                   graph_depth_bound, grid_report, grid_rows, make_hull_spec,
+                   graph_depth_bound, grid_axes, grid_report, make_hull_spec,
                    v_n)
 from .blaschke import (ArcSample, BlaschkeSpec, BlaschkeZero, DiskFineSets,
                        blaschke_sample_E, blaschke_spec_from_json,
                        blaschke_tail_bound, build_blaschke_spec,
                        certify_arc_point, disk_fine_sets, eval_blaschke,
-                       extra_zeros, fb_sheet, fb_sheet_spacing,
+                       extra_zeros, fb_sheet, fb_sheet_spacing, fb_sheets,
                        radius_from_condition, smallest_closing_N,
                        van_der_corput)
 

@@ -386,7 +386,7 @@ def _c09_sheet_spacing(art: _Artifacts):
     z = complex(0.3, 0.2)
     spacing = bl.fb_sheet_spacing(spec, z).to_complex()
     B = bl.eval_blaschke(spec, 16, z)
-    values = [bl.fb_sheet(spec, k, z).to_complex() for k in range(-3, 4)]
+    values = [v.to_complex() for v in bl.fb_sheets(spec, range(-3, 4), z)]
     max_gap = max(abs(values[i + 1] - values[i] - spacing)
                   for i in range(len(values) - 1))
     scale = max(1.0, abs(spacing))

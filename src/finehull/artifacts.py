@@ -1,7 +1,8 @@
 """Artifact writers shared by the CLI and the acceptance checks.
 
-CSV floats carry 17 significant digits and booleans 1/0; JSON is sorted
-and indented; every file ends in a newline.  The bytes depend only on the
+This module owns the CSV float format of both CSV writers: floats carry
+17 significant digits ("%.17g") and booleans 1/0.  JSON is sorted and
+indented; every file ends in a newline.  The bytes depend only on the
 values written, so reruns reproduce them exactly.
 """
 
@@ -10,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-__all__ = ["write_csv", "write_json", "write_text", "sha256"]
+__all__ = ["write_csv", "write_grid_csv", "write_json", "write_text",
+           "sha256"]
 
 
 def _fmt(v) -> str:
@@ -26,6 +28,23 @@ def write_csv(path: str, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_grid_csv(path: str, header, xs, ys, values) -> None:
+    """Rows (x, y, values[iy, ix]) in y-major, then x order: the bytes
+    write_csv gives for the same rows.
+
+    Each axis value is formatted once; a grid row is one %-format call on
+    a template that repeats ",y,%.17g\\n" after every x.  Values convert
+    to Python floats one row at a time, so memory stays at one row of
+    text over the grid itself.
+    """
+    x_strs = ["%.17g" % x for x in xs.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for y, row in zip(ys.tolist(), values):
+            sep = ",%.17g,%%.17g\n" % y
+            fh.write((sep.join(x_strs) + sep) % tuple(row.tolist()))
 
 
 def write_json(path: str, obj) -> None:

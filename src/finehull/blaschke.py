@@ -22,8 +22,8 @@ from .errors import (BranchAtCut, ChainNotClosed, DegenerateSet, NotInEN,
                      PoleHit, PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
 from .potential import (CompactUnion, arc, disk, exact_capacity,
-                        _bound_from_invs, _certified_tail, _witness_sample,
-                        MESH_RESOLUTION, UnionBound)
+                        _bound_from_invs, _certified_tail, _check_samples,
+                        _witness_sample, MESH_RESOLUTION, UnionBound)
 
 __all__ = [
     "van_der_corput",
@@ -43,6 +43,7 @@ __all__ = [
     "ArcSample",
     "blaschke_sample_E",
     "fb_sheet",
+    "fb_sheets",
     "fb_sheet_spacing",
 ]
 
@@ -406,8 +407,10 @@ def blaschke_sample_E(spec: BlaschkeSpec, N: int, samples: int = 16,
     third-offset: fraction vdc(i)/2 + 1/3 never coincides with a dyadic
     and keeps a computable gap from every pole, materialized or not.
     Mirrors the interval pipeline: u = g_F - g_J must be positive and
-    the distance conditions must certify.
+    the distance conditions must certify.  Scores samples candidates,
+    1 <= samples <= potential.MAX_SAMPLES.
     """
+    _check_samples(samples)
     fs = disk_fine_sets(spec, N)
     thetas = [spec.alpha + (spec.beta - spec.alpha) *
               (0.5 * van_der_corput(i) + 1.0 / 3.0)
@@ -417,9 +420,10 @@ def blaschke_sample_E(spec: BlaschkeSpec, N: int, samples: int = 16,
                            lambda t: certify_arc_point(spec, t, N), ArcSample)
 
 
-def fb_sheet(spec: BlaschkeSpec, k: int, z: complex,
-             N: int | None = None) -> LogComplex:
-    """k-th sheet of the continued product: (Log(z+2) + 2 pi i k) B_N(z).
+def fb_sheets(spec: BlaschkeSpec, ks, z: complex,
+              N: int | None = None) -> list[LogComplex]:
+    """Sheets k in ks of the continued product, (Log(z+2) + 2 pi i k) B_N(z),
+    with B_N(z) evaluated once for all of them.
 
     The principal log lives on |z| < 2 cut along z + 2 in (-inf, 0].
     """
@@ -429,8 +433,15 @@ def fb_sheet(spec: BlaschkeSpec, k: int, z: complex,
         raise BranchAtCut("z + 2 lies on the branch cut (-inf, 0]")
     N = spec.max_index if N is None else N
     B = eval_blaschke(spec, N, z)
-    lead = cmath.log(w) + 2.0j * math.pi * k
-    return LogComplex.from_complex(lead) * B
+    log_w = cmath.log(w)
+    return [LogComplex.from_complex(log_w + 2.0j * math.pi * k) * B
+            for k in ks]
+
+
+def fb_sheet(spec: BlaschkeSpec, k: int, z: complex,
+             N: int | None = None) -> LogComplex:
+    """k-th sheet of the continued product: (Log(z+2) + 2 pi i k) B_N(z)."""
+    return fb_sheets(spec, (k,), z, N)[0]
 
 
 def fb_sheet_spacing(spec: BlaschkeSpec, z: complex,

@@ -20,7 +20,8 @@ from . import blaschke as bl
 from . import hull as hl
 from . import potential as pt
 from . import product as pr
-from .artifacts import sha256, write_csv, write_json, write_text
+from .artifacts import (sha256, write_csv, write_grid_csv, write_json,
+                        write_text)
 from .cantor import (CRule, build_cantor_spec, cantor_length, condition_sum,
                      spec_from_json, spec_to_json, sum_gap_lengths)
 from .errors import PreconditionFailure, UnsupportedShape
@@ -100,14 +101,14 @@ _PARAMS = {
     "sample-e": [
         ("spec", None, None, "path to a gap spec JSON"),
         ("depth", int, None, "condition depth N"),
-        ("samples", int, 32, "number of candidates"),
+        ("samples", int, 32, "number of candidates (1-4096)"),
         ("leja_n", int, 64, "points per capacity model"),
     ],
     "hull-scan": [
         ("spec", None, None, "path to a gap spec JSON"),
         ("z", None, None, "base point re,im"),
         ("wrect", None, None, "fiber window x0,x1,y0,y1"),
-        ("res", int, 128, "grid resolution per axis"),
+        ("res", int, 128, "grid resolution per axis (64-2048)"),
         ("sq", bool, False, "scan the square-root graph"),
         ("depth", int, 8, "number of potential terms M"),
         ("scheme", str, "flat_head", "weight scheme: flat_head|quadratic"),
@@ -119,7 +120,7 @@ _PARAMS = {
         ("depth", int, None, "partial-product depth (default: all)"),
         ("sheets", None, None, "sheet range k0,k1 (needs --at)"),
         ("sample_depth", int, None, "arc sample condition depth N"),
-        ("samples", int, 16, "number of arc candidates"),
+        ("samples", int, 16, "number of arc candidates (1-4096)"),
         ("leja_n", int, 64, "points per capacity model"),
     ],
     "reproduce-all": [],
@@ -406,8 +407,8 @@ def cmd_hull_scan(cfg: dict, outdir: str) -> list[str]:
     hps = hl.make_hull_spec(spec, cfg["depth"], scheme=cfg["scheme"])
     grid = hl.fiber_scan(hps, z, wrect, cfg["res"], sq=cfg["sq"],
                          delta=cfg["delta"])
-    write_csv(os.path.join(outdir, "grid.csv"), ["w_re", "w_im", "v"],
-               hl.grid_rows(grid))
+    write_grid_csv(os.path.join(outdir, "grid.csv"), ["w_re", "w_im", "v"],
+                   *hl.grid_axes(grid.wrect, grid.res), grid.values)
     write_json(os.path.join(outdir, "dips.json"), hl.grid_report(grid))
     return ["grid.csv", "dips.json"]
 
@@ -435,9 +436,10 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
         names.append("blaschke.csv")
         if cfg["sheets"] is not None:
             spacing = bl.fb_sheet_spacing(spec, z, depth).to_complex()
+            ks = range(k0, k1 + 1)
             sheets = []
-            for k in range(k0, k1 + 1):
-                w = bl.fb_sheet(spec, k, z, depth).to_complex()
+            for k, v in zip(ks, bl.fb_sheets(spec, ks, z, depth)):
+                w = v.to_complex()
                 sheets.append({"k": k, "re": w.real, "im": w.imag})
             write_json(os.path.join(outdir, "sheets.json"), {
                 "at": [z.real, z.imag],

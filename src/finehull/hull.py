@@ -33,12 +33,15 @@ __all__ = [
     "Dip",
     "HullGrid",
     "fiber_scan",
-    "grid_rows",
+    "grid_axes",
     "grid_report",
 ]
 
 _LN2 = math.log(2.0)
 SENTINEL = -1.0e6
+# largest w-grid side fiber_scan accepts: a scan holds two complex and
+# two float res x res arrays, 48 B per cell, so ~200 MB at 2048
+MAX_RES = 2048
 
 
 @dataclass(frozen=True)
@@ -260,16 +263,19 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     cells, with certified on-graph depth at least delta below the grid
     median.  Grid values alone cannot reach the certified depth; the
     refinement step supplies it.
+
+    Needs 64 <= res <= MAX_RES; the scan holds four res x res arrays
+    (48 B per cell, ~200 MB at MAX_RES = 2048).
     """
-    if res < 64:
-        raise PreconditionFailure("need res >= 64", field="res")
+    if not 64 <= res <= MAX_RES:
+        raise PreconditionFailure(f"need 64 <= res <= {MAX_RES}",
+                                  field="res")
     z = complex(z)
     _check_scan_point(hps.spec, z)
     x0, x1, y0, y1 = (float(t) for t in wrect)
     if not (x0 < x1 and y0 < y1):
         raise PreconditionFailure("empty w-rectangle", field="wrect")
-    xs = np.linspace(x0, x1, res)
-    ys = np.linspace(y0, y1, res)
+    xs, ys = grid_axes((x0, x1, y0, y1), res)
     W = xs[None, :] + 1j * ys[:, None]
     if sq:
         np.multiply(W, W, out=W)
@@ -332,13 +338,11 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
                     tuple(dips), clamped, delta, hps.M, hps.weights.name)
 
 
-def grid_rows(grid: HullGrid):
-    """Deterministic CSV row order: y-major, then x."""
-    xs = np.linspace(grid.wrect[0], grid.wrect[1], grid.res)
-    ys = np.linspace(grid.wrect[2], grid.wrect[3], grid.res)
-    for iy in range(grid.res):
-        for ix in range(grid.res):
-            yield xs[ix], ys[iy], grid.values[iy, ix]
+def grid_axes(wrect, res: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates (xs, ys) of a res x res grid over wrect; grid
+    values are indexed [iy, ix]."""
+    x0, x1, y0, y1 = wrect
+    return np.linspace(x0, x1, res), np.linspace(y0, y1, res)
 
 
 def grid_report(grid: HullGrid) -> dict:

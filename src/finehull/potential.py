@@ -42,6 +42,10 @@ MESH_RESOLUTION = 1e-12
 # nodes x candidates of one Leja model: 2**26, over three times the
 # largest model in use (n = 256 on 5 shapes of 64*256 nodes)
 LEJA_MAX_WORK = 1 << 26
+# most witness candidates one sample_E or blaschke_sample_E call scores;
+# each costs two Green evaluations and a distance certificate (~0.3 s
+# for 4096 arc candidates at N = 1)
+MAX_SAMPLES = 4096
 _LOG4 = math.log(4.0)
 
 
@@ -371,14 +375,26 @@ def _certified_tail(rule, M: int) -> tuple[int, float]:
     return H, condition_sum(rule, J=H).tail_bound
 
 
+def _check_samples(samples: int) -> None:
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise PreconditionFailure(
+            f"need 1 <= samples <= {MAX_SAMPLES}, got {samples}",
+            field="samples")
+
+
 def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
     """Score (key, z) candidates by the Green witness u = g_F - g_J at z.
 
     A row is in E_N when u > 0 and certify(key) holds; raises EmptySample
-    when no row is.
+    when no row is.  A Leja size refusal names the setting leja_n.
     """
-    model_F = leja_points(fs.FN, n=leja_n)
-    model_J = leja_points(fs.JN, n=leja_n)
+    try:
+        model_F = leja_points(fs.FN, n=leja_n)
+        model_J = leja_points(fs.JN, n=leja_n)
+    except PreconditionFailure as e:
+        if e.field == "n":
+            e.field = "leja_n"
+        raise
     out = []
     for key, z in cands:
         u = fine_witness_u(model_F, model_J, z)
@@ -463,12 +479,13 @@ def sample_E(spec: CantorSpec, N: int, samples: int = 32,
     """Fine-membership witnesses at set-approximation points.
 
     Candidates are the endpoints of the remaining pieces at full
-    materialization.  Each is scored by the Green witness u = g_F - g_J
-    and by the distance conditions for depth N.  Raises EmptySample when
-    no candidate passes both; PreconditionFailure when the summability
-    condition is not certified below 1/2 or the capacity chain does not
-    close at this N.
+    materialization, thinned to at most samples (1..MAX_SAMPLES) of them.
+    Each is scored by the Green witness u = g_F - g_J and by the distance
+    conditions for depth N.  Raises EmptySample when no candidate passes
+    both; PreconditionFailure when the summability condition is not
+    certified below 1/2 or the capacity chain does not close at this N.
     """
+    _check_samples(samples)
     cs = condition_sum(spec, J=max(spec.max_index, 64))
     if cs.satisfied is not True:
         raise PreconditionFailure(

@@ -113,6 +113,20 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["capacity", "--set", "{fineset}"], "N"),
     (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2", "--sheets=0,1e9"],
      "sheets"),
+    (["sample-e", "--spec", "{spec}", "--depth", "6", "--leja-n", "100000"],
+     "leja_n"),
+    (["blaschke", "--spec", "{disk}", "--sample-depth", "1",
+      "--leja-n", "100000"], "leja_n"),
+    (["sample-e", "--spec", "{spec}", "--depth", "6", "--samples", "0"],
+     "samples"),
+    (["sample-e", "--spec", "{spec}", "--depth", "6", "--samples", "4097"],
+     "samples"),
+    (["blaschke", "--spec", "{disk}", "--sample-depth", "1",
+      "--samples", "0"], "samples"),
+    (["blaschke", "--spec", "{disk}", "--sample-depth", "1",
+      "--samples", "4097"], "samples"),
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=-1.5,1.5,-1.5,1.5", "--res", "2049"], "res"),
 ])
 def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                               field):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finehull.cantor import CRule, build_cantor_spec
+from finehull import cli
+from finehull.artifacts import write_csv, write_grid_csv
+from finehull.cantor import CRule, build_cantor_spec, spec_to_json
 from finehull.errors import (DomainViolation, NoValidWeights, PoleHit,
                              PreconditionFailure)
 from finehull.hull import (SENTINEL, Dip, build_weights, eval_v,
                            eval_v_on_graph, fiber_scan, graph_depth_bound,
-                           grid_report, grid_rows, make_hull_spec, v_n)
+                           grid_axes, grid_report, make_hull_spec, v_n)
 from finehull.product import eval_partial_product
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -18,6 +21,7 @@ RULEF = CRule("factorial", shift=2)
 SPEC5 = build_cantor_spec(0.0, 1.0, RULE5, N=16)
 SPECF = build_cantor_spec(0.0, 1.0, RULEF, N=16)
 WRECT = (-1.5, 1.5, -1.5, 1.5)
+GRID_HEADER = ["w_re", "w_im", "v"]
 
 
 def test_flat_head_weights():
@@ -106,13 +110,16 @@ def test_fiber_scan_guards_real_base_points():
         fiber_scan(hps5, complex(0.5 * (lo + hi), 0.0), WRECT, 128)
 
 
-def test_grid_report_and_rows():
+def test_grid_report_and_rows(tmp_path):
     hps = make_hull_spec(SPECF, 4)
     grid = fiber_scan(hps, 2.0 + 0.0j, WRECT, 64, sq=True, delta=5.0)
     rep = grid_report(grid)
     assert rep["res"] == 64
     assert rep["dips"] and rep["median"] == grid.median
-    assert sum(1 for _ in grid_rows(grid)) == 64 * 64
+    path = tmp_path / "grid.csv"
+    write_grid_csv(str(path), GRID_HEADER, *grid_axes(grid.wrect, grid.res),
+                   grid.values)
+    assert len(path.read_text().splitlines()) == 64 * 64 + 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -190,3 +197,71 @@ def test_fiber_scan_memory_scales_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.values.nbytes
+
+
+def _reference_grid_csv(path, xs, ys, values):
+    """grid.csv as hull-scan wrote it through write_csv, one generated
+    (x, y, v) row per grid node."""
+    def rows():
+        for iy in range(len(ys)):
+            for ix in range(len(xs)):
+                yield xs[ix], ys[iy], values[iy, ix]
+    write_csv(path, GRID_HEADER, rows())
+
+
+@pytest.mark.parametrize("M", [1, 4])
+@pytest.mark.parametrize("res", [64, 97])
+@pytest.mark.parametrize("sq", [False, True])
+def test_grid_csv_matches_row_writer(tmp_path, M, res, sq):
+    grid = fiber_scan(make_hull_spec(SPECF, M), 0.3 + 0.2j, WRECT, res,
+                      sq=sq)
+    xs, ys = grid_axes(grid.wrect, grid.res)
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    _reference_grid_csv(str(ref), xs, ys, grid.values)
+    write_grid_csv(str(new), GRID_HEADER, xs, ys, grid.values)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_grid_csv_matches_row_writer_on_special_floats(tmp_path):
+    xs, ys = grid_axes((-1e-300, 1e300, -0.1, 7.0), 8)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
+                0.1, -2.5]
+    values = np.array([[specials[(i + j) % 8] for j in range(8)]
+                       for i in range(8)])
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    _reference_grid_csv(str(ref), xs, ys, values)
+    write_grid_csv(str(new), GRID_HEADER, xs, ys, values)
+    assert new.read_bytes() == ref.read_bytes()
+    for v in specials[:5]:
+        assert (",%.17g\n" % v).encode() in ref.read_bytes()
+
+
+def test_hull_scan_grid_csv_hash_matches_row_writer(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_to_json(SPECF))
+    out = tmp_path / "scan"
+    assert cli.main(["hull-scan", "--spec", str(spec), "--z", "2,0",
+                     "--wrect=-1.5,1.5,-1.5,1.5", "--res", "64", "--sq",
+                     "--depth", "6", "--out", str(out)]) == 0
+    capsys.readouterr()
+    grid = fiber_scan(make_hull_spec(SPECF, 6), 2.0 + 0.0j, WRECT, 64,
+                      sq=True)
+    ref = tmp_path / "ref.csv"
+    _reference_grid_csv(str(ref), *grid_axes(WRECT, 64), grid.values)
+    assert hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest() == \
+        hashlib.sha256(ref.read_bytes()).hexdigest()
+
+
+def test_grid_csv_memory_stays_at_one_row(tmp_path):
+    # values convert to floats one row at a time; converting the whole
+    # grid at once would hold ~4 x values.nbytes of Python floats
+    grid = fiber_scan(make_hull_spec(SPECF, 4), 2.0 + 0.0j, WRECT, 512)
+    xs, ys = grid_axes(grid.wrect, grid.res)
+    tracemalloc.start()
+    try:
+        write_grid_csv(str(tmp_path / "grid.csv"), GRID_HEADER, xs, ys,
+                       grid.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.values.nbytes / 4
