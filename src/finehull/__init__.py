@@ -13,8 +13,9 @@ from .cantor import (CRule, CantorSpec, ConditionSum, GapInterval,
 from .errors import FinehullError, PreconditionFailure
 from .logspace import LogComplex
 from .product import (BranchTag, TailBound, certify_en_point, eval_f,
-                      eval_partial_product, fine_boundary_value, laurent_c1,
-                      sqrt_branch, tail_product_minus_one, tail_bound)
+                      eval_partial_product, eval_partial_product_many,
+                      fine_boundary_value, laurent_c1, sqrt_branch,
+                      tail_product_minus_one, tail_bound)
 from .potential import (CompactUnion, ESample, FineSets, GreenModel, Shape,
                         UnionBound, arc, cantor_fine_sets, disk,
                         exact_capacity, exact_log_capacity, fine_witness_u,

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cantor import (HALVING_DENOM, CRule, _last_violation, _spec_obj,
-                     condition_sum)
+from .cantor import (HALVING_DENOM, MAX_DEPTH, CRule, _check_depth,
+                     _last_violation, _spec_obj, condition_sum)
 from .errors import (BranchAtCut, ChainNotClosed, DegenerateSet, NotInEN,
                      PoleHit, PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
@@ -172,9 +172,12 @@ def blaschke_spec_from_json(text: str) -> BlaschkeSpec:
 def build_blaschke_spec(alpha: float, beta: float, c_rule: CRule,
                         N: int, l: int = 0,
                         extras: int = 0) -> BlaschkeSpec:
-    """Materialize N arc zeros (dyadic arguments) plus optional extras."""
-    if N < 0:
-        raise PreconditionFailure("need N >= 0", field="N")
+    """Materialize N arc zeros (dyadic arguments) plus optional extras;
+    each count runs from 0 to MAX_DEPTH."""
+    for name, count in (("N", N), ("extras", extras)):
+        if not 0 <= count <= MAX_DEPTH:
+            raise PreconditionFailure(
+                f"{name} must be in 0..{MAX_DEPTH}, got {count}", field=name)
     zeros = tuple(_arc_zero(alpha, beta, c_rule, j) for j in range(1, N + 1))
     return BlaschkeSpec(l, alpha, beta, c_rule, zeros,
                         extra_zeros(alpha, beta, extras))
@@ -236,8 +239,7 @@ def _factor_log(zero: BlaschkeZero, z: complex) -> LogComplex:
 def eval_blaschke(spec: BlaschkeSpec, N: int, z: complex) -> LogComplex:
     """Partial product over the first N zeros of each family."""
     z = complex(z)
-    if N < 0 or N > spec.max_index:
-        raise PreconditionFailure("N out of range", field="N")
+    _check_depth(spec, N)
     out = LogComplex.from_complex(z).powi(spec.l) if spec.l else \
         LogComplex.one()
     for zero in spec.zeros[:N] + spec.extras[:N]:
@@ -272,8 +274,7 @@ def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
     condition |1/conj(a_j) - z| >= e^{-j c_j / 2} fails.
     """
     z = complex(z)
-    if N < 0 or N > spec.max_index:
-        raise PreconditionFailure("N out of range", field="N")
+    _check_depth(spec, N)
     s = 0.0
     for zero in spec.zeros[N:]:
         d = abs(zero.pole - z)

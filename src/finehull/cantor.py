@@ -25,6 +25,7 @@ __all__ = [
     "GapInterval",
     "CantorSpec",
     "ConditionSum",
+    "MAX_DEPTH",
     "build_cantor_spec",
     "condition_sum",
     "cantor_length",
@@ -37,6 +38,10 @@ _LN2 = math.log(2.0)
 # sum_{k >= 0} 2^{-k/2} = 1 / HALVING_DENOM bounds a tail whose terms at
 # least halve in square: sum_{n >= j} p_n <= p_j / HALVING_DENOM
 HALVING_DENOM = 1.0 - 0.5 ** 0.5
+
+# most gaps (or Blaschke zeros, or extras) one spec may materialize:
+# 2**17 gaps build in about a second, the depth-2000 specs in use in ms
+MAX_DEPTH = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -242,7 +247,7 @@ class CantorSpec:
 
 def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
                       placement: str = "bisect", N: int = 0) -> CantorSpec:
-    """Materialize the first N gaps of the construction.
+    """Materialize the first N gaps of the construction, 0 <= N <= MAX_DEPTH.
 
     Raises GapOverflow when the cumulative gap length would reach the root
     length, PlacementFailure when no remaining interval can host the next
@@ -253,8 +258,9 @@ def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
     if placement != "bisect":
         raise PreconditionFailure(f"unknown placement {placement!r}",
                                   field="placement")
-    if N < 0:
-        raise PreconditionFailure("N must be >= 0", field="N")
+    if not 0 <= N <= MAX_DEPTH:
+        raise PreconditionFailure(f"N must be in 0..{MAX_DEPTH}, got {N}",
+                                  field="N")
     if c_rule.max_defined_index is not None and N > c_rule.max_defined_index:
         raise PreconditionFailure("explicit rule shorter than N", field="N")
     gaps, pieces = _place_gaps(c_rule, b0 - a0, [(a0, b0)], 0.0, 1, N)
@@ -387,11 +393,18 @@ def condition_sum(spec_or_rule, J: int = 10000) -> ConditionSum:
     return ConditionSum(partial, tail, terms)
 
 
+def _check_depth(spec, N: int) -> None:
+    """A truncation of either spec family reads factors 1..N: N must lie
+    in 0..max_index."""
+    if not 0 <= N <= spec.max_index:
+        raise PreconditionFailure(
+            f"N must be in 0..{spec.max_index}, got {N}", field="N")
+
+
 def sum_gap_lengths(spec: CantorSpec, N: int | None = None) -> float:
     """Removed length after N gaps, summed in ascending index order."""
     n = spec.max_index if N is None else N
-    if n > spec.max_index:
-        raise PreconditionFailure("N exceeds materialized gaps", field="N")
+    _check_depth(spec, n)
     s = 0.0
     for g in spec.gaps[:n]:
         s += g.length

@@ -22,8 +22,9 @@ from . import potential as pt
 from . import product as pr
 from .artifacts import (sha256, write_csv, write_grid_csv, write_json,
                         write_text)
-from .cantor import (CRule, build_cantor_spec, cantor_length, condition_sum,
-                     spec_from_json, spec_to_json, sum_gap_lengths)
+from .cantor import (MAX_DEPTH, CRule, build_cantor_spec, cantor_length,
+                     condition_sum, spec_from_json, spec_to_json,
+                     sum_gap_lengths)
 from .errors import PreconditionFailure, UnsupportedShape
 
 __all__ = ["main"]
@@ -78,13 +79,14 @@ _PARAMS = {
         ("offset", float, 0.0, "affine rule offset"),
         ("shift", int, 2, "factorial rule shift"),
         ("values", None, None, "explicit rule values v1,v2,..."),
-        ("depth", int, 8, "number of gaps to materialize"),
+        ("depth", int, 8, f"number of gaps to materialize (0-{MAX_DEPTH})"),
         ("placement", str, "bisect", "gap placement strategy"),
     ],
     "eval": [
         ("spec", None, None, "path to a gap spec JSON"),
         ("at", None, None, "evaluation point re,im"),
-        ("depth", int, None, "partial-product depth (default: adaptive)"),
+        ("depth", int, None,
+         "partial-product depth, 0 to the spec's N (default: adaptive)"),
         ("tol", float, 1e-12, "target truncation error for adaptive depth"),
         ("branch", str, "product",
          "what to evaluate: product|d-plus|h-plus|fine"),
@@ -117,7 +119,8 @@ _PARAMS = {
     "blaschke": [
         ("spec", None, None, "path to a disk spec JSON"),
         ("at", None, None, "evaluation point re,im"),
-        ("depth", int, None, "partial-product depth (default: all)"),
+        ("depth", int, None,
+         "partial-product depth, 0 to the spec's N (default: all)"),
         ("sheets", None, None, "sheet range k0,k1 (needs --at)"),
         ("sample_depth", int, None, "arc sample condition depth N"),
         ("samples", int, 16, "number of arc candidates (1-4096)"),
@@ -231,6 +234,26 @@ def _read(cfg: dict, key: str, parse):
                                   field=key) from e
 
 
+def _depth(cfg: dict, max_index: int):
+    """The depth setting (None when unset), checked against 0..max_index:
+    the spec's materialized N, or MAX_DEPTH for spec-build."""
+    depth = cfg["depth"]
+    if depth is not None and not 0 <= depth <= max_index:
+        raise PreconditionFailure(
+            f"depth must be in 0..{max_index}, got {depth}", field="depth")
+    return depth
+
+
+def _emit(outdir: str, artifacts) -> list[str]:
+    """Write (name, writer, *args) artifacts and return their names.
+
+    Commands compute every value before they call this, so a refusal
+    leaves no partial artifact behind."""
+    for name, write, *args in artifacts:
+        write(os.path.join(outdir, name), *args)
+    return [name for name, *_ in artifacts]
+
+
 def _rule_from_cfg(cfg: dict) -> CRule:
     rule = cfg["rule"]
     if rule == "affine":
@@ -267,9 +290,9 @@ def _shapes_from_obj(obj, field: str = "shapes") -> tuple:
 
 
 def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
+    depth = _depth(cfg, MAX_DEPTH)
     spec = build_cantor_spec(cfg["a0"], cfg["b0"], _rule_from_cfg(cfg),
-                             cfg["placement"], cfg["depth"])
-    write_text(os.path.join(outdir, "spec.json"), spec_to_json(spec))
+                             cfg["placement"], depth)
     cs = condition_sum(spec)
     build = {
         "root_length": spec.root_length,
@@ -280,23 +303,24 @@ def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
                           "tail_bound": cs.tail_bound,
                           "total": cs.total, "satisfied": cs.satisfied},
     }
-    write_json(os.path.join(outdir, "build.json"), build)
-    return ["spec.json", "build.json"]
+    return _emit(outdir, [("spec.json", write_text, spec_to_json(spec)),
+                          ("build.json", write_json, build)])
 
 
 def cmd_eval(cfg: dict, outdir: str) -> list[str]:
     spec = _read(cfg, "spec", spec_from_json)
     z = _point(cfg, "at")
+    depth = _depth(cfg, spec.max_index)
     branch = cfg["branch"]
     if branch == "product":
-        if cfg["depth"] is None:
+        if depth is None:
             val, err, n_used = pr.eval_f(spec, z, tol=cfg["tol"])
         else:
-            n_used = cfg["depth"]
+            n_used = depth
             val = pr.eval_partial_product(spec, n_used, z)
             err = pr.tail_bound(spec, n_used, z).bound
     elif branch in ("d-plus", "h-plus"):
-        n_used = cfg["depth"] if cfg["depth"] is not None else spec.max_index
+        n_used = depth if depth is not None else spec.max_index
         tag = pr.BranchTag.D_PLUS if branch == "d-plus" else \
             pr.BranchTag.H_PLUS
         val = pr.sqrt_branch(spec, n_used, z, tag)
@@ -372,22 +396,19 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
     z = _point(cfg, "at")
     model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
     value = pt.green_eval(model, z)
-    write_json(os.path.join(outdir, "green.json"), {
+    rows = []
+    for k, p in enumerate(model.points):
+        d_k = model.d_seq[k - 1] if 1 <= k <= len(model.d_seq) else \
+            float("nan")
+        rows.append((k, p.real, p.imag, d_k))
+    return _emit(outdir, [("green.json", write_json, {
         "n": len(model.points),
         "cap_estimate": model.cap_estimate,
         "log_cap_estimate": model.log_cap_estimate,
         "node_tol": model.node_tol,
         "at": [z.real, z.imag],
         "value": value,
-    })
-    rows = []
-    for k, p in enumerate(model.points):
-        d_k = model.d_seq[k - 1] if 1 <= k <= len(model.d_seq) else \
-            float("nan")
-        rows.append((k, p.real, p.imag, d_k))
-    write_csv(os.path.join(outdir, "leja.csv"),
-               ["k", "re", "im", "d_k"], rows)
-    return ["green.json", "leja.csv"]
+    }), ("leja.csv", write_csv, ["k", "re", "im", "d_k"], rows)])
 
 
 def cmd_sample_e(cfg: dict, outdir: str) -> list[str]:
@@ -407,16 +428,18 @@ def cmd_hull_scan(cfg: dict, outdir: str) -> list[str]:
     hps = hl.make_hull_spec(spec, cfg["depth"], scheme=cfg["scheme"])
     grid = hl.fiber_scan(hps, z, wrect, cfg["res"], sq=cfg["sq"],
                          delta=cfg["delta"])
-    write_grid_csv(os.path.join(outdir, "grid.csv"), ["w_re", "w_im", "v"],
-                   *hl.grid_axes(grid.wrect, grid.res), grid.values)
-    write_json(os.path.join(outdir, "dips.json"), hl.grid_report(grid))
-    return ["grid.csv", "dips.json"]
+    return _emit(outdir, [
+        ("grid.csv", write_grid_csv, ["w_re", "w_im", "v"],
+         *hl.grid_axes(grid.wrect, grid.res), grid.values),
+        ("dips.json", write_json, hl.grid_report(grid))])
 
 
 def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
     spec = _read(cfg, "spec", bl.blaschke_spec_from_json)
-    names: list[str] = []
-    depth = cfg["depth"] if cfg["depth"] is not None else spec.max_index
+    out = []
+    depth = _depth(cfg, spec.max_index)
+    if depth is None:
+        depth = spec.max_index
     if cfg["at"] is not None:
         z = _point(cfg, "at")
         if cfg["sheets"] is not None:
@@ -430,10 +453,9 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
             tail = bl.blaschke_tail_bound(spec, depth, z)
         except PreconditionFailure:
             tail = float("nan")
-        write_csv(os.path.join(outdir, "blaschke.csv"),
-                   ["z_re", "z_im", "log_mag", "arg", "tail"],
-                   [(z.real, z.imag, val.log_mag, val.arg, tail)])
-        names.append("blaschke.csv")
+        out.append(("blaschke.csv", write_csv,
+                    ["z_re", "z_im", "log_mag", "arg", "tail"],
+                    [(z.real, z.imag, val.log_mag, val.arg, tail)]))
         if cfg["sheets"] is not None:
             spacing = bl.fb_sheet_spacing(spec, z, depth).to_complex()
             ks = range(k0, k1 + 1)
@@ -441,28 +463,25 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
             for k, v in zip(ks, bl.fb_sheets(spec, ks, z, depth)):
                 w = v.to_complex()
                 sheets.append({"k": k, "re": w.real, "im": w.imag})
-            write_json(os.path.join(outdir, "sheets.json"), {
+            out.append(("sheets.json", write_json, {
                 "at": [z.real, z.imag],
                 "depth": depth,
                 "spacing": [spacing.real, spacing.imag],
                 "sheets": sheets,
-            })
-            names.append("sheets.json")
+            }))
     elif cfg["sheets"] is not None:
         raise PreconditionFailure("--sheets needs --at", field="at")
     if cfg["sample_depth"] is not None:
         rows = bl.blaschke_sample_E(spec, cfg["sample_depth"],
                                     samples=cfg["samples"],
                                     leja_n=cfg["leja_n"])
-        write_csv(os.path.join(outdir, "bsample.csv"),
-                   ["theta", "u", "in_EN"],
-                   [(r.theta, r.u, r.in_EN) for r in rows])
-        names.append("bsample.csv")
-    if not names:
+        out.append(("bsample.csv", write_csv, ["theta", "u", "in_EN"],
+                    [(r.theta, r.u, r.in_EN) for r in rows]))
+    if not out:
         raise PreconditionFailure(
             "nothing to do: give --at, --sheets, or --sample-depth",
             field="at")
-    return names
+    return _emit(outdir, out)
 
 
 def cmd_reproduce_all(cfg: dict, outdir: str) -> list[str]:

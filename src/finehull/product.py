@@ -18,8 +18,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cantor import (HALVING_DENOM, CantorSpec, _last_violation,
-                     _seg_distance, sum_gap_lengths)
+import numpy as np
+
+from .cantor import (HALVING_DENOM, CantorSpec, _check_depth,
+                     _last_violation, _seg_distance, sum_gap_lengths)
 from .errors import (DomainViolation, NoConvergence, NotInEN, PoleHit,
                      PreconditionFailure, QuadratureFailure, RegionViolatesEN)
 from .logspace import LogComplex, log1p_complex, logsum, wrap_angle
@@ -28,6 +30,7 @@ __all__ = [
     "BranchTag",
     "TailBound",
     "eval_partial_product",
+    "eval_partial_product_many",
     "tail_bound",
     "eval_f",
     "sqrt_branch",
@@ -84,8 +87,7 @@ def _gap_factor_log(g, z: complex):
 
 def _factor_logs(spec: CantorSpec, N: int, z: complex):
     """Per-factor logs (root factor first); None signals f(z) = 0."""
-    if N > spec.max_index:
-        raise PreconditionFailure("N exceeds materialized gaps", field="N")
+    _check_depth(spec, N)
     z = complex(z)
     den = z - spec.a0
     if den == 0:
@@ -124,6 +126,70 @@ def _factor_power(spec: CantorSpec, N: int, z: complex,
 def eval_partial_product(spec: CantorSpec, N: int, z: complex) -> LogComplex:
     """Truncation f_N(z) with N gap factors, as a log-polar value."""
     return _factor_power(spec, N, z, 1.0)
+
+
+def _cquot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) elementwise, as CPython divides complex
+    numbers (Smith's method): numpy's complex division differs at
+    subnormal scale."""
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):
+        t = np.where(by_re, bi / br, br / bi)
+        d = np.where(by_re, br + bi * t, br * t + bi)
+        re = np.where(by_re, ar + ai * t, ar * t + ai) / d
+        im = np.where(by_re, ai - ar * t, ai * t - ar) / d
+    return re, im
+
+
+def _wrap_angles(theta):
+    """wrap_angle elementwise."""
+    t = np.fmod(theta, 2.0 * math.pi)
+    t = np.where(t > math.pi, t - 2.0 * math.pi,
+                 np.where(t <= -math.pi, t + 2.0 * math.pi, t))
+    return np.where((-math.pi < theta) & (theta <= math.pi), theta, t)
+
+
+def eval_partial_product_many(spec: CantorSpec, N: int, zs):
+    """f_N at every point of zs, as float arrays (log_mag, arg).
+
+    The same represented object as eval_partial_product, point by point:
+    the root factor takes the +pi convention on the real axis, far gap
+    factors the log1p_complex formula, and the factor logs are added in
+    index order before the angle is wrapped.  Points within 9 lengths of
+    a materialized gap (the scalar near-gap branch starts at 8, the
+    margin keeps a last-bit difference in the distance from splitting the
+    two), exact zeros and poles, and points whose vector result is not
+    finite go through the scalar path one at a time, which raises PoleHit
+    and returns (-inf, 0) at zeros.  Values agree with the scalar path to
+    a few ulps of the factor logs: numpy's log, log1p and atan2 are not
+    libm's.
+    """
+    _check_depth(spec, N)
+    z = np.asarray(zs, dtype=complex)
+    shape = z.shape
+    z = z.ravel()
+    x, y = z.real, z.imag
+    with np.errstate(all="ignore"):
+        rr, ri = _cquot(x - spec.b0, y, x - spec.a0, y)
+        # the scalar sum starts from 0.0, which turns -0.0 into 0.0
+        re = 0.0 + np.log(np.hypot(rr, ri))
+        im = 0.0 + np.where((ri == 0.0) & (rr < 0.0), math.pi,
+                            np.arctan2(ri, rr))
+        by_scalar = (y == 0.0) & ((x == spec.a0) | (x == spec.b0))
+        for g in spec.gaps[:N]:
+            length = g.length
+            if length == 0.0:
+                continue        # unit factor
+            by_scalar |= np.hypot(x - g.center, y) <= 9.0 * length
+            ur, ui = _cquot(length, 0.0, x - g.b, y)
+            re += 0.5 * np.log1p(2.0 * ur + ur * ur + ui * ui)
+            im += np.arctan2(ui, 1.0 + ur)
+    by_scalar |= ~(np.isfinite(re) & np.isfinite(im))
+    arg = _wrap_angles(np.where(by_scalar, 0.0, im))
+    for i in np.flatnonzero(by_scalar):
+        v = eval_partial_product(spec, N, complex(z[i]))
+        re[i], arg[i] = v.log_mag, v.arg
+    return re.reshape(shape), arg.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -169,8 +235,7 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     the controlling distance conditions fail, so the bound never
     silently turns vacuous.
     """
-    if N < 0 or N > spec.max_index:
-        raise PreconditionFailure("N out of range", field="N")
+    _check_depth(spec, N)
     rule = spec.c_rule
     M = spec.max_index
     poles = [(g.index, g.b) for g in spec.gaps[N:M]]
@@ -283,16 +348,32 @@ def laurent_c1(spec: CantorSpec, N: int | None = None, nodes: int = 4096,
 
     The closed form is gap-length bookkeeping; the cross-check integrates
     f_N - 1 over the circle of radius 2(|a0|+|b0|)+2 with the trapezoid
-    rule.  The two must agree within tol or QuadratureFailure is raised.
+    rule on `nodes` >= 1 nodes, evaluated in one eval_partial_product_many
+    call and summed in node order.  The two must agree within tol or
+    QuadratureFailure is raised.
     """
     n = spec.max_index if N is None else N
+    if nodes < 1:
+        raise PreconditionFailure(f"need at least one node, got {nodes}",
+                                  field="nodes")
     formula = sum_gap_lengths(spec, n) - spec.root_length
     R = 2.0 * (abs(spec.a0) + abs(spec.b0)) + 2.0
-    acc = 0.0 + 0.0j
-    for k in range(nodes):
-        zk = cmath.rect(R, 2.0 * math.pi * k / nodes)
-        fk = eval_partial_product(spec, n, zk).to_complex()
-        acc += (fk - 1.0) * zk
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    zs = np.empty(nodes, dtype=complex)
+    zs.real = R * np.cos(theta)
+    zs.imag = R * np.sin(theta)
+    log_mag, arg = eval_partial_product_many(spec, n, zs)
+    with np.errstate(over="ignore"):
+        mag = np.exp(log_mag)
+    fr = mag * np.cos(arg) - 1.0
+    fi = mag * np.sin(arg)
+    # (f - 1) * z as CPython multiplies, added from 0.0 one node after
+    # the other (np.sum would add pairwise)
+    terms = np.zeros((2, nodes + 1))
+    terms[0, 1:] = fr * zs.real - fi * zs.imag
+    terms[1, 1:] = fr * zs.imag + fi * zs.real
+    total = np.add.accumulate(terms, axis=1)[:, -1]
+    acc = complex(total[0], total[1])
     acc /= nodes
     if abs(acc.imag) > tol or abs(acc.real - formula) > tol:
         raise QuadratureFailure(

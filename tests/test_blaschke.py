@@ -11,8 +11,8 @@ from finehull.blaschke import (blaschke_sample_E, blaschke_spec_from_json,
                                eval_blaschke, extra_zeros, fb_sheet,
                                fb_sheet_spacing, radius_from_condition,
                                smallest_closing_N, van_der_corput)
-from finehull.cantor import CRule
-from finehull.errors import BranchAtCut, NotInEN, PoleHit
+from finehull.cantor import MAX_DEPTH, CRule
+from finehull.errors import BranchAtCut, NotInEN, PoleHit, PreconditionFailure
 from finehull.potential import arc, exact_capacity
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -162,3 +162,12 @@ def test_sheets_are_evenly_spaced_and_distinct():
 def test_sheet_branch_cut():
     with pytest.raises(BranchAtCut):
         fb_sheet(SPEC, 0, -3.0 + 0.0j)
+
+
+@pytest.mark.parametrize("N, extras, field", [
+    (-1, 0, "N"), (MAX_DEPTH + 1, 0, "N"), (4, -1, "extras"),
+    (4, 10 ** 12, "extras")])
+def test_zero_counts_are_capped(N, extras, field):
+    with pytest.raises(PreconditionFailure) as e:
+        build_blaschke_spec(0.0, QUARTER, RULE5, N, extras=extras)
+    assert e.value.field == field

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finehull.cantor import (CRule, _place_gaps, build_cantor_spec,
-                             cantor_length, condition_sum, spec_from_json,
-                             spec_to_json, sum_gap_lengths)
+from finehull.cantor import (MAX_DEPTH, CRule, _place_gaps,
+                             build_cantor_spec, cantor_length, condition_sum,
+                             spec_from_json, spec_to_json, sum_gap_lengths)
 from finehull.errors import GapOverflow, PlacementFailure, PreconditionFailure
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -175,3 +175,18 @@ def test_construction_invariants(slope, offset, n):
         assert hi == pytest.approx(lo, abs=1e-12)
     assert all(hi > lo for lo, hi in s.remaining)
     assert sum_gap_lengths(s) < s.root_length
+
+
+@pytest.mark.parametrize("N", [-1, MAX_DEPTH + 1, 10 ** 12])
+def test_depth_is_capped(N):
+    with pytest.raises(PreconditionFailure) as e:
+        build_cantor_spec(0.0, 1.0, RULE5, N=N)
+    assert e.value.field == "N"
+
+
+@pytest.mark.parametrize("N", [-1, 17])
+def test_removed_length_needs_a_materialized_depth(N):
+    for fn in (sum_gap_lengths, cantor_length):
+        with pytest.raises(PreconditionFailure) as e:
+            fn(spec5(), N)
+        assert e.value.field == "N"

@@ -127,6 +127,19 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
       "--samples", "4097"], "samples"),
     (["hull-scan", "--spec", "{fact}", "--z", "2,0",
       "--wrect=-1.5,1.5,-1.5,1.5", "--res", "2049"], "res"),
+    (["eval", "--spec", "{spec}", "--at", "2,0", "--depth", "-1"], "depth"),
+    (["eval", "--spec", "{spec}", "--at", "2,0", "--depth", "9"], "depth"),
+    (["eval", "--spec", "{spec}", "--at", "0.3,0.4", "--branch", "h-plus",
+      "--depth", "-1"], "depth"),
+    (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2", "--depth", "-1"],
+     "depth"),
+    (["spec-build", "--depth", "-1"], "depth"),
+    (["spec-build", "--depth", "131073"], "depth"),
+    (["eval", "--spec", "{deep}", "--at", "2,0"], "N"),
+    (["blaschke", "--spec", "{extras}", "--at", "0.3,0.2"], "extras"),
+    # refused after the first artifact is computed
+    (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2", "--sample-depth",
+      "1", "--samples", "0"], "samples"),
 ])
 def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                               field):
@@ -139,21 +152,30 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     fineset = tmp_path / "fineset.json"
     fineset.write_text(json.dumps(
         {"spec": json.loads(open(spec).read()), "N": "x"}))
-    disk = tmp_path / "disk.json"
-    disk.write_text(json.dumps({
+    disk_obj = {
         "alpha": 0.0, "beta": 1.5707963267948966,
         "c_rule": {"kind": "affine", "slope": 5.0, "offset": 0.0},
         "N": 12,
-    }))
+    }
+    disk = tmp_path / "disk.json"
+    disk.write_text(json.dumps(disk_obj))
+    # depths past cantor.MAX_DEPTH, refused before anything is allocated
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({**json.loads(open(spec).read()),
+                                "N": 10 ** 9}))
+    extras = tmp_path / "extras.json"
+    extras.write_text(json.dumps({**disk_obj, "extras": 10 ** 9}))
     paths = {"shapes": str(shapes), "spec": spec,
              "fact": str(tmp_path / "fact" / "spec.json"),
-             "fineset": str(fineset), "disk": str(disk)}
+             "fineset": str(fineset), "disk": str(disk), "deep": str(deep),
+             "extras": str(extras)}
     out = tmp_path / "bad"
     rc, stdout = run([a.format(**paths) for a in argv] + ["--out", str(out)],
                      capsys)
     assert rc == 1
     assert json.loads(stdout.strip().splitlines()[-1])["field"] == field
-    assert not (out / "manifest.json").exists()
+    # no artifact at all, not only no manifest
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_capacity_fine_sets(tmp_path, capsys):
