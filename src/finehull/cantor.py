@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import GapOverflow, PlacementFailure, PreconditionFailure
 
 __all__ = [
@@ -42,6 +44,14 @@ HALVING_DENOM = 1.0 - 0.5 ** 0.5
 # most gaps (or Blaschke zeros, or extras) one spec may materialize:
 # 2**17 gaps build in about a second, the depth-2000 specs in use in ms
 MAX_DEPTH = 1 << 17
+
+# condition_sum forms and adds this many terms at a time
+CONDITION_BLOCK = 1 << 14
+
+# n! as a double for n = 0..170: the exact integer rounded once below 170,
+# exp(lgamma) at 170; 171! overflows, so a factorial c(j) is inf from there
+_FACTORIALS = tuple(float(math.factorial(n)) for n in range(170)) + \
+    (math.exp(math.lgamma(171)),)
 
 
 @dataclass(frozen=True)
@@ -88,12 +98,8 @@ class CRule:
             return self.slope * j + self.offset
         if self.kind == "factorial":
             n = j + self.shift
-            if n < 170:
-                return float(math.factorial(n))
-            try:
-                return math.exp(math.lgamma(n + 1))
-            except OverflowError:
-                return math.inf   # 1/value underflows to exact zero
+            # past the table 1/value underflows to exact zero
+            return _FACTORIALS[n] if n < len(_FACTORIALS) else math.inf
         if j > len(self.values):
             raise PreconditionFailure(
                 f"explicit rule has no entry for index {j}", field="c_rule")
@@ -102,6 +108,28 @@ class CRule:
     def jcj(self, j: int) -> float:
         """The product j*c(j); the gap length is exp(-jcj)."""
         return j * self.value(j)
+
+    def inv_jcj(self, first: int, last: int) -> np.ndarray:
+        """1/(j*c(j)) for j = first..last, each bit-equal to 1.0/jcj(j).
+
+        Explicit rules stop at their last defined index.  For every rule
+        the terms are non-increasing, as c is increasing.
+        """
+        if self.kind == "explicit":
+            last = min(last, len(self.values))
+        j = np.arange(first, last + 1, dtype=np.float64)
+        if self.kind == "affine":
+            c = j * self.slope
+            c += self.offset
+        elif self.kind == "factorial":
+            c = np.full(j.shape, math.inf)
+            table = _FACTORIALS[first + self.shift:last + self.shift + 1]
+            c[:len(table)] = table
+        else:
+            c = np.array(self.values[first - 1:last])
+        with np.errstate(over="ignore"):
+            c *= j
+            return np.divide(1.0, c, out=c)
 
     @property
     def max_defined_index(self) -> int | None:
@@ -364,6 +392,12 @@ class ConditionSum:
 def condition_sum(spec_or_rule, J: int = 10000) -> ConditionSum:
     """Sum 1/(j*c(j)) over j <= J plus a closed-form tail bound.
 
+    The terms come from CRule.inv_jcj in blocks of CONDITION_BLOCK and
+    are added one at a time in index order (np.add.accumulate, with the
+    running sum carried into each block), so the partial sum is the one
+    a scalar loop gives, bit for bit, in O(CONDITION_BLOCK) memory for
+    any J.  The sum stops at the first term that underflows to zero.
+
     Affine rules use the integral comparison sum_{j>J} 1/(s j^2) <= 1/(sJ);
     factorial rules use a geometric majorant; explicit rules carry no tail
     information (the sum is over the defined prefix only).
@@ -375,11 +409,16 @@ def condition_sum(spec_or_rule, J: int = 10000) -> ConditionSum:
         J = min(J, len(rule.values))
     partial = 0.0
     terms = 0
-    for j in range(1, J + 1):
-        t = 1.0 / rule.jcj(j)
-        partial += t
-        terms = j
-        if t == 0.0:            # below double resolution, as is the rest
+    while terms < J:
+        t = rule.inv_jcj(terms + 1, min(terms + CONDITION_BLOCK, J))
+        # below double resolution, as is the rest: the terms do not grow
+        underflow = t[-1] == 0.0
+        if underflow:
+            t = t[:int(np.argmax(t == 0.0)) + 1]
+        t[0] += partial
+        partial = float(np.add.accumulate(t, out=t)[-1])
+        terms += t.size
+        if underflow:
             break
     tail: float | None
     if rule.kind == "affine":

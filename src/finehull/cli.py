@@ -10,10 +10,12 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 from . import blaschke as bl
@@ -130,8 +132,26 @@ _PARAMS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors raised as PreconditionFailure (exit 1)
+    instead of printed with exit 2; the subcommand parsers share this
+    class."""
+
+    def error(self, message):
+        # "argument --at: ...", "argument command: ...", or a message
+        # naming the offending flags ("unrecognized arguments: --bogus 1")
+        m = re.match(r"argument (\S+):", message) or \
+            re.search(r"(?<!\S)(--[\w-]+)", message)
+        name = m.group(1) if m else "command"
+        raise PreconditionFailure(message,
+                                  field=name.lstrip("-").replace("-", "_"))
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one parser of the process, built on the first main() call;
+    parse_args gives every call a fresh Namespace."""
+    parser = _Parser(
         prog="finehull",
         description="Gap products, capacity chains, and fiber scans.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -507,9 +527,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = args.command
     try:
+        args = _build_parser().parse_args(argv)
+        command = args.command
         cfg = _resolve(args, command)
         outdir = cfg["out"]
         os.makedirs(outdir, exist_ok=True)

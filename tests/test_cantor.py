@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finehull.cantor import (MAX_DEPTH, CRule, _place_gaps,
+from finehull.cantor import (CONDITION_BLOCK, MAX_DEPTH, CRule, _place_gaps,
                              build_cantor_spec, cantor_length, condition_sum,
                              spec_from_json, spec_to_json, sum_gap_lengths)
 from finehull.errors import GapOverflow, PlacementFailure, PreconditionFailure
@@ -42,6 +43,19 @@ def test_factorial_rule_saturates_instead_of_overflowing():
     assert 1.0 / RULEF.jcj(200) == 0.0
 
 
+def test_factorial_values_round_the_exact_factorial_below_170():
+    rule = CRule("factorial", shift=0)
+    for n in range(1, 200):
+        if n < 170:
+            expected = float(math.factorial(n))
+        else:
+            try:
+                expected = math.exp(math.lgamma(n + 1))
+            except OverflowError:
+                expected = math.inf
+        assert rule.value(n) == expected, n
+
+
 def test_condition_sum_factorial_oracle():
     cs = condition_sum(RULEF, J=10)
     assert cs.partial == pytest.approx(0.19066924725253923, rel=1e-15)
@@ -63,6 +77,62 @@ def test_condition_sum_factorial_deep_truncation():
     cs = condition_sum(RULEF)
     assert cs.certified
     assert cs.total < 0.25
+
+
+def _scalar_condition_sum(rule, J):
+    """The index-order loop condition_sum replaced, kept as its oracle."""
+    if rule.kind == "explicit":
+        J = min(J, len(rule.values))
+    partial = 0.0
+    terms = 0
+    for j in range(1, J + 1):
+        t = 1.0 / rule.jcj(j)
+        partial += t
+        terms = j
+        if t == 0.0:
+            break
+    if rule.kind == "affine":
+        tail = 1.0 / (rule.slope * terms)
+    elif rule.kind == "factorial":
+        q = 1.0 / (terms + 2 + rule.shift)
+        tail = (1.0 / rule.jcj(terms + 1)) / (1.0 - q)
+    else:
+        tail = None
+    return partial.hex(), terms, tail
+
+
+_INCREASING = tuple(float(v) for v in range(3, 3 * 40000, 3))
+_PARITY_CASES = (
+    [(CRule("affine", slope=s, offset=o), J)
+     for s, o in ((5.0, 0.0), (2.0, 1.0), (0.1, 0.0), (0.7, 3.25),
+                  (37.5, 0.5), (1e-3, 1e3))
+     for J in (1, 2, 977, 10000)]
+    + [(RULE5, J) for J in (CONDITION_BLOCK - 1, CONDITION_BLOCK,
+                            CONDITION_BLOCK + 1, 2 * CONDITION_BLOCK + 1)]
+    + [(CRule("factorial", shift=s), J) for s in range(6)
+       for J in (1, 7, 10000)]
+    + [(CRule("explicit", values=(1.0, 2.0, 4.0)), J) for J in (1, 2, 3, 50)]
+    + [(CRule("explicit", values=_INCREASING), J)
+       for J in (10, CONDITION_BLOCK + 1, len(_INCREASING), 10 ** 5)]
+    + [(CRule("explicit", values=(1e-320, 1.0, 1e300, 1e308)), 10)]
+)
+
+
+@pytest.mark.parametrize("rule, J", _PARITY_CASES)
+def test_condition_sum_matches_the_scalar_loop_bit_for_bit(rule, J):
+    cs = condition_sum(rule, J)
+    assert (cs.partial.hex(), cs.terms, cs.tail_bound) == \
+        _scalar_condition_sum(rule, J)
+
+
+def test_condition_sum_memory_does_not_grow_with_J():
+    tracemalloc.start()
+    try:
+        condition_sum(RULE5, J=10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_first_gap_is_centered_with_exact_log_length():

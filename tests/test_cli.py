@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -140,6 +141,14 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     # refused after the first artifact is computed
     (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2", "--sample-depth",
       "1", "--samples", "0"], "samples"),
+    # usage errors: argparse refusals exit 1 like every other refusal
+    (["eval", "--bogus", "1"], "bogus"),
+    (["eval", "--at"], "at"),
+    (["eval", "--spec", "{spec}", "--at", "2,0", "--depth"], "depth"),
+    (["blaschke", "--spec", "{disk}", "--leja"], "leja_n"),
+    (["blaschke", "--spec", "{disk}", "--s", "x"], "s"),
+    (["hull-scan", "--sq=1"], "sq"),
+    (["nosuch"], "command"),
 ])
 def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                               field):
@@ -173,7 +182,8 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     rc, stdout = run([a.format(**paths) for a in argv] + ["--out", str(out)],
                      capsys)
     assert rc == 1
-    assert json.loads(stdout.strip().splitlines()[-1])["field"] == field
+    line, = stdout.strip().splitlines()   # one JSON line, nothing else
+    assert json.loads(line)["field"] == field
     # no artifact at all, not only no manifest
     assert not out.exists() or not any(out.iterdir())
 
@@ -262,3 +272,61 @@ def test_outputs_are_deterministic(tmp_path, capsys):
         assert rc == 0
         digests.append((out / "manifest.json").read_bytes())
     assert digests[0] == digests[1]
+
+
+def test_usage_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: finehull eval")
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps(
+        {"shapes": [{"kind": "interval", "a": 0.0, "b": 1.0}]}))
+    spec = _spec_path(tmp_path, capsys, depth=4)
+    calls = [
+        (["spec-build", "--depth", "3"], 0),
+        (["eval", "--spec", spec, "--at", "2,0"], 0),
+        (["eval", "--spec", spec, "--at", "0.3,0.4", "--branch", "h-plus"],
+         0),
+        (["eval", "--spec", spec, "--at", "0,0"], 1),
+        (["capacity", "--set", str(shapes)], 0),
+        (["eval", "--bogus", "1"], 1),
+        (["eval", "--at"], 1),
+        (["nosuch"], 1),
+        (["spec-build", "--depth", "x"], 1),
+        (["spec-build", "--rule", "factorial", "--depth", "5"], 0),
+    ] * 2
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for i, (argv, code) in enumerate(calls):
+        rc, _ = run(argv + ["--out", str(tmp_path / f"c{i}")], capsys)
+        assert rc == code, argv
+    assert built == ["finehull"] + [f"finehull {c}" for c in cli._PARAMS]
+
+
+def test_calls_in_one_process_share_no_settings(tmp_path, capsys):
+    spec = _spec_path(tmp_path, capsys)
+    calls = {
+        "eval2": ["eval", "--spec", spec, "--at", "2,0", "--depth", "2"],
+        "eval": ["eval", "--spec", spec, "--at", "2,0"],
+        "build": ["spec-build", "--depth", "6"],
+    }
+    manifests = {}
+    for order in (("eval2", "eval", "build"), ("build", "eval", "eval2")):
+        for key in order:
+            out = tmp_path / f"{order[0]}-{key}"
+            rc, _ = run(calls[key] + ["--out", str(out)], capsys)
+            assert rc == 0
+            manifest = (out / "manifest.json").read_bytes()
+            assert manifests.setdefault(key, manifest) == manifest, key
+    assert json.loads(manifests["eval"])["config"]["depth"] is None
