@@ -4,9 +4,9 @@ Zeros accumulate on a prescribed arc with moduli tied to the distance
 condition |a_j - 1/conj(a_j)| = e^{-j c_j}; arguments sweep the arc
 dyadically so density comes with an explicit mesh bound.  Evaluation
 switches between the two algebraic forms of each factor at the unit
-circle to avoid cancellation, and tail bounds mirror the gap-product
-machinery: materialized factors are checked directly, the rest are
-covered by a geometric majorant certified from the rule.
+circle to avoid cancellation, and tail bounds share the gap-product
+machinery: the horizon walk of the distance conditions, then a geometric
+majorant certified from the rule.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .cantor import (HALVING_DENOM, MAX_DEPTH, CRule, _check_depth,
 from .errors import (BranchAtCut, ChainNotClosed, DegenerateSet, NotInEN,
                      PoleHit, PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
-from .potential import (CompactUnion, arc, disk, exact_capacity,
+from .potential import (CompactUnion, FineSets, arc, exact_capacity,
                         _bound_from_invs, _certified_tail, _check_samples,
-                        _witness_sample, MESH_RESOLUTION, UnionBound)
+                        _pole_disks, _witness_sample, UnionBound)
 
 __all__ = [
     "van_der_corput",
@@ -36,7 +36,6 @@ __all__ = [
     "extra_zeros",
     "eval_blaschke",
     "blaschke_tail_bound",
-    "DiskFineSets",
     "disk_fine_sets",
     "smallest_closing_N",
     "certify_arc_point",
@@ -150,16 +149,6 @@ class BlaschkeSpec:
                      for j in range(self.max_index + 1, H + 1))
         return tuple((z.index, z.pole) for z in self.zeros + more)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "l": self.l,
-            "alpha": f"{self.alpha:.17g}",
-            "beta": f"{self.beta:.17g}",
-            "c_rule": self.c_rule.to_json_obj(),
-            "N": self.max_index,
-            "extras": len(self.extras),
-        }
-
 
 def blaschke_spec_from_json(text: str) -> BlaschkeSpec:
     obj = _spec_obj(text, ("alpha", "beta", "c_rule", "N"))
@@ -268,22 +257,18 @@ def _log_q(zero: BlaschkeZero, z: complex) -> float:
 def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
     """Certified bound on |B/B_N - 1| under the disk distance conditions.
 
-    Materialized factors beyond N contribute their displayed q_j; the
-    unmaterialized arc tail is covered by q_j <= 2 e^{-j c_j / 2} and the
-    halving criterion.  Raises NotInEN when a materialized distance
-    condition |1/conj(a_j) - z| >= e^{-j c_j / 2} fails.
+    The conditions |1/conj(a_j) - z| >= e^{-j c_j / 2}, j > N, are checked
+    over spec.horizon_poles, materialized and would-be zeros (NotInEN
+    where one fails or the walk is uncertified); materialized factors
+    beyond N add their q_j, the rest a halving majorant.
     """
     z = complex(z)
     _check_depth(spec, N)
+    last = _last_violation(spec, z)
+    if last is None or last > N:
+        raise NotInEN(f"distance conditions not certified past N={N}")
     s = 0.0
-    for zero in spec.zeros[N:]:
-        d = abs(zero.pole - z)
-        if d == 0.0 or math.log(d) < -0.5 * spec.c_rule.jcj(zero.index):
-            raise NotInEN(
-                f"distance condition fails at index {zero.index}")
-        lq = _log_q(zero, z)
-        s += math.exp(lq) if lq > -745.0 else 0.0
-    for zero in spec.extras[N:]:
+    for zero in spec.zeros[N:] + spec.extras[N:]:
         lq = _log_q(zero, z)
         s += math.exp(lq) if lq > -745.0 else 0.0
     if spec.c_rule.max_defined_index is None:
@@ -297,22 +282,6 @@ def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
         if log_p_next > -700.0:
             s += 3.0 * math.exp(log_p_next) / HALVING_DENOM
     return math.expm1(s)
-
-
-@dataclass(frozen=True)
-class DiskFineSets:
-    """Exceptional pole-disk union F_N and ambient J_N = S union F_N."""
-
-    N: int
-    FN: CompactUnion
-    JN: CompactUnion
-    fn_bound: UnionBound
-    cap_S: float
-    sum_disks: float
-
-    @property
-    def chain_closes(self) -> bool:
-        return self.fn_bound.bound < self.cap_S
 
 
 def _fn_disk_bound(spec: BlaschkeSpec, N: int) -> UnionBound:
@@ -329,9 +298,9 @@ def _fn_disk_bound(spec: BlaschkeSpec, N: int) -> UnionBound:
     return _bound_from_invs(invs, diam, extra_inv=extra_inv)
 
 
-def disk_fine_sets(spec: BlaschkeSpec, N: int) -> DiskFineSets:
+def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     """Materialize F_N = pole disks of log-radius -j c_j / 2 for j >= N
-    and J_N = S union F_N; certify cap(F_N) < cap(S).
+    and J_N = S union F_N for the zero arc S; certify cap(F_N) < cap(S).
 
     Raises ChainNotClosed when the certified union bound does not beat
     the arc capacity at this N.
@@ -339,17 +308,9 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> DiskFineSets:
     if not 1 <= N <= spec.max_index:
         raise PreconditionFailure("need 1 <= N <= materialization", field="N")
     S = arc(spec.alpha, spec.beta)
-    disks = []
-    sum_disks = 0.0
-    for zero in spec.zeros[N - 1:]:
-        j = zero.index
-        sum_disks += 2.0 / spec.c_rule.jcj(j)
-        log_r = -0.5 * spec.c_rule.jcj(j)
-        if log_r >= math.log(MESH_RESOLUTION):
-            disks.append(disk(zero.pole, log_radius=log_r))
-    cs = condition_sum(spec.c_rule, J=spec.max_index)
-    if cs.tail_bound is not None:
-        sum_disks += 2.0 * cs.tail_bound
+    disks, sum_disks = _pole_disks(
+        spec.c_rule, ((z.index, z.pole) for z in spec.zeros), N,
+        condition_sum(spec.c_rule, J=spec.max_index).tail_bound)
     bound = _fn_disk_bound(spec, N)
     cap_S = exact_capacity(S)
     if not bound.bound < cap_S:
@@ -362,7 +323,7 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> DiskFineSets:
             "use a smaller N for discrete witnesses")
     FN = CompactUnion(tuple(disks))
     JN = CompactUnion((S,) + FN.shapes)
-    return DiskFineSets(N, FN, JN, bound, cap_S, sum_disks)
+    return FineSets(N, FN, JN, bound, 0.0, sum_disks, cap_S)
 
 
 def smallest_closing_N(spec: BlaschkeSpec, limit: int | None = None) -> int:

@@ -135,21 +135,16 @@ class CRule:
     def max_defined_index(self) -> int | None:
         return len(self.values) if self.kind == "explicit" else None
 
-    def tail_ratio_halves(self, j: int) -> bool:
-        """True when exp(-n*c(n)) at least halves from index n to n+1 for
-        every n >= j.  Used to certify geometric tail bounds."""
+    def halving_tail(self, j: int) -> float | None:
+        """log p_j = -j c_j / 2 when exp(-n*c(n)) at least halves at every
+        step, so the majorant p_j / HALVING_DENOM bounds sum_{n >= j} p_n;
+        None when the rule does not certify halving."""
         if self.kind == "affine":
             # increment of n*c(n) is slope*(2n+1) + offset >= 3*slope + offset
-            return 3.0 * self.slope + self.offset >= _LN2
-        if self.kind == "factorial":
-            return True
-        return False
-
-    def halving_tail(self, j: int) -> float | None:
-        """log p_j = -j c_j / 2 when tail_ratio_halves(j), so that the
-        majorant p_j / HALVING_DENOM bounds sum_{n >= j} p_n; None when
-        the rule does not certify halving."""
-        return -0.5 * self.jcj(j) if self.tail_ratio_halves(j) else None
+            halves = 3.0 * self.slope + self.offset >= _LN2
+        else:
+            halves = self.kind == "factorial"
+        return -0.5 * self.jcj(j) if halves else None
 
     def horizon(self, N: int) -> int | None:
         """Last index, at least N, whose distance threshold e^{-j c_j / 2}
@@ -382,11 +377,6 @@ class ConditionSum:
         if self.certified and self.total < 0.5:
             return True
         return None
-
-    @property
-    def finite(self) -> bool | None:
-        """Certified finiteness of the full series."""
-        return True if self.certified else None
 
 
 def condition_sum(spec_or_rule, J: int = 10000) -> ConditionSum:

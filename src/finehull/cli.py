@@ -150,13 +150,14 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first main() call;
-    parse_args gives every call a fresh Namespace."""
+    parse_args gives every call a fresh Namespace.  No flag abbreviates,
+    so a flag added later cannot change a recorded command line."""
     parser = _Parser(
-        prog="finehull",
+        prog="finehull", allow_abbrev=False,
         description="Gap products, capacity chains, and fiber scans.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, params in _PARAMS.items():
-        p = sub.add_parser(command)
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", default=None,
                        help="JSON file with defaults for any flag")
         for name, kind, _default, help_text in params + _COMMON:
@@ -391,7 +392,7 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
         else:
             fs = bl.disk_fine_sets(
                 bl.blaschke_spec_from_json(json.dumps(obj["blaschke"])), N)
-            out = {"cap_arc": fs.cap_S}
+            out = {"cap_arc": fs.cap_ambient_floor}
         out.update({
             "N": fs.N,
             "fn_log_bound": fs.fn_bound.log_bound,

@@ -29,7 +29,6 @@ __all__ = [
     "v_n",
     "eval_v",
     "eval_v_on_graph",
-    "graph_depth_bound",
     "Dip",
     "HullGrid",
     "fiber_scan",
@@ -37,7 +36,6 @@ __all__ = [
     "grid_report",
 ]
 
-_LN2 = math.log(2.0)
 SENTINEL = -1.0e6
 # largest w-grid side fiber_scan accepts: a scan holds two complex and
 # two float res x res arrays, 48 B per cell, so ~200 MB at 2048
@@ -70,15 +68,14 @@ def _weight(name: str, n: int) -> float:
                               field="scheme")
 
 
-def build_weights(spec_or_rule, M: int, scheme: str = "flat_head",
-                  strict: bool = True) -> WeightScheme:
+def build_weights(spec_or_rule, M: int,
+                  scheme: str = "flat_head") -> WeightScheme:
     """Weights e_1..e_M with convergence/divergence certificates.
 
     The scheme must make sum e_n finite while sum e_n (n+1)c_{n+1}/(n c_n)
     diverges.  Factorial rules certify both in closed form; affine rules
-    have bounded ratios, so the divergent series converges and strict
-    mode raises NoValidWeights (M = 1 stays trivially admissible).
-    strict=False returns the weights uncertified for display scans.
+    have bounded ratios, so the divergent series converges and
+    NoValidWeights is raised (M = 1 stays trivially admissible).
     """
     rule = spec_or_rule.c_rule if isinstance(spec_or_rule, CantorSpec) \
         else spec_or_rule
@@ -102,7 +99,7 @@ def build_weights(spec_or_rule, M: int, scheme: str = "flat_head",
     if M == 1:
         return WeightScheme(scheme, e, sum_bound, True, divergent,
                             "single-term truncation, conditions trivial")
-    if strict and not divergent:
+    if not divergent:
         raise NoValidWeights(
             f"rule kind {rule.kind!r} does not certify a divergent "
             "weighted ratio series", field="c_rule")
@@ -136,9 +133,9 @@ class HullPotentialSpec:
         return self.weights.e[n - 1] / self.spec.c_rule.jcj(n)
 
 
-def make_hull_spec(spec: CantorSpec, M: int, scheme: str = "flat_head",
-                   strict: bool = True) -> HullPotentialSpec:
-    return HullPotentialSpec(spec, build_weights(spec, M, scheme, strict), M)
+def make_hull_spec(spec: CantorSpec, M: int,
+                   scheme: str = "flat_head") -> HullPotentialSpec:
+    return HullPotentialSpec(spec, build_weights(spec, M, scheme), M)
 
 
 def _pq_prefixes(spec: CantorSpec, n: int, z: complex):
@@ -201,18 +198,6 @@ def eval_v_on_graph(hps: HullPotentialSpec, z: complex) -> float:
             vn = log_p_abs + tail.log_mag
         total += hps.term_scale(n) * max(vn, hps.floor(n))
     return total
-
-
-def graph_depth_bound(hps: HullPotentialSpec) -> float:
-    """Certified K(M) with eval_v <= -K(M) at graph points over certified z.
-
-    Each on-graph term is at most e_n (log 2 + log p_{n+1})/(n c_n), from
-    the estimate |f - f_n||Q_n| <= 2 p_{n+1} on the certified region.
-    """
-    K = 0.0
-    for n in range(1, hps.M + 1):
-        K += hps.term_scale(n) * (-hps.floor(n) - _LN2)
-    return K
 
 
 @dataclass(frozen=True)

@@ -63,15 +63,6 @@ class LogComplex:
         return LogComplex(math.log(abs(z)), math.atan2(z.imag, z.real))
 
     @staticmethod
-    def from_real(x: float, negative_arg: float = math.pi) -> "LogComplex":
-        """Real axis value; `negative_arg` picks +pi or -pi for x < 0."""
-        if x == 0.0:
-            return LogComplex.zero()
-        if x > 0.0:
-            return LogComplex(math.log(x), 0.0)
-        return LogComplex(math.log(-x), negative_arg)
-
-    @staticmethod
     def from_polar(log_mag: float, arg: float) -> "LogComplex":
         if log_mag == _NEG_INF:
             return LogComplex.zero()

@@ -345,11 +345,12 @@ def fine_witness_u(model_F: GreenModel, model_J: GreenModel,
 
 @dataclass(frozen=True)
 class FineSets:
-    """Exceptional set F_N and ambient set J_N for a gap construction.
+    """Exceptional set F_N and ambient set J_N of either spec family.
 
     sum_segments and sum_disks are the two display sums of the capacity
-    chain (inverse log capacities of gap segments, and of protection
-    disks from index N on) with certified tails included.
+    chain (inverse log capacities of gap segments, 0.0 for a disk spec,
+    and of protection disks from index N on) with certified tails
+    included; cap_ambient_floor is cap of the root interval or zero arc.
     """
 
     N: int
@@ -405,6 +406,26 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
     return out
 
 
+def _pole_disks(rule, poles, N: int,
+                tail: float | None) -> tuple[list[Shape], float]:
+    """Meshable protection disks of log-radius -j c_j / 2 around the
+    materialized poles (j, pole) with j >= N, and sum_disks: 2/(j c_j)
+    added in index order, then 2 * tail unless tail is None."""
+    disks: list[Shape] = []
+    sum_disks = 0.0
+    for j, pole in poles:
+        if j < N:
+            continue
+        jcj = rule.jcj(j)
+        sum_disks += 2.0 / jcj
+        log_r = -0.5 * jcj
+        if log_r >= math.log(MESH_RESOLUTION):
+            disks.append(disk(pole, log_radius=log_r))
+    if tail is not None:
+        sum_disks += 2.0 * tail
+    return disks, sum_disks
+
+
 def _fn_analytic_bound(spec: CantorSpec, N: int) -> UnionBound:
     """Union capacity bound for F_N with every member charged analytically.
 
@@ -440,24 +461,16 @@ def cantor_fine_sets(spec: CantorSpec, N: int) -> FineSets:
     if not 1 <= N <= spec.max_index:
         raise PreconditionFailure("need 1 <= N <= materialization", field="N")
     segs: list[Shape] = []
-    disks: list[Shape] = []
     sum_segments = 0.0
-    sum_disks = 0.0
     for g in spec.gaps:
-        j = g.index
-        jcj = spec.c_rule.jcj(j)
-        sum_segments += 1.0 / (jcj + _LOG4)
+        sum_segments += 1.0 / (spec.c_rule.jcj(g.index) + _LOG4)
         if g.log_length >= math.log(MESH_RESOLUTION):
             segs.append(interval(g.a, g.b, log_length=g.log_length))
-        if j >= N:
-            sum_disks += 2.0 / jcj
-            log_r = -0.5 * jcj
-            if log_r >= math.log(MESH_RESOLUTION):
-                disks.append(disk(g.b, log_radius=log_r))
     cs = condition_sum(spec.c_rule, J=spec.max_index)
     if cs.tail_bound is not None:
         sum_segments += cs.tail_bound      # 1/(jc_j + log4) <= 1/(jc_j)
-        sum_disks += 2.0 * cs.tail_bound
+    disks, sum_disks = _pole_disks(
+        spec.c_rule, ((g.index, g.b) for g in spec.gaps), N, cs.tail_bound)
     fn_bound = _fn_analytic_bound(spec, N)
     union_F = CompactUnion(tuple(segs + disks))
     root = interval(spec.a0, spec.b0)

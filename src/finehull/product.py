@@ -60,6 +60,18 @@ class BranchTag(enum.Enum):
         return self in (BranchTag.H_PLUS, BranchTag.H_MINUS)
 
 
+def _quotient_log(num: complex, den: complex, cut_arg: float) -> complex:
+    """log(num/den), argument cut_arg where it is negative real; a quotient
+    that underflows to 0 gives log|num| - log|den| and the phase difference."""
+    r = num / den
+    if r == 0:
+        q = LogComplex.from_complex(num) / LogComplex.from_complex(den)
+        return complex(q.log_mag, q.arg)
+    if r.imag == 0.0 and r.real < 0.0:
+        return complex(math.log(abs(r.real)), cut_arg)
+    return complex(math.log(abs(r)), math.atan2(r.imag, r.real))
+
+
 def _gap_factor_log(g, z: complex):
     """log of gap factor at z, or None for an exact zero of the factor.
 
@@ -77,11 +89,8 @@ def _gap_factor_log(g, z: complex):
         num = z - g.a
         if num == 0:
             return None
-        r = num / w
-        if r.imag == 0.0 and r.real < 0.0:
-            # inside the gap on the real axis: argument convention -pi
-            return complex(math.log(abs(r.real)), -math.pi)
-        return complex(math.log(abs(r)), math.atan2(r.imag, r.real))
+        # inside the gap on the real axis: argument convention -pi
+        return _quotient_log(num, w, -math.pi)
     return log1p_complex(length / w)
 
 
@@ -95,12 +104,8 @@ def _factor_logs(spec: CantorSpec, N: int, z: complex):
     num = z - spec.b0
     if num == 0:
         return None
-    r = num / den
-    if r.imag == 0.0 and r.real < 0.0:
-        # inside the root interval on the real axis: convention +pi
-        logs = [complex(math.log(abs(r.real)), math.pi)]
-    else:
-        logs = [complex(math.log(abs(r)), math.atan2(r.imag, r.real))]
+    # inside the root interval on the real axis: convention +pi
+    logs = [_quotient_log(num, den, math.pi)]
     for g in spec.gaps[:N]:
         fl = _gap_factor_log(g, z)
         if fl is None:
@@ -217,14 +222,6 @@ class TailBound:
         return math.exp(lb) if lb < 700.0 else float("inf")
 
 
-def _dist_to_point(region, b: float) -> float:
-    """inf |z - b| over the region (a complex point or (center, radius))."""
-    if isinstance(region, tuple):
-        c, rad = region
-        return max(abs(complex(c) - b) - rad, 0.0)
-    return abs(complex(region) - b)
-
-
 def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     """Certified sup of |f/f_N - 1| over a point or closed disk.
 
@@ -238,6 +235,9 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     _check_depth(spec, N)
     rule = spec.c_rule
     M = spec.max_index
+    # a point is the disk of radius 0.0
+    c, rad = region if isinstance(region, tuple) else (region, 0.0)
+    c = complex(c)
     poles = [(g.index, g.b) for g in spec.gaps[N:M]]
     tail = None
     # an explicit rule is a finite construction: nothing beyond its prefix
@@ -245,11 +245,7 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
         log_p_next = rule.halving_tail(M + 1)
         if log_p_next is None:
             raise RegionViolatesEN("rule tail does not certify halving")
-        if isinstance(region, tuple):
-            c, rad = region
-            droot = max(_seg_distance(complex(c), spec.a0, spec.b0) - rad, 0.0)
-        else:
-            droot = _seg_distance(complex(region), spec.a0, spec.b0)
+        droot = max(_seg_distance(c, spec.a0, spec.b0) - rad, 0.0)
         if droot > 0.0 and log_p_next <= math.log(droot):
             # off the root interval: |u_n| <= length_n / droot, halving sum
             tail = -rule.jcj(M + 1) - math.log(droot) + math.log(2.0)
@@ -267,8 +263,8 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
             tail = rule.halving_tail(H + 1) + math.log(1.0 / HALVING_DENOM)
     logs = []
     for j, b in poles:
-        d = _dist_to_point(region, b)
-        if d == 0.0:
+        d = abs(c - b) - rad
+        if d <= 0.0:
             raise RegionViolatesEN(f"region touches pole b_{j}")
         jcj = rule.jcj(j)
         log_u = -jcj - math.log(d)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,12 @@ from finehull.blaschke import (blaschke_sample_E, blaschke_spec_from_json,
                                fb_sheet_spacing, radius_from_condition,
                                smallest_closing_N, van_der_corput)
 from finehull.cantor import MAX_DEPTH, CRule
-from finehull.errors import BranchAtCut, NotInEN, PoleHit, PreconditionFailure
+from finehull.errors import (BranchAtCut, DegenerateSet, NotInEN, PoleHit,
+                             PreconditionFailure)
 from finehull.potential import arc, exact_capacity
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
+SLOW = CRule("affine", slope=0.05, offset=1.0)
 QUARTER = 0.5 * math.pi
 SPEC = build_blaschke_spec(0.0, QUARTER, RULE5, 16)
 
@@ -100,6 +103,32 @@ def test_tail_bound_rejects_points_near_future_poles():
         blaschke_tail_bound(SPEC, 1, cmath.exp(1j * z2.theta))
 
 
+def test_tail_bound_checks_would_be_zeros():
+    # zeros 5..16 of a depth-40 build are would-be zeros of a depth-4
+    # spec: at their arguments a distance condition past N = 4 fails
+    shallow = build_blaschke_spec(0.0, QUARTER, SLOW, 4)
+    deep = build_blaschke_spec(0.0, QUARTER, SLOW, 40)
+    for zero in deep.zeros[4:16]:
+        with pytest.raises(NotInEN):
+            blaschke_tail_bound(shallow, 4, cmath.exp(1j * zero.theta))
+    # near those zeros every returned bound covers the deeper truncation
+    rng = random.Random(0)
+    returned = 0
+    for _ in range(200):
+        zero = deep.zeros[rng.randrange(4, 16)]
+        z = cmath.exp(1j * zero.theta) * \
+            (1.0 - 10.0 ** -rng.uniform(1.0, 8.0)) * \
+            cmath.exp(1j * rng.uniform(-1e-3, 1e-3))
+        try:
+            bound = blaschke_tail_bound(shallow, 4, z)
+        except NotInEN:
+            continue
+        returned += 1
+        ratio = eval_blaschke(deep, 40, z) / eval_blaschke(deep, 4, z)
+        assert abs(ratio.to_complex() - 1.0) <= bound
+    assert 0 < returned < 200
+
+
 def test_certification_against_would_be_poles():
     theta17 = QUARTER * van_der_corput(17)
     assert not certify_arc_point(SPEC, theta17, 16)
@@ -120,7 +149,9 @@ def test_would_be_poles_match_a_deeper_build(N):
 
 
 def test_spec_json_roundtrip():
-    assert blaschke_spec_from_json(json.dumps(SPEC.to_json_obj())) == SPEC
+    obj = {"l": 0, "alpha": 0.0, "beta": QUARTER,
+           "c_rule": RULE5.to_json_obj(), "N": 16, "extras": 0}
+    assert blaschke_spec_from_json(json.dumps(obj)) == SPEC
 
 
 def test_extra_zeros_ladder():
@@ -136,8 +167,32 @@ def test_capacity_chain_closes_immediately():
     assert n_star == 1
     fs = disk_fine_sets(SPEC, n_star)
     assert fs.chain_closes
-    assert fs.cap_S == pytest.approx(exact_capacity(arc(0.0, QUARTER)))
-    assert fs.fn_bound.bound < fs.cap_S
+    assert fs.cap_ambient_floor == exact_capacity(arc(0.0, QUARTER))
+    assert fs.fn_bound.bound < fs.cap_ambient_floor
+    assert fs.sum_segments == 0.0
+
+
+# fn_bound.log_bound, sum_disks and meshable disk count of SPEC's chain
+# at depth N, as the separate disk-family chain gave them
+DISK_CHAIN = {1: ("-0x1.0754d4de4670ap+0", "0x1.514630022449ep-1", 3),
+              2: ("-0x1.a884b37fe6c0bp+1", "0x1.08f2c66aaefa2p-2", 2),
+              3: ("-0x1.6e392652c9683p+2", "0x1.4518c00891276p-3", 1)}
+
+
+@pytest.mark.parametrize("N", sorted(DISK_CHAIN))
+def test_disk_fine_sets_values_are_pinned(N):
+    log_bound, sum_disks, shapes = DISK_CHAIN[N]
+    fs = disk_fine_sets(SPEC, N)
+    assert fs.fn_bound.log_bound.hex() == log_bound
+    assert fs.sum_disks.hex() == sum_disks
+    assert len(fs.FN.shapes) == shapes
+    assert fs.cap_ambient_floor.hex() == "0x1.87de2a6aea963p-2"
+
+
+def test_disk_fine_sets_without_a_meshable_disk():
+    # from N = 4 on every protection disk is below MESH_RESOLUTION
+    with pytest.raises(DegenerateSet):
+        disk_fine_sets(SPEC, 4)
 
 
 def test_arc_sample_has_certified_points():

@@ -63,6 +63,21 @@ def test_eval_pole_maps_to_exit_code_one(tmp_path, capsys):
     assert payload["error"] == "pole_hit"
 
 
+def test_eval_survives_an_underflowed_root_quotient(tmp_path, capsys):
+    # (z - b0)/(z - a0) = 5e-324j / 2 rounds to 0, although z != b0
+    out = tmp_path / "spec"
+    rc, _ = run(["spec-build", "--b0", "2", "--depth", "4",
+                 "--out", str(out)], capsys)
+    assert rc == 0
+    rc, _ = run(["eval", "--spec", str(out / "spec.json"),
+                 "--at", "2,5e-324", "--depth", "2",
+                 "--out", str(tmp_path / "eval")], capsys)
+    assert rc == 0
+    header, row = (tmp_path / "eval" / "eval.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert float(vals["log_mag"]) == pytest.approx(-745.13, abs=0.01)
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text('{"depht": 4}')
@@ -145,10 +160,12 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["eval", "--bogus", "1"], "bogus"),
     (["eval", "--at"], "at"),
     (["eval", "--spec", "{spec}", "--at", "2,0", "--depth"], "depth"),
-    (["blaschke", "--spec", "{disk}", "--leja"], "leja_n"),
+    # flags are never abbreviated: --leja is not read as --leja-n
+    (["blaschke", "--spec", "{disk}", "--leja"], "leja"),
     (["blaschke", "--spec", "{disk}", "--s", "x"], "s"),
     (["hull-scan", "--sq=1"], "sq"),
     (["nosuch"], "command"),
+    (["eval", "--dep", "3"], "dep"),
 ])
 def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                               field):

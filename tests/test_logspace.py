@@ -48,14 +48,14 @@ def test_products_below_double_underflow():
 
 
 def test_negation_and_conjugate_keep_canonical_arg():
-    z = LogComplex.from_real(-3.0)
+    z = LogComplex.from_complex(-3.0)
     assert z.arg == math.pi
     assert z.conj().arg == math.pi
     assert (-z).to_complex() == pytest.approx(3.0)
 
 
 def test_principal_sqrt_of_negative_real():
-    r = LogComplex.from_real(-4.0).sqrt()
+    r = LogComplex.from_complex(-4.0).sqrt()
     assert r.to_complex() == pytest.approx(2.0j)
 
 
@@ -66,13 +66,13 @@ def test_integer_powers(z, k):
 
 
 def test_logsum_oracle():
-    terms = [LogComplex.from_real(3.0), LogComplex.from_real(4.0)]
+    terms = [LogComplex.from_complex(3.0), LogComplex.from_complex(4.0)]
     assert logsum(terms).to_complex() == pytest.approx(7.0)
 
 
 def test_logsum_cancellation():
     # opposite terms cancel to the rounding floor of the rect() calls
-    terms = [LogComplex.from_real(1.0), LogComplex.from_real(-1.0)]
+    terms = [LogComplex.from_complex(1.0), LogComplex.from_complex(-1.0)]
     assert logsum(terms).log_mag < -30.0
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finehull import acceptance
-from finehull.cantor import (CRule, build_cantor_spec, cantor_length,
-                             sum_gap_lengths)
+from finehull.cantor import (CRule, GapInterval, build_cantor_spec,
+                             cantor_length, sum_gap_lengths)
 from finehull.errors import (DomainViolation, NotInEN, PoleHit,
                              PreconditionFailure, QuadratureFailure,
                              RegionViolatesEN)
-from finehull.product import (BranchTag, _factor_logs, certify_en_point,
-                              eval_f, eval_partial_product,
+from finehull.product import (BranchTag, _factor_logs, _gap_factor_log,
+                              certify_en_point, eval_f, eval_partial_product,
                               eval_partial_product_many, fine_boundary_value,
                               laurent_c1, sqrt_branch, tail_bound,
                               tail_product_minus_one)
@@ -37,6 +37,22 @@ def test_depth_zero_is_the_mobius_seed():
         pytest.approx(1.0 + 1.0j)
     assert eval_partial_product(SPEC0, 0, -1j).to_complex() == \
         pytest.approx(1.0 - 1.0j)
+
+
+def test_underflowed_quotients_keep_their_log():
+    # (z - b0)/(z - a0) = 5e-324j / 2 rounds to 0 although z != b0
+    spec = build_cantor_spec(0.0, 2.0, RULE5, N=4)
+    z = complex(2.0, 5e-324)
+    assert _factor_logs(spec, 2, z)[0] == \
+        complex(math.log(5e-324) - math.log(2.0), 0.5 * math.pi)
+    val = eval_partial_product(spec, 2, z)
+    assert val.log_mag == pytest.approx(-745.13, abs=0.01)
+    log_mag, arg = eval_partial_product_many(spec, 2, [z])
+    assert (log_mag[0], arg[0]) == (val.log_mag, val.arg)
+    # the near-gap branch, on a gap wide enough to underflow its quotient
+    wide = GapInterval(1, 0.0, math.log(8.0))
+    assert _gap_factor_log(wide, complex(wide.a, 5e-324)) == \
+        complex(math.log(5e-324) - math.log(wide.b - wide.a), -0.5 * math.pi)
 
 
 def test_depth_one_oracle():
