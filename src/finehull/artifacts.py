@@ -1,8 +1,9 @@
 """Artifact writers shared by the CLI and the acceptance checks.
 
 This module owns the CSV float format of both CSV writers: floats carry
-17 significant digits ("%.17g") and booleans 1/0.  JSON is sorted and
-indented; every file ends in a newline.  The bytes depend only on the
+17 significant digits ("%.17g"), booleans 1/0, and None (a value that
+does not exist) is an empty cell.  JSON is sorted and indented; every
+file ends in a newline.  The bytes depend only on the
 values written, so reruns reproduce them exactly.
 """
 
@@ -16,6 +17,8 @@ __all__ = ["write_csv", "write_grid_csv", "write_json", "write_text",
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):

@@ -18,10 +18,10 @@ from functools import cached_property
 
 from .cantor import (HALVING_DENOM, MAX_DEPTH, CRule, _check_depth,
                      _last_violation, _spec_obj, condition_sum)
-from .errors import (BranchAtCut, ChainNotClosed, DegenerateSet, NotInEN,
-                     PoleHit, PreconditionFailure)
+from .errors import (BranchAtCut, ChainNotClosed, NotInEN, PoleHit,
+                     PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
-from .potential import (CompactUnion, FineSets, arc, exact_capacity,
+from .potential import (CompactUnion, FineSets, arc, disk, exact_capacity,
                         _bound_from_invs, _certified_tail, _check_samples,
                         _pole_disks, _witness_sample, UnionBound)
 
@@ -302,6 +302,8 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     """Materialize F_N = pole disks of log-radius -j c_j / 2 for j >= N
     and J_N = S union F_N for the zero arc S; certify cap(F_N) < cap(S).
 
+    Disks below MESH_RESOLUTION stay in F_N; leja_points skips them, so
+    with no meshable disk left the arc sample refuses.
     Raises ChainNotClosed when the certified union bound does not beat
     the arc capacity at this N.
     """
@@ -311,16 +313,15 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     disks, sum_disks = _pole_disks(
         spec.c_rule, ((z.index, z.pole) for z in spec.zeros), N,
         condition_sum(spec.c_rule, J=spec.max_index).tail_bound)
+    # j c_j increases: the disks after the meshable ones are the rest
+    disks += [disk(z.pole, log_radius=-0.5 * spec.c_rule.jcj(z.index))
+              for z in spec.zeros[N - 1 + len(disks):]]
     bound = _fn_disk_bound(spec, N)
     cap_S = exact_capacity(S)
     if not bound.bound < cap_S:
         raise ChainNotClosed(
             f"union bound {bound.bound:.3g} does not beat cap(S) "
             f"{cap_S:.3g} at N={N}")
-    if not disks:
-        raise DegenerateSet(
-            "no protection disk is meshable at this depth; "
-            "use a smaller N for discrete witnesses")
     FN = CompactUnion(tuple(disks))
     JN = CompactUnion((S,) + FN.shapes)
     return FineSets(N, FN, JN, bound, 0.0, sum_disks, cap_S)

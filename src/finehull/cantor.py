@@ -48,6 +48,9 @@ MAX_DEPTH = 1 << 17
 # condition_sum forms and adds this many terms at a time
 CONDITION_BLOCK = 1 << 14
 
+# e^{-x} rounds to exactly 0.0 past this (the least subnormal is e^{-744.4})
+UNDERFLOW_LOG = 746.0
+
 # n! as a double for n = 0..170: the exact integer rounded once below 170,
 # exp(lgamma) at 170; 171! overflows, so a factorial c(j) is inf from there
 _FACTORIALS = tuple(float(math.factorial(n)) for n in range(170)) + \
@@ -109,26 +112,26 @@ class CRule:
         """The product j*c(j); the gap length is exp(-jcj)."""
         return j * self.value(j)
 
+    def c_values(self, first: int, last: int) -> np.ndarray:
+        """c(j) for j = first..last in one array, each bit-equal to
+        value(j); an explicit rule stops at its last defined index."""
+        if self.kind == "affine":
+            return np.arange(first, last + 1.0) * self.slope + self.offset
+        if self.kind == "explicit":
+            return np.array(self.values[first - 1:last], dtype=np.float64)
+        c = np.full(last - first + 1, math.inf)
+        table = _FACTORIALS[first + self.shift:last + self.shift + 1]
+        c[:len(table)] = table
+        return c
+
     def inv_jcj(self, first: int, last: int) -> np.ndarray:
         """1/(j*c(j)) for j = first..last, each bit-equal to 1.0/jcj(j).
 
-        Explicit rules stop at their last defined index.  For every rule
-        the terms are non-increasing, as c is increasing.
+        For every rule the terms are non-increasing, as c is increasing.
         """
-        if self.kind == "explicit":
-            last = min(last, len(self.values))
-        j = np.arange(first, last + 1, dtype=np.float64)
-        if self.kind == "affine":
-            c = j * self.slope
-            c += self.offset
-        elif self.kind == "factorial":
-            c = np.full(j.shape, math.inf)
-            table = _FACTORIALS[first + self.shift:last + self.shift + 1]
-            c[:len(table)] = table
-        else:
-            c = np.array(self.values[first - 1:last])
+        c = self.c_values(first, last)
         with np.errstate(over="ignore"):
-            c *= j
+            c *= np.arange(first, first + c.size, dtype=np.float64)
             return np.divide(1.0, c, out=c)
 
     @property
@@ -157,7 +160,7 @@ class CRule:
         if self.max_defined_index is not None:
             return N
         H = N
-        while 0.5 * self.jcj(H + 1) <= 746.0:
+        while 0.5 * self.jcj(H + 1) <= UNDERFLOW_LOG:
             H += 1
             if H >= N + 8192:
                 return None
@@ -238,10 +241,15 @@ class CantorSpec:
         return -0.5 * self.c_rule.jcj(j)
 
     @cached_property
+    def gap_poles(self) -> tuple[tuple[int, float], ...]:
+        """(j, b_j) for the materialized gaps, built once per spec object."""
+        return tuple((g.index, g.b) for g in self.gaps)
+
+    @cached_property
     def horizon_poles(self) -> tuple[tuple[int, float], ...] | None:
-        """(j, b_j) for j = 1 .. c_rule.horizon(max_index): the materialized
-        right endpoints, then the would-be gaps that bisect placement
-        adds next, resumed from the remaining pieces.
+        """(j, b_j) for j = 1 .. c_rule.horizon(max_index): gap_poles, then
+        the would-be gaps that bisect placement adds next, resumed from
+        the remaining pieces.
 
         None when the horizon lies past the index budget or the extension
         is refused (GapOverflow, PlacementFailure, non-increasing c).
@@ -250,7 +258,7 @@ class CantorSpec:
         H = self.c_rule.horizon(self.max_index)
         if H is None:
             return None
-        gaps = self.gaps
+        more = ()
         if H > self.max_index:
             try:
                 more, _ = _place_gaps(self.c_rule, self.root_length,
@@ -258,8 +266,7 @@ class CantorSpec:
                                       self.max_index + 1, H)
             except PreconditionFailure:
                 return None
-            gaps += tuple(more)
-        return tuple((g.index, g.b) for g in gaps)
+        return self.gap_poles + tuple((g.index, g.b) for g in more)
 
     def poles(self, upto: int | None = None) -> list[float]:
         """Pole locations of the truncated product: a0 and the right gap
@@ -301,18 +308,18 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
     placement reproduces a full build bit for bit.  Returns the new gaps
     and the sorted remaining pieces.
     """
+    c = c_rule.c_values(first, last)
     prev = c_rule.value(first - 1) if first > 1 else 0.0
-    for j in range(first, last + 1):
-        c = c_rule.value(j)
-        if c <= prev:
-            raise PreconditionFailure("c rule must increase strictly",
-                                      field="c_rule")
-        prev = c
+    if c.size and (c[0] <= prev or np.any(c[1:] <= c[:-1])):
+        raise PreconditionFailure("c rule must increase strictly",
+                                  field="c_rule")
+    with np.errstate(over="ignore"):
+        c *= np.arange(first, last + 1, dtype=np.float64)
     heap = [(lo - hi, lo, hi) for lo, hi in pieces]
     heapq.heapify(heap)
     gaps: list[GapInterval] = []
-    for j in range(first, last + 1):
-        log_len = -c_rule.jcj(j)
+    for j, jcj in enumerate(c.tolist(), first):
+        log_len = -jcj
         length = math.exp(log_len) if log_len > -744.0 else 0.0
         if used + length >= root_length:
             raise GapOverflow(

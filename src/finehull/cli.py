@@ -400,7 +400,7 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
             "members": fs.fn_bound.members,
             "sum_disks": fs.sum_disks,
             "chain_closes": fs.chain_closes,
-            "meshable_fn_shapes": len(fs.FN.shapes),
+            "meshable_fn_shapes": sum(s.meshable for s in fs.FN.shapes),
         })
     else:
         raise PreconditionFailure(
@@ -417,11 +417,9 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
     z = _point(cfg, "at")
     model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
     value = pt.green_eval(model, z)
-    rows = []
-    for k, p in enumerate(model.points):
-        d_k = model.d_seq[k - 1] if 1 <= k <= len(model.d_seq) else \
-            float("nan")
-        rows.append((k, p.real, p.imag, d_k))
+    # d_k needs two nodes: none for k = 0
+    rows = [(k, p.real, p.imag, model.d_seq[k - 1] if k else None)
+            for k, p in enumerate(model.points)]
     return _emit(outdir, [("green.json", write_json, {
         "n": len(model.points),
         "cap_estimate": model.cap_estimate,
@@ -473,7 +471,7 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
         try:
             tail = bl.blaschke_tail_bound(spec, depth, z)
         except PreconditionFailure:
-            tail = float("nan")
+            tail = None     # no certified bound: an empty cell
         out.append(("blaschke.csv", write_csv,
                     ["z_re", "z_im", "log_mag", "arg", "tail"],
                     [(z.real, z.imag, val.log_mag, val.arg, tail)]))

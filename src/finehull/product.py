@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import (HALVING_DENOM, CantorSpec, _check_depth,
+from .cantor import (HALVING_DENOM, UNDERFLOW_LOG, CantorSpec, _check_depth,
                      _last_violation, _seg_distance, sum_gap_lengths)
 from .errors import (DomainViolation, NoConvergence, NotInEN, PoleHit,
                      PreconditionFailure, QuadratureFailure, RegionViolatesEN)
@@ -231,6 +231,15 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     directly out to the underflow horizon.  Raises RegionViolatesEN when
     the controlling distance conditions fail, so the bound never
     silently turns vacuous.
+
+    The walk over poles past N stops at the first j with j c_j / 2 >
+    UNDERFLOW_LOG - min(m, 0), m the largest log term so far (tail term
+    included).  The stop is exact, there and at every later j (j c_j
+    increases): an accepted term has log_u <= -j c_j / 2, so
+    exp(log_u - lead) rounds to 0.0, and no pole at a positive distance
+    fails a threshold e^{-j c_j / 2} below the least subnormal.  Only a
+    touched pole, which needs |Im c| <= rad, can still refuse.  terms
+    counts every pole past N.
     """
     _check_depth(spec, N)
     rule = spec.c_rule
@@ -238,7 +247,7 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     # a point is the disk of radius 0.0
     c, rad = region if isinstance(region, tuple) else (region, 0.0)
     c = complex(c)
-    poles = [(g.index, g.b) for g in spec.gaps[N:M]]
+    poles = spec.gap_poles
     tail = None
     # an explicit rule is a finite construction: nothing beyond its prefix
     if rule.max_defined_index is None:
@@ -253,31 +262,42 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
             # inside or near the root: the placement rule fixes every
             # later gap, so the would-be poles out to the underflow
             # horizon join the check; past it each term stays below p_n
-            walk = spec.horizon_poles
-            if walk is None:
+            poles = spec.horizon_poles
+            if poles is None:
                 raise RegionViolatesEN(
                     "rule keeps thresholds representable past the "
                     "index budget")
-            poles = walk[N:]
-            H = len(walk)           # walk holds j = 1 .. H
-            tail = rule.halving_tail(H + 1) + math.log(1.0 / HALVING_DENOM)
+            tail = rule.halving_tail(len(poles) + 1) + \
+                math.log(1.0 / HALVING_DENOM)
     logs = []
-    for j, b in poles:
+    m = -math.inf if tail is None else tail
+    cut = UNDERFLOW_LOG - min(m, 0.0)
+    for i in range(N, len(poles)):
+        j, b = poles[i]
+        jcj = rule.jcj(j)
+        if 0.5 * jcj > cut:
+            for j, b in poles[i:] if abs(c.imag) <= rad else ():
+                if abs(c - b) - rad <= 0.0:
+                    raise RegionViolatesEN(f"region touches pole b_{j}")
+            break
         d = abs(c - b) - rad
         if d <= 0.0:
             raise RegionViolatesEN(f"region touches pole b_{j}")
-        jcj = rule.jcj(j)
         log_u = -jcj - math.log(d)
         if log_u > -0.5 * jcj:
             raise RegionViolatesEN(f"distance condition fails at gap {j}")
         logs.append(log_u)
+        if log_u > m:
+            m = log_u
+            cut = UNDERFLOW_LOG - min(m, 0.0)
     if tail is not None:
         logs.append(tail)
     if not logs:
         return TailBound(float("-inf"), 0)
     lead = max(logs)
     s = sum(math.exp(l - lead) for l in logs)
-    return TailBound(lead + math.log(s), len(logs))
+    return TailBound(lead + math.log(s),
+                     len(poles) - N + (tail is not None))
 
 
 def eval_f(spec: CantorSpec, z: complex, tol: float = 1e-12):

@@ -6,10 +6,12 @@ in finehull.acceptance and are shared with the reproduce-all subcommand.
 """
 
 import json
+import re
 
 import pytest
 
-from finehull.acceptance import run_all, write_summary
+from finehull import cli
+from finehull.acceptance import _pipeline, run_all, write_summary
 
 RESULTS = {r.index: r for r in run_all()}
 
@@ -73,3 +75,18 @@ def test_summary_artifacts(tmp_path):
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     assert len(lines) == 11
     assert all(line.endswith(",PASS") for line in lines[1:])
+
+
+# a non-finite number as CSV ("nan", "inf") or JSON ("NaN", "Infinity")
+# writes it
+NONFINITE = re.compile(r"(?<![\w.])-?(nan|inf|infinity)(?!\w)", re.I)
+
+
+def test_artifact_trees_hold_no_nonfinite_token(tmp_path, capsys):
+    assert cli.main(["reproduce-all", "--out", str(tmp_path / "all")]) == 0
+    _pipeline(str(tmp_path / "pipeline"))
+    capsys.readouterr()
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) == 15 + 27
+    for p in files:
+        assert not NONFINITE.search(p.read_text()), p

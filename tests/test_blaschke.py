@@ -15,7 +15,7 @@ from finehull.blaschke import (blaschke_sample_E, blaschke_spec_from_json,
 from finehull.cantor import MAX_DEPTH, CRule
 from finehull.errors import (BranchAtCut, DegenerateSet, NotInEN, PoleHit,
                              PreconditionFailure)
-from finehull.potential import arc, exact_capacity
+from finehull.potential import arc, exact_capacity, union_capacity_bound
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
 SLOW = CRule("affine", slope=0.05, offset=1.0)
@@ -185,14 +185,27 @@ def test_disk_fine_sets_values_are_pinned(N):
     fs = disk_fine_sets(SPEC, N)
     assert fs.fn_bound.log_bound.hex() == log_bound
     assert fs.sum_disks.hex() == sum_disks
-    assert len(fs.FN.shapes) == shapes
+    assert sum(s.meshable for s in fs.FN.shapes) == shapes
+    assert len(fs.FN.shapes) == 17 - N
     assert fs.cap_ambient_floor.hex() == "0x1.87de2a6aea963p-2"
 
 
 def test_disk_fine_sets_without_a_meshable_disk():
-    # from N = 4 on every protection disk is below MESH_RESOLUTION
-    with pytest.raises(DegenerateSet):
-        disk_fine_sets(SPEC, 4)
+    # from N = 4 on every protection disk is below MESH_RESOLUTION: the
+    # disks stay in F_N unmeshed, the chain still closes, and only the arc
+    # sample, which needs shapes to mesh, refuses
+    fs = disk_fine_sets(SPEC, 4)
+    assert [s.log_size for s in fs.FN.shapes] == \
+        [-0.5 * RULE5.jcj(j) for j in range(4, 17)]
+    assert not any(s.meshable for s in fs.FN.shapes)
+    assert fs.JN.shapes == (arc(0.0, QUARTER),) + fs.FN.shapes
+    assert fs.chain_closes
+    assert fs.fn_bound.bound < 3e-4
+    # the union bound sees the disks where they are, along the arc
+    assert fs.FN.diameter_bound() > 1.0
+    assert union_capacity_bound(fs.FN).members == 13
+    with pytest.raises(DegenerateSet, match="no meshable shapes"):
+        blaschke_sample_E(SPEC, 4, samples=8)
 
 
 def test_arc_sample_has_certified_points():

@@ -1,12 +1,15 @@
+import heapq
 import math
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finehull.cantor import (CONDITION_BLOCK, MAX_DEPTH, CRule, _place_gaps,
-                             build_cantor_spec, cantor_length, condition_sum,
-                             spec_from_json, spec_to_json, sum_gap_lengths)
+from finehull.cantor import (CONDITION_BLOCK, MAX_DEPTH, CRule, GapInterval,
+                             _place_gaps, build_cantor_spec, cantor_length,
+                             condition_sum, spec_from_json, spec_to_json,
+                             sum_gap_lengths)
 from finehull.errors import GapOverflow, PlacementFailure, PreconditionFailure
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -260,3 +263,124 @@ def test_removed_length_needs_a_materialized_depth(N):
         with pytest.raises(PreconditionFailure) as e:
             fn(spec5(), N)
         assert e.value.field == "N"
+
+
+# -- placement against the loop that reads c(j) one index at a time ----
+
+def _reference_place_gaps(c_rule, root_length, pieces, used, first, last):
+    """_place_gaps with c(j) and j c(j) read through CRule.value one
+    index at a time: the oracle for the array pass."""
+    prev = c_rule.value(first - 1) if first > 1 else 0.0
+    for j in range(first, last + 1):
+        c = c_rule.value(j)
+        if c <= prev:
+            raise PreconditionFailure("c rule must increase strictly",
+                                      field="c_rule")
+        prev = c
+    heap = [(lo - hi, lo, hi) for lo, hi in pieces]
+    heapq.heapify(heap)
+    gaps = []
+    for j in range(first, last + 1):
+        log_len = -c_rule.jcj(j)
+        length = math.exp(log_len) if log_len > -744.0 else 0.0
+        if used + length >= root_length:
+            raise GapOverflow(
+                f"gap {j} would push removed length past the root interval")
+        _, lo, hi = heap[0]
+        if length >= hi - lo:
+            raise PlacementFailure(
+                f"gap {j} of length {length:.3e} does not fit in the largest "
+                f"remaining interval ({hi - lo:.3e})")
+        center = 0.5 * (lo + hi)
+        half = math.exp(log_len - math.log(2.0)) if log_len > -744.0 \
+            else 0.0
+        gaps.append((j, center, log_len))
+        heapq.heapreplace(heap, (lo - (center - half), lo, center - half))
+        heapq.heappush(heap, ((center + half) - hi, center + half, hi))
+        used += length
+    return gaps, sorted((lo, hi) for _, lo, hi in heap)
+
+
+def _placed(place, *args):
+    try:
+        gaps, pieces = place(*args)
+    except PreconditionFailure as e:
+        return type(e).__name__, str(e)
+    if gaps and isinstance(gaps[0], GapInterval):
+        gaps = [(g.index, g.center, g.log_length) for g in gaps]
+    return ([(j, c.hex(), l.hex()) for j, c, l in gaps],
+            [(lo.hex(), hi.hex()) for lo, hi in pieces])
+
+
+PLACEMENT_RULES = [CRule("affine", slope=0.002, offset=1.0),
+                   CRule("affine", slope=0.05, offset=1.0),
+                   CRule("affine", slope=5.0, offset=0.0)] + \
+    [CRule("factorial", shift=s) for s in range(4)] + \
+    [CRule("explicit", values=tuple(1.0 + 0.05 * j for j in range(1, 2001))),
+     CRule("explicit", values=(0.001, 0.002)),
+     CRule("explicit", values=(0.2, 0.9))]
+
+
+def _rule_id(rule):
+    if rule.kind == "affine":
+        return f"affine{rule.slope:g}/{rule.offset:g}"
+    if rule.kind == "factorial":
+        return f"factorial{rule.shift}"
+    return f"explicit{len(rule.values)}-{rule.values[0]:g}"
+
+
+@pytest.mark.parametrize("rule", PLACEMENT_RULES, ids=_rule_id)
+@pytest.mark.parametrize("depth", [0, 1, 2, 16, 150, 2000])
+def test_placement_matches_the_index_loop(rule, depth):
+    if rule.max_defined_index is not None:
+        depth = min(depth, rule.max_defined_index)
+    want = _placed(_reference_place_gaps, rule, 1.0, [(0.0, 1.0)], 0.0, 1,
+                   depth)
+    assert _placed(_place_gaps, rule, 1.0, [(0.0, 1.0)], 0.0, 1,
+                   depth) == want
+    if isinstance(want[0], str):
+        # factorial c(j) is inf past 170 - shift, GapOverflow, or a gap
+        # that does not fit: the build refuses with the same error
+        with pytest.raises(PreconditionFailure, match=re.escape(want[1])):
+            build_cantor_spec(0.0, 1.0, rule, N=depth)
+        return
+    spec = build_cantor_spec(0.0, 1.0, rule, N=depth)
+    assert _placed(lambda: (spec.gaps, spec.remaining)) == want
+    # the resumed horizon extension, from the remaining pieces on
+    H = rule.horizon(depth)
+    args = (rule, 1.0, spec.remaining, sum_gap_lengths(spec), depth + 1, H)
+    more = _placed(_reference_place_gaps, *args)
+    assert _placed(_place_gaps, *args) == more
+    walk = spec.horizon_poles
+    if isinstance(more[0], str):
+        assert walk is None
+    else:
+        assert walk[:depth] == spec.gap_poles
+        assert [(j, b.hex()) for j, b in walk] == [
+            (g.index, g.b.hex()) for g in spec.gaps] + [
+            (j, GapInterval(j, float.fromhex(c), float.fromhex(l)).b.hex())
+            for j, c, l in more[0]]
+
+
+def test_factorial_placement_refuses_past_170():
+    rule = CRule("factorial", shift=0)
+    assert rule.value(170) < math.inf == rule.value(171)
+    for place in (_reference_place_gaps, _place_gaps):
+        with pytest.raises(PreconditionFailure,
+                           match="c rule must increase strictly"):
+            place(rule, 1.0, [(0.0, 1.0)], 0.0, 1, 172)
+
+
+@pytest.mark.parametrize("rule", PLACEMENT_RULES, ids=_rule_id)
+def test_c_values_are_the_scalar_values(rule):
+    last = min(rule.max_defined_index or 400, 400)
+    for first in (1, 2, 169, 170, 171):
+        if first > last:
+            continue
+        got = rule.c_values(first, last).tolist()
+        assert [v.hex() for v in got] == \
+            [rule.value(j).hex() for j in range(first, last + 1)]
+    if rule.kind == "explicit":
+        # the array stops at the last defined index, as inv_jcj does
+        n = len(rule.values)
+        assert rule.c_values(n - 1, n + 5).tolist() == list(rule.values[-2:])

@@ -232,6 +232,9 @@ def test_green_on_shapes(tmp_path, capsys):
     assert abs(g["cap_estimate"] - 0.25) / 0.25 < 0.05
     rows = (out / "leja.csv").read_text().splitlines()
     assert len(rows) == 65  # header plus one row per point
+    # d_k needs two nodes: row k = 0 leaves the cell empty
+    assert rows[1].endswith(",") and rows[1].split(",")[0] == "0"
+    assert all(r.split(",")[3] for r in rows[2:])
 
 
 def test_sample_e(tmp_path, capsys):
@@ -277,6 +280,44 @@ def test_blaschke_command(tmp_path, capsys):
     assert len(sheets["sheets"]) == 7
     rows = (out / "bsample.csv").read_text().splitlines()[1:]
     assert len(rows) == 8
+
+
+def _disk_spec(tmp_path, slope, offset, N):
+    path = tmp_path / f"disk{slope}-{N}.json"
+    path.write_text(json.dumps({
+        "alpha": 0.0, "beta": 1.5707963267948966,
+        "c_rule": {"kind": "affine", "slope": slope, "offset": offset},
+        "N": N,
+    }))
+    return str(path)
+
+
+def test_blaschke_refused_tail_is_an_empty_cell(tmp_path, capsys):
+    # at the argument of would-be zero 5 of a depth-4 spec a distance
+    # condition past N = 4 fails: no certified tail, and no NaN either
+    theta = 0.5 * math.pi * 0.625          # van_der_corput(5) = 5/8
+    out = tmp_path / "refused"
+    rc, _ = run(["blaschke", "--spec", _disk_spec(tmp_path, 0.05, 1.0, 4),
+                 "--at", f"{math.cos(theta)!r},{math.sin(theta)!r}",
+                 "--depth", "4", "--out", str(out)], capsys)
+    assert rc == 0
+    header, row = (out / "blaschke.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "tail"
+    assert row.endswith(",") and "nan" not in row
+
+
+def test_capacity_of_a_disk_chain_without_meshable_disks(tmp_path, capsys):
+    setfile = tmp_path / "set.json"
+    with open(_disk_spec(tmp_path, 5.0, 0.0, 12)) as fh:
+        setfile.write_text(json.dumps({"blaschke": json.load(fh), "N": 4}))
+    out = tmp_path / "cap"
+    rc, _ = run(["capacity", "--set", str(setfile), "--out", str(out)],
+                capsys)
+    assert rc == 0
+    cap = json.loads((out / "capacity.json").read_text())
+    assert cap["meshable_fn_shapes"] == 0
+    assert cap["chain_closes"] is True
+    assert cap["fn_bound"] < cap["cap_arc"]
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -12,11 +12,11 @@ from finehull.cantor import (CRule, GapInterval, build_cantor_spec,
 from finehull.errors import (DomainViolation, NotInEN, PoleHit,
                              PreconditionFailure, QuadratureFailure,
                              RegionViolatesEN)
-from finehull.product import (BranchTag, _factor_logs, _gap_factor_log,
-                              certify_en_point, eval_f, eval_partial_product,
-                              eval_partial_product_many, fine_boundary_value,
-                              laurent_c1, sqrt_branch, tail_bound,
-                              tail_product_minus_one)
+from finehull.product import (BranchTag, TailBound, _factor_logs,
+                              _gap_factor_log, certify_en_point, eval_f,
+                              eval_partial_product, eval_partial_product_many,
+                              fine_boundary_value, laurent_c1, sqrt_branch,
+                              tail_bound, tail_product_minus_one)
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
 RULEF = CRule("factorial", shift=2)
@@ -367,3 +367,132 @@ def test_laurent_reruns_are_equal():
     first = [laurent_c1(SPEC5, n) for n in range(9)]
     laurent_c1(SPECF, 16)
     assert [laurent_c1(SPEC5, n) for n in range(9)] == first
+
+
+# -- tail_bound against the loop that visits every pole -----------------
+
+def _reference_tail_bound(spec, N, region):
+    """tail_bound as a loop over every pole past N, without the stop at
+    the underflow index: the oracle for the cut walk."""
+    rule = spec.c_rule
+    M = spec.max_index
+    c, rad = region if isinstance(region, tuple) else (region, 0.0)
+    c = complex(c)
+    poles = [(g.index, g.b) for g in spec.gaps[N:M]]
+    tail = None
+    if rule.max_defined_index is None:
+        log_p_next = rule.halving_tail(M + 1)
+        if log_p_next is None:
+            raise RegionViolatesEN("rule tail does not certify halving")
+        x, y = c.real, c.imag
+        dx = spec.a0 - x if x < spec.a0 else (
+            x - spec.b0 if x > spec.b0 else 0.0)
+        droot = max(math.hypot(dx, y) - rad, 0.0)
+        if droot > 0.0 and log_p_next <= math.log(droot):
+            tail = -rule.jcj(M + 1) - math.log(droot) + math.log(2.0)
+        else:
+            walk = spec.horizon_poles
+            if walk is None:
+                raise RegionViolatesEN(
+                    "rule keeps thresholds representable past the "
+                    "index budget")
+            poles = walk[N:]
+            tail = rule.halving_tail(len(walk) + 1) + \
+                math.log(1.0 / (1.0 - 0.5 ** 0.5))
+    logs = []
+    for j, b in poles:
+        d = abs(c - b) - rad
+        if d <= 0.0:
+            raise RegionViolatesEN(f"region touches pole b_{j}")
+        jcj = rule.jcj(j)
+        log_u = -jcj - math.log(d)
+        if log_u > -0.5 * jcj:
+            raise RegionViolatesEN(f"distance condition fails at gap {j}")
+        logs.append(log_u)
+    if tail is not None:
+        logs.append(tail)
+    if not logs:
+        return TailBound(float("-inf"), 0)
+    lead = max(logs)
+    s = sum(math.exp(l - lead) for l in logs)
+    return TailBound(lead + math.log(s), len(logs))
+
+
+def _outcome(fn, *args):
+    try:
+        tb = fn(*args)
+    except RegionViolatesEN as e:
+        return type(e).__name__, str(e)
+    return tb.log_sum.hex(), tb.terms
+
+
+TAIL_RULES = [CRule("affine", slope=0.002, offset=1.0),
+              CRule("affine", slope=0.05, offset=1.0), RULE5] + \
+    [CRule("factorial", shift=s) for s in range(4)] + \
+    [CRule("explicit", values=tuple(1.0 + 0.05 * j for j in range(1, 2001)))]
+
+
+def _tail_regions(spec):
+    """Points on and next to poles and gap ends, real points inside and
+    outside [0, 1], and disks whose radius equals |Im c|, the edge of the
+    touch scan."""
+    out = [0.5, 0.0, 1.0, -0.25, 1.75, 0.3 + 0.2j, 0.7 - 0.05j,
+           (0.5 + 0.25j, 0.25), (0.3 - 0.2j, 0.2), (2.0 + 0.5j, 0.5)]
+    walk = spec.horizon_poles or ()
+    picks = {1, 2, spec.max_index // 2, spec.max_index,
+             spec.max_index + 1, len(walk)}
+    for k in sorted(p for p in picks if 1 <= p <= len(walk)):
+        b = walk[k - 1][1]
+        out += [b, math.nextafter(b, math.inf), complex(b, 1e-300),
+                (complex(b, 1e-3), 1e-3), (complex(b + 1e-9, 1e-12), 1e-12)]
+        if k <= spec.max_index:
+            out.append(spec.gap(k).a)
+    return out
+
+
+def _rule_id(rule):
+    if rule.kind == "affine":
+        return f"affine{rule.slope:g}/{rule.offset:g}"
+    return f"factorial{rule.shift}" if rule.kind == "factorial" else \
+        "explicit"
+
+
+def _tail_cases():
+    for rule in TAIL_RULES:
+        for depth in (0, 1, 16, 150, 2000):
+            if rule.kind == "factorial" and depth > 150:
+                continue        # c overflows: the build refuses
+            yield pytest.param(rule, depth, id=f"{_rule_id(rule)}-{depth}")
+
+
+@pytest.mark.parametrize("rule, depth", list(_tail_cases()))
+def test_tail_bound_matches_the_full_pole_loop(rule, depth):
+    spec = build_cantor_spec(0.0, 1.0, rule, N=depth)
+    M = spec.max_index
+    Ns = sorted({0, 1, 2, M // 4, M // 2, M} & set(range(M + 1)))
+    seen = set()
+    for region in _tail_regions(spec):
+        for N in Ns:
+            want = _outcome(_reference_tail_bound, spec, N, region)
+            assert _outcome(tail_bound, spec, N, region) == want, \
+                (region, N)
+            seen.add(want[0] if want[0] == "RegionViolatesEN" else "ok")
+    assert "ok" in seen
+
+
+def test_tail_bound_stops_at_the_underflow_index(monkeypatch):
+    spec = build_cantor_spec(0.0, 1.0, RULE5, N=4096)
+    visits = []
+    jcj = CRule.jcj
+
+    def counting(self, j):
+        visits.append(j)
+        return jcj(self, j)
+    monkeypatch.setattr(CRule, "jcj", counting)
+    z = 0.3 + 0.2j
+    got = tail_bound(spec, 0, z)
+    assert len(visits) < 40
+    visits.clear()
+    want = _reference_tail_bound(spec, 0, z)
+    assert len(visits) > 4096
+    assert (got.log_sum.hex(), got.terms) == (want.log_sum.hex(), 4097)
