@@ -12,9 +12,11 @@ exact log length next to the rounded endpoint floats.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,8 +30,11 @@ __all__ = [
     "CantorSpec",
     "ConditionSum",
     "MAX_DEPTH",
+    "ROOT_LIMIT",
+    "ZERO_LOG",
     "build_cantor_spec",
     "condition_sum",
+    "exp_cut",
     "cantor_length",
     "spec_to_json",
     "spec_from_json",
@@ -42,7 +47,7 @@ _LN2 = math.log(2.0)
 HALVING_DENOM = 1.0 - 0.5 ** 0.5
 
 # most gaps (or Blaschke zeros, or extras) one spec may materialize:
-# 2**17 gaps build in about a second, the depth-2000 specs in use in ms
+# 2**17 gaps build in about 0.3 s, the depth-2000 specs in use in ~1.5 ms
 MAX_DEPTH = 1 << 17
 
 # condition_sum forms and adds this many terms at a time
@@ -51,10 +56,29 @@ CONDITION_BLOCK = 1 << 14
 # e^{-x} rounds to exactly 0.0 past this (the least subnormal is e^{-744.4})
 UNDERFLOW_LOG = 746.0
 
+# a length, radius or bound whose log is at or below this is stored as
+# exactly 0.0: the subnormal tail of exp is not kept
+ZERO_LOG = -744.0
+
+# root endpoints lie within +-ROOT_LIMIT, so the midpoint of any two points
+# in the root (and of gap ends rounded just outside it) is a finite double
+ROOT_LIMIT = sys.float_info.max / 4.0
+
+# _place_gaps splits zero-length gaps in array passes from this many on;
+# below it the heap loop, ~1.1 us a gap, is faster: a pass costs ~15 numpy
+# calls, and the measured crossover lies at 60-220 zero-length gaps
+# (affine slope 0.05: ~60, slope 5: ~140, factorial: ~200)
+ZERO_BATCH = 256
+
 # n! as a double for n = 0..170: the exact integer rounded once below 170,
 # exp(lgamma) at 170; 171! overflows, so a factorial c(j) is inf from there
 _FACTORIALS = tuple(float(math.factorial(n)) for n in range(170)) + \
     (math.exp(math.lgamma(171)),)
+
+
+def exp_cut(x: float) -> float:
+    """exp(x), or exactly 0.0 when x <= ZERO_LOG."""
+    return math.exp(x) if x > ZERO_LOG else 0.0
 
 
 @dataclass(frozen=True)
@@ -202,7 +226,8 @@ class GapInterval:
 
     @property
     def half_width(self) -> float:
-        return math.exp(self.log_length - _LN2) if self.log_length > -744.0 else 0.0
+        return (math.exp(self.log_length - _LN2)
+                if self.log_length > ZERO_LOG else 0.0)
 
     @property
     def a(self) -> float:
@@ -214,7 +239,8 @@ class GapInterval:
 
     @property
     def length(self) -> float:
-        return math.exp(self.log_length) if self.log_length > -744.0 else 0.0
+        # exp_cut inline: factor loops read this once per gap
+        return math.exp(self.log_length) if self.log_length > ZERO_LOG else 0.0
 
 
 @dataclass(frozen=True)
@@ -285,6 +311,11 @@ def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
     """
     if not b0 > a0:
         raise PreconditionFailure("need a0 < b0", field="a0")
+    for name, x in (("a0", a0), ("b0", b0)):
+        if not abs(x) <= ROOT_LIMIT:
+            raise PreconditionFailure(
+                f"{name} must lie within +-{ROOT_LIMIT:.6g}, so that every "
+                f"gap center is finite", field=name)
     if placement != "bisect":
         raise PreconditionFailure(f"unknown placement {placement!r}",
                                   field="placement")
@@ -303,10 +334,37 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
     """Bisect placement of gaps first..last into the remaining pieces.
 
     Gap j is centered in the largest piece, ties broken leftward: a heap
-    keyed (-length, lo) pops exactly that piece.  `used` is the removed
+    keyed (lo - hi, lo, hi) pops exactly that piece.  `used` is the removed
     length of gaps 1..first-1, summed in index order, so a resumed
     placement reproduces a full build bit for bit.  Returns the new gaps
-    and the sorted remaining pieces.
+    and the remaining pieces sorted by (lo, hi).
+
+    j c_j never decreases with j, so the gaps of length exp(-j c_j) > 0
+    come first; the heap loop places them one step each.  The rest have length
+    0.0 (j c_j >= -ZERO_LOG); from ZERO_BATCH of them on they are split by
+    _split_zero_length in array passes, which give the heap's result bit
+    for bit:
+
+    - a zero-length gap in [lo, hi] sits at center = 0.5*(lo+hi) and
+      leaves the children [lo, center-0.0] and [center+0.0, hi].  With
+      the root inside +-ROOT_LIMIT the center lies in the piece, so a
+      child's key is never smaller than its parent's, and the heap pops
+      every piece it will ever hold in sorted key order;
+    - so one pass may pop, in key order, every frontier piece longer than
+      the longest child a frontier piece would leave, and always pops the
+      frontier minimum; it then puts the children in their place;
+    - `used` no longer changes, so GapOverflow is checked once, at the
+      split; the first popped piece with hi - lo <= 0 raises
+      PlacementFailure at its gap index, as the loop does;
+    - a center that rounds onto an endpoint leaves a child equal to its
+      parent: it stays the minimum and takes every remaining gap at that
+      center, which one step places (on the root [1, 1+2^-46] a deep build
+      ends on one-ulp pieces of this kind).
+
+    One difference remains: the heap leaves value-equal pieces in its own
+    array order, so pieces that differ only in the sign of a zero endpoint
+    (seen on roots [-0.0, b0] a few subnormals wide) may come out in
+    another order; the gaps are the same.
     """
     c = c_rule.c_values(first, last)
     prev = c_rule.value(first - 1) if first > 1 else 0.0
@@ -315,12 +373,19 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
                                   field="c_rule")
     with np.errstate(over="ignore"):
         c *= np.arange(first, last + 1, dtype=np.float64)
+    jcjs = c.tolist()
+    # j c_j never decreases: the gaps of positive length (exp(-j c_j) with
+    # -j c_j > ZERO_LOG) are the first n_exp
+    n_exp = bisect.bisect_left(jcjs, -ZERO_LOG)
+    n_loop = n_exp if len(jcjs) - n_exp >= ZERO_BATCH else len(jcjs)
+    zeros = [0.0] * (n_loop - n_exp)
+    lengths = [math.exp(-x) for x in jcjs[:n_exp]] + zeros
+    halves = [math.exp(-x - _LN2) for x in jcjs[:n_exp]] + zeros
     heap = [(lo - hi, lo, hi) for lo, hi in pieces]
     heapq.heapify(heap)
     gaps: list[GapInterval] = []
-    for j, jcj in enumerate(c.tolist(), first):
-        log_len = -jcj
-        length = math.exp(log_len) if log_len > -744.0 else 0.0
+    for j, jcj, length, half in zip(range(first, first + n_loop), jcjs,
+                                    lengths, halves):
         if used + length >= root_length:
             raise GapOverflow(
                 f"gap {j} would push removed length past the root interval")
@@ -330,12 +395,66 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
                 f"gap {j} of length {length:.3e} does not fit in the largest "
                 f"remaining interval ({hi - lo:.3e})")
         center = 0.5 * (lo + hi)
-        half = math.exp(log_len - _LN2) if log_len > -744.0 else 0.0
-        gaps.append(GapInterval(j, center, log_len))
+        gaps.append(GapInterval(j, center, -jcj))
         heapq.heapreplace(heap, (lo - (center - half), lo, center - half))
         heapq.heappush(heap, ((center + half) - hi, center + half, hi))
         used += length
-    return gaps, sorted((lo, hi) for _, lo, hi in heap)
+    if n_loop == len(jcjs):
+        return gaps, sorted((lo, hi) for _, lo, hi in heap)
+    j = first + n_loop
+    if used >= root_length:
+        raise GapOverflow(
+            f"gap {j} would push removed length past the root interval")
+    centers, pieces = _split_zero_length(heap, j, len(jcjs) - n_loop)
+    gaps += map(GapInterval, range(j, last + 1), centers,
+                np.negative(c[n_loop:]).tolist())
+    return gaps, pieces
+
+
+def _split_zero_length(heap, first: int, count: int):
+    """Centers of `count` zero-length gaps first.. placed into the heap's
+    pieces in array passes, and the remaining pieces sorted by (lo, hi);
+    see _place_gaps."""
+    frontier = np.array(heap)
+    lo, hi = frontier[:, 1], frontier[:, 2]
+    centers = []
+    left = count
+    while left:
+        key = lo - hi
+        mid = 0.5 * (lo + hi)
+        take = np.flatnonzero(key < min(np.min(lo - mid), np.min(mid - hi)))
+        if take.size:
+            take = take[np.lexsort((hi[take], lo[take], key[take]))][:left]
+        else:
+            # a child is as long as the minimum: only the minimum pops next
+            take = np.flatnonzero(key == key.min())
+            take = take[np.lexsort((hi[take], lo[take]))][:1]
+        bad = np.flatnonzero(key[take] >= 0.0)
+        if bad.size:
+            t = take[bad[0]]
+            raise PlacementFailure(
+                f"gap {first + count - left + int(bad[0])} of length "
+                f"{0.0:.3e} does not fit in the largest remaining interval "
+                f"({float(hi[t]) - float(lo[t]):.3e})")
+        keep = np.ones(lo.size, dtype=bool)
+        keep[take] = False
+        plo, phi, center = lo[take], hi[take], mid[take]
+        if center[0] == plo[0] or center[0] == phi[0]:
+            # the child equal to its parent pops next, again and again:
+            # every remaining gap goes to this center, and each after the
+            # first leaves the zero-length piece [center+0.0, center]
+            z = np.full(left - 1, center[0])
+            centers.append(np.full(left, center[0]))
+            lo = np.concatenate((lo[keep], plo[:1], center[:1] + 0.0, z + 0.0))
+            hi = np.concatenate((hi[keep], center[:1], phi[:1], z))
+            break
+        centers.append(center)
+        left -= take.size
+        lo = np.concatenate((lo[keep], plo, center + 0.0))
+        hi = np.concatenate((hi[keep], center, phi))
+    order = np.lexsort((hi, lo))
+    return (np.concatenate(centers).tolist(),
+            list(zip(lo[order].tolist(), hi[order].tolist())))
 
 
 def _last_violation(spec, z) -> int | None:

@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -265,6 +266,18 @@ def _depth(cfg: dict, max_index: int):
     return depth
 
 
+@contextlib.contextmanager
+def _depth_field(flag: str):
+    """A refusal that names a library call's depth N names the command's
+    depth setting `flag` instead."""
+    try:
+        yield
+    except PreconditionFailure as e:
+        if e.field == "N":
+            e.field = flag
+        raise
+
+
 def _emit(outdir: str, artifacts) -> list[str]:
     """Write (name, writer, *args) artifacts and return their names.
 
@@ -433,8 +446,9 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
 def cmd_sample_e(cfg: dict, outdir: str) -> list[str]:
     spec = _read(cfg, "spec", spec_from_json)
     depth = _require(cfg, "depth")
-    rows = pt.sample_E(spec, depth, samples=cfg["samples"],
-                       leja_n=cfg["leja_n"])
+    with _depth_field("depth"):
+        rows = pt.sample_E(spec, depth, samples=cfg["samples"],
+                           leja_n=cfg["leja_n"])
     write_csv(os.path.join(outdir, "esample.csv"), ["x", "u", "in_EN"],
                [(r.x, r.u, r.in_EN) for r in rows])
     return ["esample.csv"]
@@ -491,9 +505,10 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
     elif cfg["sheets"] is not None:
         raise PreconditionFailure("--sheets needs --at", field="at")
     if cfg["sample_depth"] is not None:
-        rows = bl.blaschke_sample_E(spec, cfg["sample_depth"],
-                                    samples=cfg["samples"],
-                                    leja_n=cfg["leja_n"])
+        with _depth_field("sample_depth"):
+            rows = bl.blaschke_sample_E(spec, cfg["sample_depth"],
+                                        samples=cfg["samples"],
+                                        leja_n=cfg["leja_n"])
         out.append(("bsample.csv", write_csv, ["theta", "u", "in_EN"],
                     [(r.theta, r.u, r.in_EN) for r in rows]))
     if not out:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import CantorSpec, _seg_distance, condition_sum
+from .cantor import CantorSpec, _seg_distance, condition_sum, exp_cut
 from .errors import (BoundVacuous, DegenerateSet, EmptySample,
                      PreconditionFailure, UnsupportedShape)
 from .product import certify_en_point
@@ -129,8 +129,7 @@ def disk(center: complex, radius: float = 0.0,
         if not radius > 0.0:
             raise PreconditionFailure("disk needs radius > 0", field="shape")
         log_radius = math.log(radius)
-    r = radius if radius > 0.0 else (
-        math.exp(log_radius) if log_radius > -744.0 else 0.0)
+    r = radius if radius > 0.0 else exp_cut(log_radius)
     return Shape("disk", center=complex(center), radius=r, log_size=log_radius)
 
 
@@ -194,7 +193,7 @@ def exact_log_capacity(shape: Shape) -> float:
 
 def exact_capacity(shape: Shape) -> float:
     lc = exact_log_capacity(shape)
-    return math.exp(lc) if lc > -744.0 else 0.0
+    return exp_cut(lc)
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ class UnionBound:
 
     @property
     def bound(self) -> float:
-        return math.exp(self.log_bound) if self.log_bound > -744.0 else 0.0
+        return exp_cut(self.log_bound)
 
 
 def _bound_from_invs(neg_log_caps, diam: float,
@@ -387,7 +386,8 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
     """Score (key, z) candidates by the Green witness u = g_F - g_J at z.
 
     A row is in E_N when u > 0 and certify(key) holds; raises EmptySample
-    when no row is.  A Leja size refusal names the setting leja_n.
+    when no row is.  A Leja size refusal names the setting leja_n; a set
+    with no meshable shape names the depth N it was built at.
     """
     try:
         model_F = leja_points(fs.FN, n=leja_n)
@@ -395,6 +395,8 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
     except PreconditionFailure as e:
         if e.field == "n":
             e.field = "leja_n"
+        elif isinstance(e, DegenerateSet):
+            e.field = "N"
         raise
     out = []
     for key, z in cands:
@@ -444,7 +446,7 @@ def _fn_analytic_bound(spec: CantorSpec, N: int) -> UnionBound:
         invs.append(jcj + _LOG4)
         if j >= N:
             invs.append(0.5 * jcj)
-    pad = math.exp(spec.log_p(N)) if spec.log_p(N) > -744.0 else 0.0
+    pad = exp_cut(spec.log_p(N))
     diam = spec.root_length + 2.0 * pad
     return _bound_from_invs(invs, diam, extra_inv=extra_inv)
 
@@ -503,12 +505,13 @@ def sample_E(spec: CantorSpec, N: int, samples: int = 32,
     if cs.satisfied is not True:
         raise PreconditionFailure(
             f"summability condition not certified below 1/2 "
-            f"(partial sum {cs.partial:.6g})")
+            f"(partial sum {cs.partial:.6g})", field="spec")
     fs = cantor_fine_sets(spec, N)
     if not fs.chain_closes:
         raise PreconditionFailure(
             f"union bound {fs.fn_bound.bound:.3g} does not beat the "
-            f"ambient capacity floor {fs.cap_ambient_floor:.3g} at N={N}")
+            f"ambient capacity floor {fs.cap_ambient_floor:.3g} at N={N}",
+            field="N")
     # endpoints of the remaining intervals at depth N; all lie in the
     # limit set exactly (gap endpoints persist through the construction)
     cands: list[float] = [spec.a0, spec.b0]

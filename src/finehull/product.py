@@ -62,14 +62,19 @@ class BranchTag(enum.Enum):
 
 def _quotient_log(num: complex, den: complex, cut_arg: float) -> complex:
     """log(num/den), argument cut_arg where it is negative real; a quotient
-    that underflows to 0 gives log|num| - log|den| and the phase difference."""
+    that underflows to 0, or whose modulus overflows, gives
+    log|num| - log|den| and the phase difference."""
     r = num / den
-    if r == 0:
+    try:
+        mag = abs(r)
+    except OverflowError:       # finite parts, modulus past the largest double
+        mag = math.inf
+    if r == 0 or mag == math.inf:
         q = LogComplex.from_complex(num) / LogComplex.from_complex(den)
         return complex(q.log_mag, q.arg)
     if r.imag == 0.0 and r.real < 0.0:
         return complex(math.log(abs(r.real)), cut_arg)
-    return complex(math.log(abs(r)), math.atan2(r.imag, r.real))
+    return complex(math.log(mag), math.atan2(r.imag, r.real))
 
 
 def _gap_factor_log(g, z: complex):

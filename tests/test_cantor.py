@@ -3,10 +3,12 @@ import math
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finehull.cantor import (CONDITION_BLOCK, MAX_DEPTH, CRule, GapInterval,
+from finehull.cantor import (CONDITION_BLOCK, MAX_DEPTH, ROOT_LIMIT,
+                             ZERO_BATCH, ZERO_LOG, CRule, GapInterval,
                              _place_gaps, build_cantor_spec, cantor_length,
                              condition_sum, spec_from_json, spec_to_json,
                              sum_gap_lengths)
@@ -329,26 +331,26 @@ def _rule_id(rule):
     return f"explicit{len(rule.values)}-{rule.values[0]:g}"
 
 
-@pytest.mark.parametrize("rule", PLACEMENT_RULES, ids=_rule_id)
-@pytest.mark.parametrize("depth", [0, 1, 2, 16, 150, 2000])
-def test_placement_matches_the_index_loop(rule, depth):
+def _check_placement(rule, a0, b0, depth):
+    """_place_gaps against the index loop from the root [a0, b0], then the
+    build, its resumed horizon extension and horizon_poles."""
     if rule.max_defined_index is not None:
         depth = min(depth, rule.max_defined_index)
-    want = _placed(_reference_place_gaps, rule, 1.0, [(0.0, 1.0)], 0.0, 1,
-                   depth)
-    assert _placed(_place_gaps, rule, 1.0, [(0.0, 1.0)], 0.0, 1,
-                   depth) == want
+    args = (rule, b0 - a0, [(a0, b0)], 0.0, 1, depth)
+    want = _placed(_reference_place_gaps, *args)
+    assert _placed(_place_gaps, *args) == want
     if isinstance(want[0], str):
         # factorial c(j) is inf past 170 - shift, GapOverflow, or a gap
         # that does not fit: the build refuses with the same error
         with pytest.raises(PreconditionFailure, match=re.escape(want[1])):
-            build_cantor_spec(0.0, 1.0, rule, N=depth)
+            build_cantor_spec(a0, b0, rule, N=depth)
         return
-    spec = build_cantor_spec(0.0, 1.0, rule, N=depth)
+    spec = build_cantor_spec(a0, b0, rule, N=depth)
     assert _placed(lambda: (spec.gaps, spec.remaining)) == want
     # the resumed horizon extension, from the remaining pieces on
     H = rule.horizon(depth)
-    args = (rule, 1.0, spec.remaining, sum_gap_lengths(spec), depth + 1, H)
+    args = (rule, b0 - a0, spec.remaining, sum_gap_lengths(spec), depth + 1,
+            H)
     more = _placed(_reference_place_gaps, *args)
     assert _placed(_place_gaps, *args) == more
     walk = spec.horizon_poles
@@ -360,6 +362,127 @@ def test_placement_matches_the_index_loop(rule, depth):
             (g.index, g.b.hex()) for g in spec.gaps] + [
             (j, GapInterval(j, float.fromhex(c), float.fromhex(l)).b.hex())
             for j, c, l in more[0]]
+        if H > depth:
+            deeper = build_cantor_spec(a0, b0, rule, N=H)
+            assert [(j, b.hex()) for j, b in walk] == [
+                (g.index, g.b.hex()) for g in deeper.gaps]
+
+
+@pytest.mark.parametrize("rule", PLACEMENT_RULES, ids=_rule_id)
+@pytest.mark.parametrize("depth", [0, 1, 2, 16, 150, 2000])
+def test_placement_matches_the_index_loop(rule, depth):
+    _check_placement(rule, 0.0, 1.0, depth)
+
+
+def _positive_gaps(rule):
+    """How many leading gaps have a positive double length."""
+    n = 0
+    while n < (rule.max_defined_index or MAX_DEPTH) and \
+            -rule.jcj(n + 1) > ZERO_LOG:
+        n += 1
+    return n
+
+
+# every gap from the first on has length 0.0 (j c_j >= 1000); a horizon
+# window j c_j in [744, 1492] of ~420 zero-length gaps
+ZERO_RULES = PLACEMENT_RULES[:3] + [PLACEMENT_RULES[7],
+                                    CRule("affine", slope=1000.0),
+                                    CRule("affine", slope=0.0005, offset=1.0)]
+
+
+@pytest.mark.parametrize("rule", ZERO_RULES, ids=_rule_id)
+@pytest.mark.parametrize("zeros", [ZERO_BATCH - 1, ZERO_BATCH, ZERO_BATCH + 1,
+                                   2000, 8000])
+@pytest.mark.parametrize("root", [(0.0, 1.0), (-1.0, 2.0), (1e-300, 3e-300),
+                                  (-1e-323, 5e-324), (-5e-324, 5e-324)],
+                         ids=str)
+def test_zero_length_placement_matches_the_index_loop(root, zeros, rule):
+    # below ZERO_BATCH zero-length gaps the heap loop places them, from it
+    # on the array passes do; on the last two roots, a few subnormal ulps
+    # wide, centers of -0.0 leave right children at +0.0
+    _check_placement(rule, *root, _positive_gaps(rule) + zeros)
+
+
+@pytest.mark.parametrize("depth", [0, 16, 300])
+def test_horizon_poles_match_a_deeper_build(depth):
+    # the would-be gaps up to the horizon hold over 256 zero-length ones
+    rule = ZERO_RULES[-1]
+    assert rule.horizon(depth) - max(depth, _positive_gaps(rule)) > ZERO_BATCH
+    _check_placement(rule, 0.0, 1.0, depth)
+
+
+ULP_ROOT = (1.0, 1.0 + 2.0 ** -46)     # 64 ulps wide
+RULE1000 = CRule("affine", slope=1000.0)
+
+
+@pytest.mark.parametrize("depth", [63, 64, 100, ZERO_BATCH, 4096])
+def test_ulp_root_placement_matches_the_index_loop(depth):
+    # from gap 64 on every center rounds onto an endpoint of its one-ulp
+    # piece, and the leftmost such piece takes every later gap
+    _check_placement(RULE1000, *ULP_ROOT, depth)
+    spec = build_cantor_spec(*ULP_ROOT, RULE1000, N=depth)
+    assert len({g.center for g in spec.gaps}) == min(depth, 64)
+
+
+def test_resumed_placement_crossing_the_batch_cutoff():
+    # 100 zero-length gaps in the loop, then 500 more in array passes
+    rule = CRule("affine", slope=5.0)
+    n = _positive_gaps(rule) + 100
+    short = build_cantor_spec(0.0, 1.0, rule, N=n)
+    args = (rule, 1.0, short.remaining, sum_gap_lengths(short), n + 1,
+            n + 500)
+    more = _placed(_reference_place_gaps, *args)
+    assert _placed(_place_gaps, *args) == more
+    full = build_cantor_spec(0.0, 1.0, rule, N=n + 500)
+    assert _placed(lambda: (full.gaps[n:], full.remaining)) == more
+
+
+@pytest.mark.parametrize("pieces, used", [
+    ([(0.0, 1.0)], 1.0),                    # GapOverflow at the split
+    ([(0.5, 0.5)], 0.0),                    # no piece can host a gap
+    ([(0.5, 0.5), (0.7, 0.6)], 0.0),
+])
+@pytest.mark.parametrize("last", [ZERO_BATCH - 1, ZERO_BATCH + 40])
+def test_zero_length_refusals_match_the_index_loop(pieces, used, last):
+    args = (RULE1000, 1.0, pieces, used, 1, last)
+    want = _placed(_reference_place_gaps, *args)
+    assert isinstance(want[0], str)
+    assert _placed(_place_gaps, *args) == want
+
+
+def test_zero_length_gaps_take_no_heap_step(monkeypatch):
+    pushes = []
+    push = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush",
+                        lambda h, x: (pushes.append(x), push(h, x)))
+    build_cantor_spec(0.0, 1.0, RULE5, N=2000)
+    # one push per positive-length gap; the index loop makes 2000
+    assert len(pushes) == _positive_gaps(RULE5) == 12
+
+
+def test_an_absorbing_piece_ends_the_array_passes(monkeypatch):
+    # the ulp root takes one array pass per piece level, however many
+    # gaps its absorbing one-ulp piece then takes
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys: (sorts.append(1), lexsort(keys))[1])
+    counts = []
+    for depth in (4096, 65536):
+        del sorts[:]
+        build_cantor_spec(*ULP_ROOT, RULE1000, N=depth)
+        counts.append(len(sorts))
+    assert counts[0] == counts[1] < 64
+
+
+def test_root_endpoints_keep_gap_centers_finite():
+    ok = build_cantor_spec(-ROOT_LIMIT, ROOT_LIMIT, RULE1000, N=300)
+    assert all(math.isfinite(g.center) for g in ok.gaps)
+    for a0, b0, name in [(1e308, 1.7e308, "a0"), (-1.7e308, 1.0, "a0"),
+                         (0.0, 1e308, "b0")]:
+        with pytest.raises(PreconditionFailure) as e:
+            build_cantor_spec(a0, b0, RULE5, N=4)
+        assert e.value.field == name
 
 
 def test_factorial_placement_refuses_past_170():

@@ -166,6 +166,13 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["hull-scan", "--sq=1"], "sq"),
     (["nosuch"], "command"),
     (["eval", "--dep", "3"], "dep"),
+    # sample refusals name the flag, not the library's depth N
+    (["blaschke", "--spec", "{disk}", "--sample-depth", "4"],
+     "sample_depth"),   # no protection disk from 4 on is meshable
+    (["sample-e", "--spec", "{spec}", "--depth", "0"], "depth"),
+    (["sample-e", "--spec", "{spec}", "--depth", "1"], "depth"),  # no chain
+    (["sample-e", "--spec", "{weak}", "--depth", "4"],
+     "spec"),   # the summability condition is not certified
 ])
 def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                               field):
@@ -191,7 +198,11 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                 "N": 10 ** 9}))
     extras = tmp_path / "extras.json"
     extras.write_text(json.dumps({**disk_obj, "extras": 10 ** 9}))
-    paths = {"shapes": str(shapes), "spec": spec,
+    weak = tmp_path / "weak.json"
+    weak.write_text(json.dumps({
+        **json.loads(open(spec).read()),
+        "c_rule": {"kind": "affine", "slope": 0.05, "offset": 1.0}}))
+    paths = {"shapes": str(shapes), "spec": spec, "weak": str(weak),
              "fact": str(tmp_path / "fact" / "spec.json"),
              "fineset": str(fineset), "disk": str(disk), "deep": str(deep),
              "extras": str(extras)}

@@ -49,6 +49,15 @@ def test_underflowed_quotients_keep_their_log():
     assert val.log_mag == pytest.approx(-745.13, abs=0.01)
     log_mag, arg = eval_partial_product_many(spec, 2, [z])
     assert (log_mag[0], arg[0]) == (val.log_mag, val.arg)
+    # (z - b0)/(z - a0) at a subnormal z: the modulus of the quotient
+    # overflows although both of its parts are finite doubles
+    z = complex(3.593816677036085e-309, 3.593816677036085e-309)
+    want = math.log(abs(z - 2.0)) - math.log(abs(z))
+    val = eval_partial_product(spec, 0, z)
+    assert val.log_mag == pytest.approx(want, rel=1e-15)
+    assert val.arg == pytest.approx(0.75 * math.pi, rel=1e-15)
+    log_mag, arg = eval_partial_product_many(spec, 0, [z])
+    assert (log_mag[0], arg[0]) == (val.log_mag, val.arg)
     # the near-gap branch, on a gap wide enough to underflow its quotient
     wide = GapInterval(1, 0.0, math.log(8.0))
     assert _gap_factor_log(wide, complex(wide.a, 5e-324)) == \
