@@ -233,8 +233,7 @@ def _c04_fine_continuity(art: _Artifacts):
     slow = _spec_slow()
     worst_rel = 0.0
     for j in range(1, 9):
-        g = slow.gap(j)
-        x = g.center
+        x = slow.centers[j - 1]
         f_val, _, _ = pr.eval_f(slow, x)
         target = 2.0 * math.sqrt(abs(f_val.to_complex()))
         seq = _branch_jumps(slow, x, "gap_midpoint", rows)
@@ -285,7 +284,7 @@ def _c06_truncation_estimates(art: _Artifacts):
             fn = pr.eval_partial_product(spec, n, x)
             tail_m1 = pr.tail_product_minus_one(spec, n, x)
             log_q = math.log(abs(x - spec.a0)) + sum(
-                math.log(abs(x - spec.gap(i).b)) for i in range(1, n + 1))
+                math.log(abs(x - b)) for b in spec.b[:n])
             log_lhs = fn.log_mag + tail_m1.log_mag + log_q
             ok = ok and log_lhs <= log_rhs
             rows.append((n, x, log_lhs, log_rhs))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cantor import (HALVING_DENOM, MAX_DEPTH, CRule, _check_depth,
-                     _last_violation, _spec_obj, condition_sum)
+                     _IndexWalk, _last_violation, _spec_obj, condition_sum)
 from .errors import (BranchAtCut, ChainNotClosed, NotInEN, PoleHit,
                      PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
@@ -110,7 +110,7 @@ class BlaschkeZero:
 
 
 @dataclass(frozen=True)
-class BlaschkeSpec:
+class BlaschkeSpec(_IndexWalk):
     """Zero data for the product: arc family plus optional extras.
 
     The arc family sits at dyadic arguments in [alpha, beta] with moduli
@@ -142,7 +142,7 @@ class BlaschkeSpec:
         materialized arc zeros, then the would-be zeros of the placement
         rule in closed form e^{i theta_j} / r_j.  None when the horizon
         lies past the index budget.  Built once per spec object."""
-        H = self.c_rule.horizon(self.max_index)
+        H = self.horizon
         if H is None:
             return None
         more = tuple(_arc_zero(self.alpha, self.beta, self.c_rule, j)
@@ -311,10 +311,10 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
         raise PreconditionFailure("need 1 <= N <= materialization", field="N")
     S = arc(spec.alpha, spec.beta)
     disks, sum_disks = _pole_disks(
-        spec.c_rule, ((z.index, z.pole) for z in spec.zeros), N,
+        spec.jcj, ((z.index, z.pole) for z in spec.zeros), N,
         condition_sum(spec.c_rule, J=spec.max_index).tail_bound)
     # j c_j increases: the disks after the meshable ones are the rest
-    disks += [disk(z.pole, log_radius=-0.5 * spec.c_rule.jcj(z.index))
+    disks += [disk(z.pole, log_radius=-0.5 * spec.jcj[z.index - 1])
               for z in spec.zeros[N - 1 + len(disks):]]
     bound = _fn_disk_bound(spec, N)
     cap_S = exact_capacity(S)

@@ -6,8 +6,8 @@ strictly increasing positive rule tending to infinity.  Gap j is centered
 in the largest remaining closed interval (ties broken leftward), so the
 whole construction is deterministic.
 
-Lengths below double underflow are kept in log form: each gap stores its
-exact log length next to the rounded endpoint floats.
+Lengths below double underflow stay in log form: a spec keeps gap centers
+and exact log lengths as float tuples, other per-gap values as lists.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import heapq
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -148,14 +149,21 @@ class CRule:
         c[:len(table)] = table
         return c
 
+    def jcj_values(self, first: int, last: int) -> np.ndarray:
+        """jcj(j) for j = first..last in one array, bit for bit; an explicit
+        rule stops at its last defined index."""
+        c = self.c_values(first, last)
+        with np.errstate(over="ignore"):
+            c *= np.arange(first, first + c.size, dtype=np.float64)
+        return c
+
     def inv_jcj(self, first: int, last: int) -> np.ndarray:
         """1/(j*c(j)) for j = first..last, each bit-equal to 1.0/jcj(j).
 
         For every rule the terms are non-increasing, as c is increasing.
         """
-        c = self.c_values(first, last)
+        c = self.jcj_values(first, last)
         with np.errstate(over="ignore"):
-            c *= np.arange(first, first + c.size, dtype=np.float64)
             return np.divide(1.0, c, out=c)
 
     @property
@@ -212,45 +220,38 @@ class CRule:
         raise PreconditionFailure(f"unknown c rule kind {kind!r}", field="c_rule")
 
 
-@dataclass(frozen=True)
-class GapInterval:
-    """One deleted gap: exact log length plus rounded endpoints.
+class _IndexWalk:
+    """The would-be pole walk of either spec family (c_rule, max_index)."""
 
-    For underflowed lengths the endpoint floats coincide with the center;
-    log_length stays exact in either case.
-    """
+    @cached_property
+    def horizon(self) -> int | None:
+        return self.c_rule.horizon(self.max_index)
 
-    index: int
-    center: float
-    log_length: float
+    @cached_property
+    def jcj(self) -> list[float]:
+        """j c_j for the materialized indices 1 .. max_index."""
+        return self.c_rule.jcj_values(1, self.max_index).tolist()
 
-    @property
-    def half_width(self) -> float:
-        return (math.exp(self.log_length - _LN2)
-                if self.log_length > ZERO_LOG else 0.0)
+    @cached_property
+    def walk_jcj(self) -> list[float]:
+        """jcj continued over horizon_poles, where that is not None."""
+        return self.jcj + self.c_rule.jcj_values(self.max_index + 1,
+                                                 self.horizon).tolist()
 
-    @property
-    def a(self) -> float:
-        return self.center - self.half_width
 
-    @property
-    def b(self) -> float:
-        return self.center + self.half_width
-
-    @property
-    def length(self) -> float:
-        # exp_cut inline: factor loops read this once per gap
-        return math.exp(self.log_length) if self.log_length > ZERO_LOG else 0.0
+# CantorSpec.gap's view of a gap; a and b are its center once length is 0.0
+GapInterval = namedtuple("GapInterval", "index center log_length length a b")
 
 
 @dataclass(frozen=True)
-class CantorSpec:
+class CantorSpec(_IndexWalk):
     a0: float
     b0: float
     c_rule: CRule
     placement: str
     max_index: int
-    gaps: tuple[GapInterval, ...] = field(repr=False)
+    centers: tuple[float, ...] = field(repr=False)
+    log_lengths: tuple[float, ...] = field(repr=False)
     remaining: tuple[tuple[float, float], ...] = field(repr=False)
 
     @property
@@ -260,16 +261,45 @@ class CantorSpec:
     def gap(self, j: int) -> GapInterval:
         if not 1 <= j <= self.max_index:
             raise PreconditionFailure(f"gap {j} not materialized")
-        return self.gaps[j - 1]
+        i = j - 1
+        return GapInterval(j, self.centers[i], self.log_lengths[i],
+                           self.lengths[i], self.a[i], self.b[i])
 
     def log_p(self, j: int) -> float:
         """log of the tail-control sequence p(j) = exp(-j*c(j)/2)."""
         return -0.5 * self.c_rule.jcj(j)
 
     @cached_property
+    def n_pos(self) -> int:
+        """Gaps 1..n_pos have positive length: lengths never increase."""
+        return bisect.bisect_left(self.log_lengths, -ZERO_LOG,
+                                  key=float.__neg__)
+
+    @cached_property
+    def lengths(self) -> list[float]:
+        n = self.n_pos
+        return [math.exp(l) for l in self.log_lengths[:n]] + \
+            [0.0] * (self.max_index - n)
+
+    @cached_property
+    def half_widths(self) -> list[float]:
+        n = self.n_pos
+        return [math.exp(l - _LN2) for l in self.log_lengths[:n]] + \
+            [0.0] * (self.max_index - n)
+
+    @cached_property
+    def a(self) -> list[float]:
+        return [c - h for c, h in zip(self.centers, self.half_widths)]
+
+    @cached_property
+    def b(self) -> list[float]:
+        """The poles b_j; a -0.0 center with half width 0.0 gives +0.0."""
+        return [c + h for c, h in zip(self.centers, self.half_widths)]
+
+    @cached_property
     def gap_poles(self) -> tuple[tuple[int, float], ...]:
-        """(j, b_j) for the materialized gaps, built once per spec object."""
-        return tuple((g.index, g.b) for g in self.gaps)
+        """(j, b_j) for the materialized gaps."""
+        return tuple(zip(range(1, self.max_index + 1), self.b))
 
     @cached_property
     def horizon_poles(self) -> tuple[tuple[int, float], ...] | None:
@@ -279,26 +309,26 @@ class CantorSpec:
 
         None when the horizon lies past the index budget or the extension
         is refused (GapOverflow, PlacementFailure, non-increasing c).
-        Built once per spec object.
         """
-        H = self.c_rule.horizon(self.max_index)
-        if H is None:
+        H = self.horizon
+        if H is None or H == self.max_index:
+            return None if H is None else self.gap_poles
+        try:
+            centers, logs, pieces = _place_gaps(
+                self.c_rule, self.root_length, self.remaining,
+                sum_gap_lengths(self), self.max_index + 1, H)
+        except PreconditionFailure:
             return None
-        more = ()
-        if H > self.max_index:
-            try:
-                more, _ = _place_gaps(self.c_rule, self.root_length,
-                                      self.remaining, sum_gap_lengths(self),
-                                      self.max_index + 1, H)
-            except PreconditionFailure:
-                return None
-        return self.gap_poles + tuple((g.index, g.b) for g in more)
+        return replace(self, max_index=H,
+                       centers=self.centers + tuple(centers),
+                       log_lengths=self.log_lengths + tuple(logs),
+                       remaining=tuple(pieces)).gap_poles
 
     def poles(self, upto: int | None = None) -> list[float]:
         """Pole locations of the truncated product: a0 and the right gap
         endpoints."""
         n = self.max_index if upto is None else upto
-        return [self.a0] + [g.b for g in self.gaps[:n]]
+        return [self.a0] + self.b[:n]
 
 
 def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
@@ -324,9 +354,10 @@ def build_cantor_spec(a0: float, b0: float, c_rule: CRule,
                                   field="N")
     if c_rule.max_defined_index is not None and N > c_rule.max_defined_index:
         raise PreconditionFailure("explicit rule shorter than N", field="N")
-    gaps, pieces = _place_gaps(c_rule, b0 - a0, [(a0, b0)], 0.0, 1, N)
-    return CantorSpec(a0, b0, c_rule, placement, N, tuple(gaps),
-                      tuple(pieces))
+    centers, logs, pieces = _place_gaps(c_rule, b0 - a0, [(a0, b0)], 0.0, 1,
+                                        N)
+    return CantorSpec(a0, b0, c_rule, placement, N, tuple(centers),
+                      tuple(logs), tuple(pieces))
 
 
 def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
@@ -336,8 +367,9 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
     Gap j is centered in the largest piece, ties broken leftward: a heap
     keyed (lo - hi, lo, hi) pops exactly that piece.  `used` is the removed
     length of gaps 1..first-1, summed in index order, so a resumed
-    placement reproduces a full build bit for bit.  Returns the new gaps
-    and the remaining pieces sorted by (lo, hi).
+    placement reproduces a full build bit for bit.  Returns the centers
+    and log lengths -j c_j of the new gaps and the remaining pieces sorted
+    by (lo, hi), as lists.
 
     j c_j never decreases with j, so the gaps of length exp(-j c_j) > 0
     come first; the heap loop places them one step each.  The rest have length
@@ -381,11 +413,11 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
     zeros = [0.0] * (n_loop - n_exp)
     lengths = [math.exp(-x) for x in jcjs[:n_exp]] + zeros
     halves = [math.exp(-x - _LN2) for x in jcjs[:n_exp]] + zeros
+    logs = np.negative(c).tolist()
     heap = [(lo - hi, lo, hi) for lo, hi in pieces]
     heapq.heapify(heap)
-    gaps: list[GapInterval] = []
-    for j, jcj, length, half in zip(range(first, first + n_loop), jcjs,
-                                    lengths, halves):
+    centers: list[float] = []
+    for j, length, half in zip(range(first, first + n_loop), lengths, halves):
         if used + length >= root_length:
             raise GapOverflow(
                 f"gap {j} would push removed length past the root interval")
@@ -395,20 +427,18 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
                 f"gap {j} of length {length:.3e} does not fit in the largest "
                 f"remaining interval ({hi - lo:.3e})")
         center = 0.5 * (lo + hi)
-        gaps.append(GapInterval(j, center, -jcj))
+        centers.append(center)
         heapq.heapreplace(heap, (lo - (center - half), lo, center - half))
         heapq.heappush(heap, ((center + half) - hi, center + half, hi))
         used += length
     if n_loop == len(jcjs):
-        return gaps, sorted((lo, hi) for _, lo, hi in heap)
+        return centers, logs, sorted((lo, hi) for _, lo, hi in heap)
     j = first + n_loop
     if used >= root_length:
         raise GapOverflow(
             f"gap {j} would push removed length past the root interval")
-    centers, pieces = _split_zero_length(heap, j, len(jcjs) - n_loop)
-    gaps += map(GapInterval, range(j, last + 1), centers,
-                np.negative(c[n_loop:]).tolist())
-    return gaps, pieces
+    more, pieces = _split_zero_length(heap, j, len(jcjs) - n_loop)
+    return centers + more, logs, pieces
 
 
 def _split_zero_length(heap, first: int, count: int):
@@ -468,9 +498,10 @@ def _last_violation(spec, z) -> int | None:
     walk = spec.horizon_poles
     if walk is None:
         return None
+    jcj = spec.walk_jcj
     for j, pole in reversed(walk):
         d = abs(z - pole)
-        if d == 0.0 or math.log(d) < -0.5 * spec.c_rule.jcj(j):
+        if d == 0.0 or math.log(d) < -0.5 * jcj[j - 1]:
             return j
     return 0
 
@@ -495,12 +526,16 @@ class ConditionSum:
     def satisfied(self) -> bool | None:
         """Certified comparison of the full series against 1/2.
 
-        True and False are certified either way; None means the partial
-        sum plus tail bound cannot decide at this truncation.
+        Each verdict needs the float sum to clear 1/2 by more than the
+        rounding bound m = gamma_n total, gamma_n = n u/(1 - n u), u = 2^-53,
+        n = terms + 14 (4 roundings per term, 9 in the tail bound and the
+        final add, 1 in m); None means it cannot decide at this truncation.
         """
-        if self.partial >= 0.5:
+        nu = (self.terms + 14) * 2.0 ** -53
+        m = nu / (1.0 - nu) * self.total
+        if self.partial - 0.5 >= m:
             return False
-        if self.certified and self.total < 0.5:
+        if self.certified and 0.5 - self.total > m:
             return True
         return None
 
@@ -561,8 +596,8 @@ def sum_gap_lengths(spec: CantorSpec, N: int | None = None) -> float:
     n = spec.max_index if N is None else N
     _check_depth(spec, n)
     s = 0.0
-    for g in spec.gaps[:n]:
-        s += g.length
+    for length in spec.lengths[:min(n, spec.n_pos)]:
+        s += length
     return s
 
 

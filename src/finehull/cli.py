@@ -28,7 +28,8 @@ from .artifacts import (sha256, write_csv, write_grid_csv, write_json,
 from .cantor import (MAX_DEPTH, CRule, build_cantor_spec, cantor_length,
                      condition_sum, spec_from_json, spec_to_json,
                      sum_gap_lengths)
-from .errors import PreconditionFailure, UnsupportedShape
+from .errors import (DomainViolation, NotInEN, PoleHit, PreconditionFailure,
+                     RegionViolatesEN, UnsupportedShape)
 
 __all__ = ["main"]
 
@@ -267,13 +268,13 @@ def _depth(cfg: dict, max_index: int):
 
 
 @contextlib.contextmanager
-def _depth_field(flag: str):
-    """A refusal that names a library call's depth N names the command's
-    depth setting `flag` instead."""
+def _field_as(flag: str, field: str | None = "N", kinds=PreconditionFailure):
+    """A refusal in `kinds` that names `field` (a library call's depth N, or
+    no field at all) names the command's setting `flag` instead."""
     try:
         yield
-    except PreconditionFailure as e:
-        if e.field == "N":
+    except kinds as e:
+        if e.field == field:
             e.field = flag
         raise
 
@@ -330,7 +331,7 @@ def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
     cs = condition_sum(spec)
     build = {
         "root_length": spec.root_length,
-        "gap_log_lengths": [g.log_length for g in spec.gaps],
+        "gap_log_lengths": list(spec.log_lengths),
         "sum_gap_lengths": sum_gap_lengths(spec),
         "set_length": cantor_length(spec),
         "condition_sum": {"partial": cs.partial,
@@ -341,6 +342,9 @@ def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
                           ("build.json", write_json, build)])
 
 
+# refusals the point causes name it: a pole, a point off the branch's domain
+# or outside E_N, a failed distance condition (rule refusals name spec)
+@_field_as("at", None, (PoleHit, DomainViolation, NotInEN, RegionViolatesEN))
 def cmd_eval(cfg: dict, outdir: str) -> list[str]:
     spec = _read(cfg, "spec", spec_from_json)
     z = _point(cfg, "at")
@@ -446,7 +450,7 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
 def cmd_sample_e(cfg: dict, outdir: str) -> list[str]:
     spec = _read(cfg, "spec", spec_from_json)
     depth = _require(cfg, "depth")
-    with _depth_field("depth"):
+    with _field_as("depth"):
         rows = pt.sample_E(spec, depth, samples=cfg["samples"],
                            leja_n=cfg["leja_n"])
     write_csv(os.path.join(outdir, "esample.csv"), ["x", "u", "in_EN"],
@@ -505,7 +509,7 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
     elif cfg["sheets"] is not None:
         raise PreconditionFailure("--sheets needs --at", field="at")
     if cfg["sample_depth"] is not None:
-        with _depth_field("sample_depth"):
+        with _field_as("sample_depth"):
             rows = bl.blaschke_sample_E(spec, cfg["sample_depth"],
                                         samples=cfg["samples"],
                                         leja_n=cfg["leja_n"])

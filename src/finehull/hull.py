@@ -27,7 +27,6 @@ __all__ = [
     "HullPotentialSpec",
     "make_hull_spec",
     "v_n",
-    "eval_v",
     "eval_v_on_graph",
     "Dip",
     "HullGrid",
@@ -144,9 +143,9 @@ def _pq_prefixes(spec: CantorSpec, n: int, z: complex):
     P = z - spec.b0
     Q = z - spec.a0
     yield P, Q
-    for g in spec.gaps[:n]:
-        P *= z - g.a
-        Q *= z - g.b
+    for a, b in zip(spec.a[:n], spec.b[:n]):
+        P *= z - a
+        Q *= z - b
         yield P, Q
 
 
@@ -163,19 +162,6 @@ def v_n(spec: CantorSpec, n: int, z: complex, w: complex) -> float:
     return math.log(r) if r > 0.0 else float("-inf")
 
 
-def eval_v(hps: HullPotentialSpec, z: complex, w: complex) -> float:
-    """Truncated weighted potential sum_{n<=M} e_n/(n c_n) max(v_n, floor)."""
-    z, w = complex(z), complex(w)
-    total = 0.0
-    pq = _pq_prefixes(hps.spec, hps.M, z)
-    next(pq)
-    for n, (P, Q) in enumerate(pq, start=1):
-        r = abs(w * Q - P)
-        vn = math.log(r) if r > 0.0 else float("-inf")
-        total += hps.term_scale(n) * max(vn, hps.floor(n))
-    return total
-
-
 def eval_v_on_graph(hps: HullPotentialSpec, z: complex) -> float:
     """Certified potential value at the exact graph point w = f_M(z).
 
@@ -188,8 +174,7 @@ def eval_v_on_graph(hps: HullPotentialSpec, z: complex) -> float:
     log_p_abs = math.log(abs(z - hps.spec.b0)) \
         if z != hps.spec.b0 else float("-inf")
     for n in range(1, hps.M + 1):
-        g = hps.spec.gap(n)
-        d = abs(z - g.a)
+        d = abs(z - hps.spec.a[n - 1])
         log_p_abs += math.log(d) if d > 0.0 else float("-inf")
         if n == hps.M:
             vn = float("-inf")
@@ -229,10 +214,9 @@ def _check_scan_point(spec: CantorSpec, z: complex) -> None:
     x = z.real
     if not spec.a0 <= x <= spec.b0:
         return
-    for g in spec.gaps:
-        if g.a < x < g.b:
-            return                      # interior of a gap: still in D
-    if x == spec.a0 or any(x == g.b for g in spec.gaps):
+    if any(a < x < b for a, b in zip(spec.a, spec.b)):
+        return                          # interior of a gap: still in D
+    if x == spec.a0 or x in spec.b:
         raise PoleHit("scan point coincides with a pole")
     if not certify_en_point(spec, x, spec.max_index):
         raise DomainViolation(

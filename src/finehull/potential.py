@@ -408,17 +408,17 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
     return out
 
 
-def _pole_disks(rule, poles, N: int,
+def _pole_disks(jcjs, poles, N: int,
                 tail: float | None) -> tuple[list[Shape], float]:
-    """Meshable protection disks of log-radius -j c_j / 2 around the
-    materialized poles (j, pole) with j >= N, and sum_disks: 2/(j c_j)
-    added in index order, then 2 * tail unless tail is None."""
+    """Meshable protection disks of log-radius -j c_j / 2 (jcjs[j-1] = j c_j)
+    around the poles (j, pole) with j >= N, and sum_disks: 2/(j c_j) added
+    in index order, then 2 * tail unless tail is None."""
     disks: list[Shape] = []
     sum_disks = 0.0
     for j, pole in poles:
         if j < N:
             continue
-        jcj = rule.jcj(j)
+        jcj = jcjs[j - 1]
         sum_disks += 2.0 / jcj
         log_r = -0.5 * jcj
         if log_r >= math.log(MESH_RESOLUTION):
@@ -464,15 +464,15 @@ def cantor_fine_sets(spec: CantorSpec, N: int) -> FineSets:
         raise PreconditionFailure("need 1 <= N <= materialization", field="N")
     segs: list[Shape] = []
     sum_segments = 0.0
-    for g in spec.gaps:
-        sum_segments += 1.0 / (spec.c_rule.jcj(g.index) + _LOG4)
-        if g.log_length >= math.log(MESH_RESOLUTION):
-            segs.append(interval(g.a, g.b, log_length=g.log_length))
+    for log_length, a, b in zip(spec.log_lengths, spec.a, spec.b):
+        sum_segments += 1.0 / (_LOG4 - log_length)
+        if log_length >= math.log(MESH_RESOLUTION):
+            segs.append(interval(a, b, log_length=log_length))
     cs = condition_sum(spec.c_rule, J=spec.max_index)
     if cs.tail_bound is not None:
         sum_segments += cs.tail_bound      # 1/(jc_j + log4) <= 1/(jc_j)
-    disks, sum_disks = _pole_disks(
-        spec.c_rule, ((g.index, g.b) for g in spec.gaps), N, cs.tail_bound)
+    disks, sum_disks = _pole_disks(spec.jcj, spec.gap_poles, N,
+                                   cs.tail_bound)
     fn_bound = _fn_analytic_bound(spec, N)
     union_F = CompactUnion(tuple(segs + disks))
     root = interval(spec.a0, spec.b0)
@@ -515,8 +515,8 @@ def sample_E(spec: CantorSpec, N: int, samples: int = 32,
     # endpoints of the remaining intervals at depth N; all lie in the
     # limit set exactly (gap endpoints persist through the construction)
     cands: list[float] = [spec.a0, spec.b0]
-    for g in spec.gaps[:N]:
-        for x in (g.a, g.b):
+    for a, b in zip(spec.a[:N], spec.b[:N]):
+        for x in (a, b):
             if x not in cands:
                 cands.append(x)
     cands.sort()

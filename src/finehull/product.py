@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,21 +78,15 @@ def _quotient_log(num: complex, den: complex, cut_arg: float) -> complex:
     return complex(math.log(mag), math.atan2(r.imag, r.real))
 
 
-def _gap_factor_log(g, z: complex):
-    """log of gap factor at z, or None for an exact zero of the factor.
-
-    Degenerate gaps (length underflowed to 0.0) contribute a unit factor:
-    their zero/pole pair sits below double resolution and is handled by
-    the log-space tail machinery instead.
-    """
-    length = g.length
-    if length == 0.0:
-        return complex(0.0, 0.0)
-    w = z - g.b
+def _gap_factor_log(j: int, center: float, length: float, a: float,
+                    b: float, z: complex):
+    """log of the factor of gap j (length > 0) at z, or None for an exact
+    zero of the factor."""
+    w = z - b
     if w == 0:
-        raise PoleHit(f"z hits pole b_{g.index}")
-    if abs(z - g.center) <= 8.0 * length:
-        num = z - g.a
+        raise PoleHit(f"z hits pole b_{j}")
+    if abs(z - center) <= 8.0 * length:
+        num = z - a
         if num == 0:
             return None
         # inside the gap on the real axis: argument convention -pi
@@ -100,7 +95,8 @@ def _gap_factor_log(g, z: complex):
 
 
 def _factor_logs(spec: CantorSpec, N: int, z: complex):
-    """Per-factor logs (root factor first); None signals f(z) = 0."""
+    """Per-factor logs (root factor first); None signals f(z) = 0.  Gaps
+    past n_pos, of length 0.0, are unit factors and get no entry."""
     _check_depth(spec, N)
     z = complex(z)
     den = z - spec.a0
@@ -111,8 +107,9 @@ def _factor_logs(spec: CantorSpec, N: int, z: complex):
         return None
     # inside the root interval on the real axis: convention +pi
     logs = [_quotient_log(num, den, math.pi)]
-    for g in spec.gaps[:N]:
-        fl = _gap_factor_log(g, z)
+    for fl in map(_gap_factor_log, range(1, min(N, spec.n_pos) + 1),
+                  spec.centers, spec.lengths, spec.a, spec.b,
+                  itertools.repeat(z)):
         if fl is None:
             return None
         logs.append(fl)
@@ -186,12 +183,11 @@ def eval_partial_product_many(spec: CantorSpec, N: int, zs):
         im = 0.0 + np.where((ri == 0.0) & (rr < 0.0), math.pi,
                             np.arctan2(ri, rr))
         by_scalar = (y == 0.0) & ((x == spec.a0) | (x == spec.b0))
-        for g in spec.gaps[:N]:
-            length = g.length
-            if length == 0.0:
-                continue        # unit factor
-            by_scalar |= np.hypot(x - g.center, y) <= 9.0 * length
-            ur, ui = _cquot(length, 0.0, x - g.b, y)
+        # gaps past n_pos are unit factors
+        for center, length, b in zip(spec.centers[:min(N, spec.n_pos)],
+                                     spec.lengths, spec.b):
+            by_scalar |= np.hypot(x - center, y) <= 9.0 * length
+            ur, ui = _cquot(length, 0.0, x - b, y)
             re += 0.5 * np.log1p(2.0 * ur + ur * ur + ui * ui)
             im += np.arctan2(ui, 1.0 + ur)
     by_scalar |= ~(np.isfinite(re) & np.isfinite(im))
@@ -252,13 +248,14 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     # a point is the disk of radius 0.0
     c, rad = region if isinstance(region, tuple) else (region, 0.0)
     c = complex(c)
-    poles = spec.gap_poles
+    poles, jcjs = spec.gap_poles, spec.jcj
     tail = None
     # an explicit rule is a finite construction: nothing beyond its prefix
     if rule.max_defined_index is None:
         log_p_next = rule.halving_tail(M + 1)
         if log_p_next is None:
-            raise RegionViolatesEN("rule tail does not certify halving")
+            raise RegionViolatesEN("rule tail does not certify halving",
+                                   field="spec")
         droot = max(_seg_distance(c, spec.a0, spec.b0) - rad, 0.0)
         if droot > 0.0 and log_p_next <= math.log(droot):
             # off the root interval: |u_n| <= length_n / droot, halving sum
@@ -271,7 +268,8 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
             if poles is None:
                 raise RegionViolatesEN(
                     "rule keeps thresholds representable past the "
-                    "index budget")
+                    "index budget", field="spec")
+            jcjs = spec.walk_jcj
             tail = rule.halving_tail(len(poles) + 1) + \
                 math.log(1.0 / HALVING_DENOM)
     logs = []
@@ -279,7 +277,7 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     cut = UNDERFLOW_LOG - min(m, 0.0)
     for i in range(N, len(poles)):
         j, b = poles[i]
-        jcj = rule.jcj(j)
+        jcj = jcjs[i]
         if 0.5 * jcj > cut:
             for j, b in poles[i:] if abs(c.imag) <= rad else ():
                 if abs(c - b) - rad <= 0.0:
@@ -340,8 +338,8 @@ def sqrt_branch(spec: CantorSpec, N: int, z: complex, tag: BranchTag) -> LogComp
         val = d_plus if z.imag > 0.0 else -d_plus
         return val if tag is BranchTag.H_PLUS else -val
     if z.imag == 0.0 and spec.a0 <= z.real <= spec.b0:
-        inside_gap = any(
-            g.length > 0.0 and g.a < z.real < g.b for g in spec.gaps[:N])
+        inside_gap = any(a < z.real < b
+                         for a, b in zip(spec.a[:N], spec.b[:N]))
         if not inside_gap:
             raise DomainViolation(
                 "D-family branches are undefined on the set between gaps")
@@ -442,9 +440,8 @@ def fine_boundary_value(spec: CantorSpec, x: float, tag: BranchTag,
     if last is None or last > spec.max_index:
         raise NotInEN("distance conditions fail at every materialized depth")
     n_cert = last + 1
-    for g in spec.gaps:
-        if g.length > 0.0 and x == g.b:
-            raise PoleHit("x is a materialized pole")
+    if x in spec.b[:spec.n_pos]:
+        raise PoleHit("x is a materialized pole")
     if x == spec.a0:
         raise PoleHit("x is the root pole a0")
     tb = tail_bound(spec, spec.max_index, x)
@@ -472,12 +469,13 @@ def tail_product_minus_one(spec: CantorSpec, n: int, z: complex,
         raise PreconditionFailure("need 0 <= n < upto <= materialization")
     z = complex(z)
     terms = []
-    for g in spec.gaps[n:M]:
-        w = z - g.b
+    for j, b, log_length in zip(range(n + 1, M + 1), spec.b[n:M],
+                                spec.log_lengths[n:M]):
+        w = z - b
         if w == 0:
-            raise PoleHit(f"z hits pole b_{g.index}")
+            raise PoleHit(f"z hits pole b_{j}")
         lw = LogComplex.from_complex(w)
-        u = LogComplex(g.log_length - lw.log_mag, wrap_angle(-lw.arg))
+        u = LogComplex(log_length - lw.log_mag, wrap_angle(-lw.arg))
         terms.append(u)
     if not terms:
         return LogComplex.zero()

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import re
 import tracemalloc
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finehull.cantor import (CONDITION_BLOCK, MAX_DEPTH, ROOT_LIMIT,
-                             ZERO_BATCH, ZERO_LOG, CRule, GapInterval,
-                             _place_gaps, build_cantor_spec, cantor_length,
+                             ZERO_BATCH, ZERO_LOG, CRule, _place_gaps,
+                             build_cantor_spec, cantor_length,
                              condition_sum, spec_from_json, spec_to_json,
                              sum_gap_lengths)
 from finehull.errors import GapOverflow, PlacementFailure, PreconditionFailure
@@ -157,7 +158,9 @@ def test_bisect_placement_oracle():
 
 def test_deeper_build_extends_shallower():
     shallow = build_cantor_spec(0.0, 1.0, RULE5, N=4)
-    assert spec5().gaps[:4] == shallow.gaps
+    deep = spec5()
+    assert deep.centers[:4] == shallow.centers
+    assert deep.log_lengths[:4] == shallow.log_lengths
 
 
 def test_length_bookkeeping():
@@ -205,18 +208,19 @@ def test_resumed_placement_matches_full_build(rule, depth):
     spec = build_cantor_spec(0.0, 1.0, rule, N=depth)
     H = max(rule.horizon(depth), depth + 8)
     full = build_cantor_spec(0.0, 1.0, rule, N=H)
-    more, pieces = _place_gaps(rule, spec.root_length, spec.remaining,
-                               sum_gap_lengths(spec), depth + 1, H)
-    assert spec.gaps + tuple(more) == full.gaps
+    more, logs, pieces = _place_gaps(rule, spec.root_length, spec.remaining,
+                                     sum_gap_lengths(spec), depth + 1, H)
+    assert spec.centers + tuple(more) == full.centers
+    assert spec.log_lengths + tuple(logs) == full.log_lengths
     assert tuple(pieces) == full.remaining
     centers, ref_pieces = _scan_placement(rule, H)
-    assert [g.center for g in full.gaps] == centers
+    assert list(full.centers) == centers
     assert list(full.remaining) == ref_pieces
     # the horizon walk is the same resumed placement, built once per spec
     walk = spec.horizon_poles
     assert walk is spec.horizon_poles
-    assert walk == tuple((g.index, g.b)
-                         for g in full.gaps[:rule.horizon(depth)])
+    assert walk == tuple((j, full.gap(j).b)
+                         for j in range(1, rule.horizon(depth) + 1))
 
 
 def test_gap_overflow_and_placement_failure():
@@ -241,9 +245,10 @@ def test_json_roundtrip():
 def test_construction_invariants(slope, offset, n):
     rule = CRule("affine", slope=slope, offset=offset)
     s = build_cantor_spec(0.0, 1.0, rule, N=n)
-    assert len(s.gaps) == n
+    assert len(s.centers) == len(s.log_lengths) == n
     assert len(s.remaining) == n + 1
-    spans = sorted([(g.a, g.b) for g in s.gaps] + list(s.remaining))
+    spans = sorted([(s.gap(j).a, s.gap(j).b) for j in range(1, n + 1)] +
+                   list(s.remaining))
     # gaps and pieces tile the root interval without overlap
     assert spans[0][0] == 0.0 and spans[-1][1] == 1.0
     for (_, hi), (lo, _) in zip(spans, spans[1:]):
@@ -303,13 +308,27 @@ def _reference_place_gaps(c_rule, root_length, pieces, used, first, last):
     return gaps, sorted((lo, hi) for _, lo, hi in heap)
 
 
-def _placed(place, *args):
+def _old_gap(center, log_length):
+    """(length, half width, a, b) of a gap as the per-gap GapInterval
+    object computed them on every read."""
+    cut = log_length > -744.0
+    half = math.exp(log_length - math.log(2.0)) if cut else 0.0
+    length = math.exp(log_length) if cut else 0.0
+    return length, half, center - half, center + half
+
+
+def _placed(place, *args, first=1):
     try:
-        gaps, pieces = place(*args)
+        out = place(*args)
     except PreconditionFailure as e:
         return type(e).__name__, str(e)
-    if gaps and isinstance(gaps[0], GapInterval):
-        gaps = [(g.index, g.center, g.log_length) for g in gaps]
+    if len(out) == 2:
+        gaps, pieces = out
+    else:
+        # _place_gaps, or a spec: centers, log lengths, pieces
+        centers, logs, pieces = out
+        gaps = zip(itertools.count(args[4] if args else first), centers,
+                   logs)
     return ([(j, c.hex(), l.hex()) for j, c, l in gaps],
             [(lo.hex(), hi.hex()) for lo, hi in pieces])
 
@@ -346,7 +365,8 @@ def _check_placement(rule, a0, b0, depth):
             build_cantor_spec(a0, b0, rule, N=depth)
         return
     spec = build_cantor_spec(a0, b0, rule, N=depth)
-    assert _placed(lambda: (spec.gaps, spec.remaining)) == want
+    assert _placed(lambda: (spec.centers, spec.log_lengths,
+                            spec.remaining)) == want
     # the resumed horizon extension, from the remaining pieces on
     H = rule.horizon(depth)
     args = (rule, b0 - a0, spec.remaining, sum_gap_lengths(spec), depth + 1,
@@ -359,13 +379,13 @@ def _check_placement(rule, a0, b0, depth):
     else:
         assert walk[:depth] == spec.gap_poles
         assert [(j, b.hex()) for j, b in walk] == [
-            (g.index, g.b.hex()) for g in spec.gaps] + [
-            (j, GapInterval(j, float.fromhex(c), float.fromhex(l)).b.hex())
+            (j, spec.gap(j).b.hex()) for j in range(1, depth + 1)] + [
+            (j, _old_gap(float.fromhex(c), float.fromhex(l))[3].hex())
             for j, c, l in more[0]]
         if H > depth:
             deeper = build_cantor_spec(a0, b0, rule, N=H)
             assert [(j, b.hex()) for j, b in walk] == [
-                (g.index, g.b.hex()) for g in deeper.gaps]
+                (j, deeper.gap(j).b.hex()) for j in range(1, H + 1)]
 
 
 @pytest.mark.parametrize("rule", PLACEMENT_RULES, ids=_rule_id)
@@ -421,7 +441,7 @@ def test_ulp_root_placement_matches_the_index_loop(depth):
     # piece, and the leftmost such piece takes every later gap
     _check_placement(RULE1000, *ULP_ROOT, depth)
     spec = build_cantor_spec(*ULP_ROOT, RULE1000, N=depth)
-    assert len({g.center for g in spec.gaps}) == min(depth, 64)
+    assert len(set(spec.centers)) == min(depth, 64)
 
 
 def test_resumed_placement_crossing_the_batch_cutoff():
@@ -434,7 +454,8 @@ def test_resumed_placement_crossing_the_batch_cutoff():
     more = _placed(_reference_place_gaps, *args)
     assert _placed(_place_gaps, *args) == more
     full = build_cantor_spec(0.0, 1.0, rule, N=n + 500)
-    assert _placed(lambda: (full.gaps[n:], full.remaining)) == more
+    assert _placed(lambda: (full.centers[n:], full.log_lengths[n:],
+                            full.remaining), first=n + 1) == more
 
 
 @pytest.mark.parametrize("pieces, used", [
@@ -477,7 +498,7 @@ def test_an_absorbing_piece_ends_the_array_passes(monkeypatch):
 
 def test_root_endpoints_keep_gap_centers_finite():
     ok = build_cantor_spec(-ROOT_LIMIT, ROOT_LIMIT, RULE1000, N=300)
-    assert all(math.isfinite(g.center) for g in ok.gaps)
+    assert all(math.isfinite(c) for c in ok.centers)
     for a0, b0, name in [(1e308, 1.7e308, "a0"), (-1.7e308, 1.0, "a0"),
                          (0.0, 1e308, "b0")]:
         with pytest.raises(PreconditionFailure) as e:
@@ -507,3 +528,104 @@ def test_c_values_are_the_scalar_values(rule):
         # the array stops at the last defined index, as inv_jcj does
         n = len(rule.values)
         assert rule.c_values(n - 1, n + 5).tolist() == list(rule.values[-2:])
+
+
+# -- the spec's float tuples and per-gap lists against the per-gap formulas --
+
+def _hexes(xs):
+    return [x.hex() for x in xs]
+
+
+def _check_representation(spec):
+    """centers and log_lengths against the index loop, every per-gap list
+    against the formulas GapInterval computed on each read, bit for bit."""
+    rule, M = spec.c_rule, spec.max_index
+    want, _ = _reference_place_gaps(rule, spec.root_length,
+                                    [(spec.a0, spec.b0)], 0.0, 1, M)
+    assert type(spec.centers) is type(spec.log_lengths) is tuple
+    assert _hexes(spec.centers) == [c.hex() for _, c, _ in want]
+    assert _hexes(spec.log_lengths) == [l.hex() for _, _, l in want]
+    old = [_old_gap(c, l) for _, c, l in want]
+    for k, name in enumerate(("lengths", "half_widths", "a", "b")):
+        assert _hexes(getattr(spec, name)) == [o[k].hex() for o in old]
+    assert spec.n_pos == sum(o[0] > 0.0 for o in old)
+    assert _hexes(spec.jcj) == [rule.jcj(j).hex() for j in range(1, M + 1)]
+    if spec.horizon_poles is not None:
+        assert _hexes(spec.walk_jcj) == [
+            rule.jcj(j).hex() for j in range(1, len(spec.horizon_poles) + 1)]
+    assert [spec.gap(j).b.hex() for j in range(1, M + 1)] == \
+        [o[3].hex() for o in old]
+    for n in (None, 0, M // 2):
+        assert _hexes(spec.poles(n)) == \
+            [spec.a0.hex()] + [o[3].hex() for o in old[:n]]
+    # JSON holds no gap: the round trip rebuilds equal tuples
+    same = spec_from_json(spec_to_json(spec)) == spec
+    assert same is True
+    other = build_cantor_spec(spec.a0, spec.b0, rule, N=M - 1 if M else 1)
+    unequal = other != spec
+    assert unequal is True
+
+
+@pytest.mark.parametrize("rule", PLACEMENT_RULES, ids=_rule_id)
+@pytest.mark.parametrize("depth", [0, 1, 2, 16, 150, 2000])
+def test_representation_matches_the_gap_formulas(rule, depth):
+    if rule.max_defined_index is not None:
+        depth = min(depth, rule.max_defined_index)
+    try:
+        spec = build_cantor_spec(0.0, 1.0, rule, N=depth)
+    except PreconditionFailure:
+        return      # a refusal: test_placement_matches_the_index_loop
+    _check_representation(spec)
+
+
+@pytest.mark.parametrize("root", [(-0.0, 1.0), (-1e-323, 5e-324),
+                                  (-5e-324, 5e-324), ULP_ROOT], ids=str)
+@pytest.mark.parametrize("depth", [1, 300, 4096])
+def test_representation_on_signed_zero_and_ulp_roots(root, depth):
+    spec = build_cantor_spec(*root, RULE1000, N=depth)
+    _check_representation(spec)
+    if root[0] == -1e-323:
+        # a center of -0.0 keeps its sign; its pole b = center + 0.0 is +0.0
+        assert math.copysign(1.0, spec.centers[0]) == -1.0
+        assert math.copysign(1.0, spec.b[0]) == 1.0
+
+
+def test_blaschke_jcj_spans_its_horizon_walk():
+    from finehull.blaschke import build_blaschke_spec
+    spec = build_blaschke_spec(0.0, 1.5, RULE5, 6)
+    assert _hexes(spec.jcj) == [RULE5.jcj(j).hex() for j in range(1, 7)]
+    assert _hexes(spec.walk_jcj) == [
+        RULE5.jcj(j).hex() for j in range(1, len(spec.horizon_poles) + 1)]
+
+
+def test_materialized_jcj_takes_no_horizon_walk(monkeypatch):
+    # the first jcj read, and fine sets and an off-root tail bound built
+    # from it, stay within the materialized gaps
+    from finehull.potential import cantor_fine_sets
+    from finehull.product import tail_bound
+    rule = CRule("affine", slope=0.002, offset=1.0)
+    spec = build_cantor_spec(0.0, 1.0, rule, N=16)
+    monkeypatch.setattr(CRule, "horizon", None)
+    assert len(spec.jcj) == 16
+    tail_bound(spec, 4, 3 + 1j)
+    cantor_fine_sets(spec, 2)
+    assert "horizon" not in vars(spec)
+
+
+def test_condition_sum_is_undecided_inside_its_rounding_margin():
+    # the float partial + tail is 0.49999999999999994, below 1/2; the same
+    # terms and tail bound at 50 digits sum to 0.50000000000000046
+    mpmath = pytest.importorskip("mpmath")
+    rule = CRule("affine", slope=2.5995988732937243, offset=1.0)
+    cs = condition_sum(rule)
+    assert cs.partial + cs.tail_bound < 0.5
+    with mpmath.workdps(50):
+        s, o = mpmath.mpf(rule.slope), mpmath.mpf(rule.offset)
+        exact = mpmath.fsum(1 / (j * (s * j + o))
+                            for j in range(1, cs.terms + 1)) + \
+            1 / (s * cs.terms)
+        assert abs(exact - mpmath.mpf("0.50000000000000046")) < 1e-17
+        # the margin bounds the rounding error of the float total
+        nu = (cs.terms + 14) * 2.0 ** -53
+        assert abs(exact - mpmath.mpf(cs.total)) <= nu / (1 - nu) * cs.total
+    assert cs.satisfied is None

@@ -122,6 +122,9 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["hull-scan", "--spec", "{fact}", "--z", "2,0",
       "--wrect=-1.5,inf,-1.5,1.5"], "wrect"),
     (["eval", "--spec", "{spec}", "--at", "nan,0"], "at"),
+    # a point the branch refuses: off the H domain, outside E_N
+    (["eval", "--spec", "{spec}", "--at", "2,0", "--branch", "h-plus"], "at"),
+    (["eval", "--spec", "{spec}", "--at", "2,0", "--branch", "fine"], "at"),
     (["green", "--set", "{shapes}", "--at", "3,0", "--mesh", "1"], "mesh"),
     (["green", "--set", "{shapes}", "--at", "3,0", "--mesh", "0"], "mesh"),
     (["green", "--set", "{shapes}", "--at", "3,0", "--mesh=-3"], "mesh"),
@@ -214,6 +217,25 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     assert json.loads(line)["field"] == field
     # no artifact at all, not only no manifest
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--depth", "3"], "spec"),
+    (["--branch", "d-plus"], "spec"),
+    ([], None),     # NoConvergence: the adaptive depth never meets tol
+])
+def test_eval_rule_refusals_do_not_name_the_point(tmp_path, capsys, argv,
+                                                  field):
+    # c(j) = 0.05 j does not certify halving: the spec is at fault, not --at
+    rc, _ = run(["spec-build", "--rule", "affine", "--slope", "0.05",
+                 "--offset", "0", "--b0", "10", "--depth", "6",
+                 "--out", str(tmp_path / "s")], capsys)
+    assert rc == 0
+    rc, stdout = run(["eval", "--spec", str(tmp_path / "s" / "spec.json"),
+                      "--at", "3,1", "--out", str(tmp_path / "e")] + argv,
+                     capsys)
+    assert rc == 1
+    assert json.loads(stdout).get("field") == field
 
 
 def test_capacity_fine_sets(tmp_path, capsys):

@@ -11,9 +11,9 @@ from finehull.artifacts import write_csv, write_grid_csv
 from finehull.cantor import CRule, build_cantor_spec, spec_to_json
 from finehull.errors import (DomainViolation, NoValidWeights, PoleHit,
                              PreconditionFailure)
-from finehull.hull import (SENTINEL, Dip, build_weights, eval_v,
-                           eval_v_on_graph, fiber_scan, grid_axes,
-                           grid_report, make_hull_spec, v_n)
+from finehull.hull import (SENTINEL, Dip, build_weights, eval_v_on_graph,
+                           fiber_scan, grid_axes, grid_report, make_hull_spec,
+                           v_n)
 from finehull.product import eval_partial_product
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -53,6 +53,13 @@ def test_v_n_vanishing_on_graph():
     w = eval_partial_product(SPECF, 3, z).to_complex()
     assert v_n(SPECF, 3, z, w) < -30.0
     assert v_n(SPECF, 3, z, w + 1.0) > 0.0
+
+
+def eval_v(hps, z, w):
+    """The weighted potential sum_{n<=M} e_n/(n c_n) max(v_n, floor) at a
+    grid point (z, w), term by term."""
+    return sum(hps.term_scale(n) * max(v_n(hps.spec, n, z, w), hps.floor(n))
+               for n in range(1, hps.M + 1))
 
 
 def test_eval_v_on_graph_matches_pointwise_floor_sum():
