@@ -36,9 +36,12 @@ __all__ = [
 ]
 
 SENTINEL = -1.0e6
-# largest w-grid side fiber_scan accepts: a scan holds two complex and
-# two float res x res arrays, 48 B per cell, so ~200 MB at 2048
+# largest w-grid side fiber_scan accepts: a scan holds two float
+# res x res grids (the values and the median's copy), 16 B per cell, so
+# ~64 MB at 2048
 MAX_RES = 2048
+# cells per band of rows the scan's term buffers cover (16 rows at 1024)
+BAND_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -223,6 +226,33 @@ def _check_scan_point(spec: CantorSpec, z: complex) -> None:
             "real scan point is neither off the set nor a certified E-point")
 
 
+def _nearest_local_min(vals: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                       t: complex, reach: float) -> complex | None:
+    """Node of the interior local minimum nearest to t within reach, or
+    None; ties go to the first such cell in row-major order.
+
+    A cell counts when its value is <= each of its 8 neighbours (never
+    with a NaN among the nine).  Only the window of rows and columns
+    whose axis offset from t is within reach can hold a node within
+    reach, so only its cells are tested; a non-finite t has none.
+    """
+    iy = np.flatnonzero(np.abs(ys[1:-1] - t.imag) <= reach) + 1
+    ix = np.flatnonzero(np.abs(xs[1:-1] - t.real) <= reach) + 1
+    if not (iy.size and ix.size):
+        return None
+    # the offsets are monotone along each axis, so the window is a block
+    y0, y1, x0, x1 = iy[0], iy[-1] + 1, ix[0], ix[-1] + 1
+    block = np.lib.stride_tricks.sliding_window_view(
+        vals[y0 - 1:y1 + 1, x0 - 1:x1 + 1], (3, 3)).min(axis=(2, 3))
+    best = None
+    for jy, jx in np.argwhere(vals[y0:y1, x0:x1] <= block):
+        node = complex(xs[x0 + jx], ys[y0 + jy])
+        dist = abs(node - t)
+        if dist <= reach and (best is None or dist < best[0]):
+            best = (dist, node)
+    return None if best is None else best[1]
+
+
 def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
                sq: bool = False, delta: float = 20.0) -> HullGrid:
     """Evaluate the potential over a w-grid and classify certified dips.
@@ -233,8 +263,11 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     median.  Grid values alone cannot reach the certified depth; the
     refinement step supplies it.
 
-    Needs 64 <= res <= MAX_RES; the scan holds four res x res arrays
-    (48 B per cell, ~200 MB at MAX_RES = 2048).
+    The terms are summed over one band of about BAND_CELLS cells at a
+    time, with the same ufuncs in the same order for every cell, and
+    local minima are tested only in the window of cells within reach of
+    a target.  Needs 64 <= res <= MAX_RES; the scan holds two float
+    res x res grids (16 B per cell, ~64 MB at MAX_RES = 2048).
     """
     if not 64 <= res <= MAX_RES:
         raise PreconditionFailure(f"need 64 <= res <= {MAX_RES}",
@@ -245,39 +278,34 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     if not (x0 < x1 and y0 < y1):
         raise PreconditionFailure("empty w-rectangle", field="wrect")
     xs, ys = grid_axes((x0, x1, y0, y1), res)
-    W = xs[None, :] + 1j * ys[:, None]
-    if sq:
-        np.multiply(W, W, out=W)
-    # each term runs through one complex and one float buffer in the
-    # order log|W Q - P|, floor, scale, so no per-term temporaries
-    cbuf = np.empty_like(W)
-    term = np.empty((res, res))
+    terms = [(P, Q, hps.floor(n), hps.term_scale(n)) for n, (P, Q)
+             in enumerate(_pq_prefixes(hps.spec, hps.M, z)) if n > 0]
     vals = np.zeros((res, res))
-    pq = _pq_prefixes(hps.spec, hps.M, z)
-    next(pq)
+    rows = max(1, BAND_CELLS // res)
+    # each band runs every term through one complex and one float buffer
+    # in the order log|W Q - P|, floor, scale, so a cell sees the same
+    # ufuncs as over the full grid while the buffers stay cache-sized
+    cbuf = np.empty((rows, res), dtype=complex)
+    term = np.empty((rows, res))
+    clamped = 0
     with np.errstate(divide="ignore"):
-        for n, (P, Q) in enumerate(pq, start=1):
-            np.multiply(W, Q, out=cbuf)
-            np.subtract(cbuf, P, out=cbuf)
-            np.abs(cbuf, out=term)
-            np.log(term, out=term)
-            np.maximum(term, hps.floor(n), out=term)
-            np.multiply(term, hps.term_scale(n), out=term)
-            vals += term
-    del W, cbuf, term
-    clamped = int(np.sum(vals < SENTINEL))
-    np.maximum(vals, SENTINEL, out=vals)
+        for r0 in range(0, res, rows):
+            r1 = min(r0 + rows, res)
+            W = xs[None, :] + 1j * ys[r0:r1, None]
+            if sq:
+                np.multiply(W, W, out=W)
+            cb, tb, band = cbuf[:r1 - r0], term[:r1 - r0], vals[r0:r1]
+            for P, Q, floor, scale in terms:
+                np.multiply(W, Q, out=cb)
+                np.subtract(cb, P, out=cb)
+                np.abs(cb, out=tb)
+                np.log(tb, out=tb)
+                np.maximum(tb, floor, out=tb)
+                np.multiply(tb, scale, out=tb)
+                band += tb
+            clamped += int(np.count_nonzero(band < SENTINEL))
+            np.maximum(band, SENTINEL, out=band)
     median = float(np.median(vals))
-
-    # interior non-strict local minima over 8 neighbors
-    c = vals[1:-1, 1:-1]
-    neigh = np.full_like(c, np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if (di, dj) != (0, 0):
-                np.minimum(neigh, vals[1 + di:res - 1 + di,
-                                       1 + dj:res - 1 + dj], out=neigh)
-    mins = np.argwhere(c <= neigh) + 1
 
     f = eval_partial_product(hps.spec, hps.M, z)
     if sq:
@@ -294,14 +322,9 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     reach = 1.5 * math.hypot(dx, dy)
     dips = []
     for t in targets:
-        best = None
-        for iy, ix in mins:
-            node = complex(xs[ix], ys[iy])
-            dist = abs(node - t)
-            if dist <= reach and (best is None or dist < best[0]):
-                best = (dist, node)
+        best = _nearest_local_min(vals, xs, ys, t, reach)
         if best is not None and depth >= delta:
-            dips.append(Dip(t, best[1], depth))
+            dips.append(Dip(t, best, depth))
     dips.sort(key=lambda p: (p.w.real, p.w.imag))
     return HullGrid(z, (x0, x1, y0, y1), res, sq, vals, median,
                     tuple(dips), clamped, delta, hps.M, hps.weights.name)

@@ -42,6 +42,11 @@ MESH_RESOLUTION = 1e-12
 # nodes x candidates of one Leja model: 2**26, over three times the
 # largest model in use (n = 256 on 5 shapes of 64*256 nodes)
 LEJA_MAX_WORK = 1 << 26
+# when every imaginary offset of a Leja mesh block is at most FLAT_RATIO
+# times every real offset, complex abs returns |d.real|: the exact modulus
+# exceeds it by at most 2**-55 of it, below half an ulp (2**-54 of it at
+# least), and 1 + r*r with r <= FLAT_RATIO rounds to 1 in doubles
+FLAT_RATIO = 2.0 ** -27
 # most witness candidates one sample_E or blaschke_sample_E call scores;
 # each costs two Green evaluations and a distance certificate (~0.3 s
 # for 4096 arc candidates at N = 1)
@@ -270,6 +275,42 @@ class GreenModel:
         return math.log(self.cap_estimate)
 
 
+class _MeshBlock:
+    """One shape's Leja candidates and its slice of the running
+    log-product, with the bounds that choose how |cand - p| is taken."""
+
+    def __init__(self, cands: np.ndarray, logprod: np.ndarray):
+        self.cands, self.logprod = cands, logprod
+        self.reals = cands.real.copy()
+        self.re_lo = float(self.reals.min())
+        self.re_hi = float(self.reals.max())
+        self.im_max = float(np.abs(cands.imag).max())
+
+    def add_log_dist(self, p: complex, dist: np.ndarray,
+                     cbuf: np.ndarray) -> None:
+        """logprod += log|cand - p|, with |cand - p| in the bits of
+        complex abs; dist and cbuf are block-sized scratch buffers.
+
+        When every imaginary offset is at most FLAT_RATIO times every real
+        offset, the modulus is |cand.real - p.real|, taken in float
+        arithmetic.  fl(re_lo - p.real) bounds each |fl(c.real - p.real)|
+        from below when p lies left of the block, fl(p.real - re_hi) when
+        it lies right, and fl(im_max + |p.imag|) bounds every imaginary
+        offset from above.
+        """
+        x = p.real
+        gap = self.re_lo - x if x < self.re_lo else \
+            x - self.re_hi if x > self.re_hi else 0.0
+        if self.im_max + abs(p.imag) > gap * FLAT_RATIO:
+            np.subtract(self.cands, p, out=cbuf)
+            np.abs(cbuf, out=dist)
+        else:
+            np.subtract(self.reals, x, out=dist)
+            np.abs(dist, out=dist)
+        np.log(dist, out=dist)
+        np.add(self.logprod, dist, out=self.logprod)
+
+
 def leja_points(sets: CompactUnion, n: int = 64,
                 mesh_per_shape: int | None = None) -> GreenModel:
     """Greedy max-product nodes on the union boundary.
@@ -281,6 +322,13 @@ def leja_points(sets: CompactUnion, n: int = 64,
     O(|mesh|), since node_tol is read off the greedy loop's running
     log-product.  Deterministic: ties resolve to the lowest candidate
     index.
+
+    Each node adds log|cand - p| one shape's block at a time, so a
+    block's operands stay in cache between the passes.  A block whose
+    imaginary offsets from p are all negligible against its real ones
+    (an interval and a real node, or a tiny disk far from p) takes its
+    distances in float arithmetic, |c.real - p.real|, which are the bits
+    complex abs gives; the rest take the complex path.
     """
     if n < 2:
         raise PreconditionFailure("need n >= 2 nodes", field="n")
@@ -296,20 +344,28 @@ def leja_points(sets: CompactUnion, n: int = 64,
             f"n={n} nodes over {m * len(shapes)} candidates exceeds the "
             f"work cap {LEJA_MAX_WORK}", field="n")
     cands = np.concatenate([s.boundary_mesh(m) for s in shapes])
+    # 0.0 + log|d| == log|d| (log never returns -0.0), so the first node
+    # adds into zeros like every later one
+    logprod = np.zeros(len(cands))
+    blocks = [_MeshBlock(cands[lo:lo + m], logprod[lo:lo + m])
+              for lo in range(0, len(cands), m)]
+    cbuf = np.empty(m, dtype=complex)
+    dist = np.empty(m)
 
     idx = int(np.argmax(np.abs(cands)))
     pts = [cands[idx]]
-    with np.errstate(divide="ignore"):
-        logprod = np.log(np.abs(cands - pts[0]))
     pair_log = 0.0
     d_seq: list[float] = []
-    for k in range(1, n):
-        idx = int(np.argmax(logprod))
-        pts.append(cands[idx])
-        pair_log += float(logprod[idx])
-        with np.errstate(divide="ignore"):
-            logprod += np.log(np.abs(cands - cands[idx]))
-        d_seq.append(math.exp(2.0 * pair_log / (k * (k + 1))))
+    with np.errstate(divide="ignore"):
+        for b in blocks:
+            b.add_log_dist(pts[0], dist, cbuf)
+        for k in range(1, n):
+            idx = int(logprod.argmax())
+            pts.append(cands[idx])
+            pair_log += float(logprod[idx])
+            for b in blocks:
+                b.add_log_dist(cands[idx], dist, cbuf)
+            d_seq.append(math.exp(2.0 * pair_log / (k * (k + 1))))
     gain_next = float(np.max(logprod))
     if gain_next == -math.inf:
         # every candidate coincides with a node: fewer than n + 1 distinct

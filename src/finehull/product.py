@@ -322,7 +322,8 @@ def eval_f(spec: CantorSpec, z: complex, tol: float = 1e-12):
             pass
         if N >= spec.max_index:
             raise NoConvergence(
-                f"tail bound above tol={tol} at max materialization")
+                f"tail bound above tol={tol} at max materialization",
+                field="tol")
         N = min(2 * N if N else 1, spec.max_index)
 
 
@@ -446,7 +447,8 @@ def fine_boundary_value(spec: CantorSpec, x: float, tag: BranchTag,
         raise PoleHit("x is the root pole a0")
     tb = tail_bound(spec, spec.max_index, x)
     if tb.bound > tol:
-        raise NoConvergence(f"tail bound {tb.bound} above tol {tol}")
+        raise NoConvergence(f"tail bound {tb.bound} above tol {tol}",
+                            field="tol")
     fx = eval_partial_product(spec, spec.max_index, x)
     if fx.is_zero:
         return fx, tb.bound, n_cert

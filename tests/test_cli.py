@@ -222,7 +222,7 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv, field", [
     (["--depth", "3"], "spec"),
     (["--branch", "d-plus"], "spec"),
-    ([], None),     # NoConvergence: the adaptive depth never meets tol
+    ([], "tol"),    # NoConvergence: the adaptive depth never meets tol
 ])
 def test_eval_rule_refusals_do_not_name_the_point(tmp_path, capsys, argv,
                                                   field):
@@ -236,6 +236,24 @@ def test_eval_rule_refusals_do_not_name_the_point(tmp_path, capsys, argv,
                      capsys)
     assert rc == 1
     assert json.loads(stdout).get("field") == field
+
+
+def test_fine_value_above_tol_names_tol(tmp_path, capsys):
+    # c(j) = 2j at depth 2 certifies the point but leaves a tail bound of
+    # ~2e-7, above the default tol: the setting is at fault, not --at
+    rc, _ = run(["spec-build", "--rule", "affine", "--slope", "2",
+                 "--offset", "0", "--depth", "2",
+                 "--out", str(tmp_path / "s")], capsys)
+    assert rc == 0
+    spec = spec_from_json((tmp_path / "s" / "spec.json").read_text())
+    lo, hi = max(spec.remaining, key=lambda p: p[1] - p[0])
+    x = lo + (hi - lo) / 3.0
+    rc, stdout = run(["eval", "--spec", str(tmp_path / "s" / "spec.json"),
+                      "--branch", "fine", "--at", f"{x!r},0",
+                      "--out", str(tmp_path / "e")], capsys)
+    assert rc == 1
+    out = json.loads(stdout)
+    assert (out["error"], out["field"]) == ("no_convergence", "tol")
 
 
 def test_capacity_fine_sets(tmp_path, capsys):

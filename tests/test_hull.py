@@ -11,9 +11,9 @@ from finehull.artifacts import write_csv, write_grid_csv
 from finehull.cantor import CRule, build_cantor_spec, spec_to_json
 from finehull.errors import (DomainViolation, NoValidWeights, PoleHit,
                              PreconditionFailure)
-from finehull.hull import (SENTINEL, Dip, build_weights, eval_v_on_graph,
-                           fiber_scan, grid_axes, grid_report, make_hull_spec,
-                           v_n)
+from finehull.hull import (BAND_CELLS, SENTINEL, Dip, _nearest_local_min,
+                           build_weights, eval_v_on_graph, fiber_scan,
+                           grid_axes, grid_report, make_hull_spec, v_n)
 from finehull.product import eval_partial_product
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -186,17 +186,174 @@ def test_fiber_scan_buffers_match_stacked_reference(M, res, sq, z):
     assert grid.dips == dips
 
 
-def test_fiber_scan_memory_scales_with_the_grid():
-    # one complex and one float buffer per scan; per-term temporaries or
-    # an 8-plane neighbour stack would pass 8 grids
+def _scan_peak(res):
     hps = make_hull_spec(SPECF, 8)
     tracemalloc.start()
     try:
-        grid = fiber_scan(hps, 2.0 + 0.0j, WRECT, 512, sq=True)
+        grid = fiber_scan(hps, 2.0 + 0.0j, WRECT, res, sq=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return grid, peak
+
+
+def test_fiber_scan_memory_scales_with_the_grid():
+    # per-term temporaries or an 8-plane neighbour stack would pass 8 grids
+    grid, peak = _scan_peak(512)
     assert peak < 8 * grid.values.nbytes
+
+
+def test_fiber_scan_holds_two_float_grids():
+    # the values and the median's copy; full-grid complex and float term
+    # buffers would add 24 B per cell
+    res = 1024
+    _, peak = _scan_peak(res)
+    assert peak < 2.5 * res * res * 8
+
+
+def _argwhere_nearest(vals, xs, ys, t, reach):
+    """Nearest local minimum within reach from an 8-neighbour argwhere
+    over the whole interior."""
+    c = vals[1:-1, 1:-1]
+    res_y, res_x = vals.shape
+    neigh = np.full_like(c, np.inf)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) != (0, 0):
+                np.minimum(neigh, vals[1 + di:res_y - 1 + di,
+                                       1 + dj:res_x - 1 + dj], out=neigh)
+    best = None
+    for iy, ix in np.argwhere(c <= neigh) + 1:
+        node = complex(xs[ix], ys[iy])
+        dist = abs(node - t)
+        if dist <= reach and (best is None or dist < best[0]):
+            best = (dist, node)
+    return None if best is None else best[1]
+
+
+def _full_grid_scan(hps, z, wrect, res, sq, delta):
+    """(values, median, clamped, dips) with every term over the whole grid
+    and the dip search of _argwhere_nearest."""
+    x0, x1, y0, y1 = wrect
+    xs, ys = grid_axes(wrect, res)
+    W = xs[None, :] + 1j * ys[:, None]
+    if sq:
+        np.multiply(W, W, out=W)
+    cbuf = np.empty_like(W)
+    term = np.empty((res, res))
+    vals = np.zeros((res, res))
+    P, Q = z - hps.spec.b0, z - hps.spec.a0
+    with np.errstate(divide="ignore"):
+        for n in range(1, hps.M + 1):
+            P *= z - hps.spec.a[n - 1]
+            Q *= z - hps.spec.b[n - 1]
+            np.multiply(W, Q, out=cbuf)
+            np.subtract(cbuf, P, out=cbuf)
+            np.abs(cbuf, out=term)
+            np.log(term, out=term)
+            np.maximum(term, hps.floor(n), out=term)
+            np.multiply(term, hps.term_scale(n), out=term)
+            vals += term
+    clamped = int(np.sum(vals < SENTINEL))
+    np.maximum(vals, SENTINEL, out=vals)
+    median = float(np.median(vals))
+    depth = median - eval_v_on_graph(hps, z)
+    reach = 1.5 * math.hypot((x1 - x0) / (res - 1), (y1 - y0) / (res - 1))
+    dips = []
+    for t in _targets(hps, z, sq):
+        best = _argwhere_nearest(vals, xs, ys, t, reach)
+        if best is not None and depth >= delta:
+            dips.append(Dip(t, best, depth))
+    dips.sort(key=lambda p: (p.w.real, p.w.imag))
+    return vals, median, clamped, tuple(dips)
+
+
+def _targets(hps, z, sq):
+    f = eval_partial_product(hps.spec, hps.M, z)
+    if not sq:
+        return [f.to_complex()]
+    d = f.sqrt()
+    return list(dict.fromkeys([d.to_complex(), (-d).to_complex()]))
+
+
+def _assert_scan_matches_full_grid(hps, z, wrect, res, sq, delta):
+    grid = fiber_scan(hps, z, wrect, res, sq=sq, delta=delta)
+    vals, median, clamped, dips = _full_grid_scan(hps, z, grid.wrect, res,
+                                                  sq, delta)
+    assert np.array_equal(grid.values.view(np.int64), vals.view(np.int64))
+    assert np.float64(grid.median).view(np.int64) == \
+        np.float64(median).view(np.int64)
+    assert grid.clamped == clamped
+    assert grid.dips == dips
+    return grid
+
+
+_SCAN_Z = [2.0 + 0.0j, 0.3 + 0.2j, -0.5 + 0.0j, 0.7 - 0.4j, 1.7 + 0.0j,
+           0.5 + 0.01j]
+
+
+def _wrect_around(t, res, u, v, cell):
+    """A rectangle whose grid puts t at fractional node (u, v)."""
+    return (t.real - u * cell, t.real + (res - 1 - u) * cell,
+            t.imag - v * cell, t.imag + (res - 1 - v) * cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([64, 65, 97, 130, 257]), st.integers(1, 8),
+       st.booleans(), st.sampled_from(_SCAN_Z), st.integers(0, 1),
+       st.sampled_from(["first", "last", "inside", "outside"]),
+       st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+       st.floats(1e-4, 5e-2))
+def test_banded_scan_matches_full_grid(res, M, sq, z, which, place, fu, fv,
+                                       cell):
+    # targets in the first and last interior rows and columns, past the
+    # rectangle and anywhere inside it; a delta of -inf keeps every dip
+    hps = make_hull_spec(SPECF, M)
+    ts = _targets(hps, z, sq)
+    t = ts[which % len(ts)]
+    edge = {"first": 1.0, "last": res - 2.0, "inside": 0.37 * res,
+            "outside": -1.5}[place]
+    u = (edge if fu >= 0.0 else res - 1.0 - edge) + fu
+    v = (edge if fv < 0.0 else res - 1.0 - edge) + fv
+    _assert_scan_matches_full_grid(hps, z, _wrect_around(t, res, u, v, cell),
+                                   res, sq, -math.inf)
+
+
+@pytest.mark.parametrize("M, sq", [(8, True), (3, False)])
+def test_banded_scan_matches_full_grid_at_res_1000(M, sq):
+    # 1000 rows are not a multiple of the band height
+    assert 1000 % (BAND_CELLS // 1000) != 0
+    hps = make_hull_spec(SPECF, M)
+    grid = _assert_scan_matches_full_grid(hps, 2.0 + 0.0j, WRECT, 1000, sq,
+                                          1.0)
+    assert len(grid.dips) == (2 if sq else 1)
+    t = _targets(hps, 2.0 + 0.0j, sq)[0]
+    _assert_scan_matches_full_grid(
+        hps, 2.0 + 0.0j, _wrect_around(t, 1000, 998.2, 1.1, 1e-3), 1000, sq,
+        -math.inf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.integers(3, 12),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, -math.inf]),
+                min_size=144, max_size=144),
+       st.complex_numbers(max_magnitude=14.0), st.floats(0.0, 6.0))
+def test_windowed_dip_search_matches_argwhere(ny, nx, pool, t, reach):
+    # few distinct values make ties, plateaus and NaN neighbours common
+    vals = np.array(pool[:ny * nx]).reshape(ny, nx)
+    xs, ys = np.arange(nx, dtype=float), np.arange(ny, dtype=float)
+    got = _nearest_local_min(vals, xs, ys, t, reach)
+    assert got == _argwhere_nearest(vals, xs, ys, t, reach)
+
+
+@pytest.mark.parametrize("t", [complex(math.inf, 0.0), complex(0.0, -math.inf),
+                               complex(math.nan, 1.0), complex(1.0, math.nan),
+                               complex(math.inf, math.nan)])
+def test_windowed_dip_search_skips_non_finite_targets(t):
+    vals = np.zeros((8, 8))          # every interior cell is a minimum
+    xs = ys = np.linspace(-1.0, 1.0, 8)
+    assert _nearest_local_min(vals, xs, ys, t, 0.5) is None
+    assert _nearest_local_min(vals, xs, ys, 0.1 + 0.1j, 0.5) is not None
 
 
 def _reference_grid_csv(path, xs, ys, values):

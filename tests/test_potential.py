@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finehull.blaschke import build_blaschke_spec, disk_fine_sets
 from finehull.cantor import CRule, build_cantor_spec
-from finehull.errors import PreconditionFailure
-from finehull.potential import (LEJA_MAX_WORK, CompactUnion, arc,
-                                cantor_fine_sets, disk, exact_capacity,
+from finehull.errors import DegenerateSet, PreconditionFailure
+from finehull.potential import (FLAT_RATIO, LEJA_MAX_WORK, CompactUnion,
+                                arc, cantor_fine_sets, disk, exact_capacity,
                                 fine_witness_u, green_eval, interval,
                                 leja_points, sample_E, union_capacity_bound)
 
@@ -158,6 +159,83 @@ def test_leja_running_node_tol_matches_dense_matrix(spec, which, n, mesh):
     assert model.cap_estimate == cap_est
     assert model.d_seq == d_seq
     assert model.points.tobytes() == points.tobytes()
+
+
+def _complex_leja(sets, n):
+    """Leja model with every distance in complex arithmetic and node_tol
+    from the running log-product."""
+    cands = np.concatenate([s.boundary_mesh(64 * n) for s in sets.shapes
+                            if s.meshable])
+    if not cands.size:
+        raise DegenerateSet("no meshable shapes in the union")
+    idx = int(np.argmax(np.abs(cands)))
+    pts = [cands[idx]]
+    with np.errstate(divide="ignore"):
+        logprod = np.log(np.abs(cands - pts[0]))
+    pair_log = 0.0
+    d_seq = []
+    for k in range(1, n):
+        idx = int(np.argmax(logprod))
+        pts.append(cands[idx])
+        pair_log += float(logprod[idx])
+        with np.errstate(divide="ignore"):
+            logprod += np.log(np.abs(cands - cands[idx]))
+        d_seq.append(math.exp(2.0 * pair_log / (k * (k + 1))))
+    cap_est = math.exp(float(np.max(logprod)) / n)
+    raw = logprod / n - math.log(cap_est)
+    raw = raw[np.isfinite(raw)]
+    node_tol = float(np.max(np.abs(raw))) if raw.size else 0.0
+    return np.array(pts), tuple(d_seq), cap_est, node_tol
+
+
+_ARC_SPEC = build_blaschke_spec(0.0, 0.5 * math.pi,
+                                CRule("affine", slope=5.0, offset=0.0), 16)
+_LEJA_UNIONS = {
+    **{f"cantor_{w}{N}": getattr(cantor_fine_sets(SPEC5, N), w)
+       for N in range(1, 7) for w in ("FN", "JN")},
+    "arc_J1": disk_fine_sets(_ARC_SPEC, 1).JN,
+    "arc_J3": disk_fine_sets(_ARC_SPEC, 3).JN,
+    "arcs": CompactUnion((arc(0.0, 1.0), arc(2.0, 2.5), arc(3.0, 6.0),
+                          disk(0.1 - 0.2j, 0.05))),
+    # the disk's theta = 0 node, 2.5 + 0j, is real and the first node
+    "real_disk_node": CompactUnion((disk(2.0, 0.5), interval(0.0, 1.0),
+                                    interval(-1.0, -0.5))),
+    "signed_zeros": CompactUnion((interval(-0.0, 1.0),
+                                  interval(-2.0, -0.0))),
+    # nodes on the tiny disks are complex, yet the far intervals stay flat
+    "tiny_disks": CompactUnion((disk(0.3, 1e-11), interval(1.0, 2.0),
+                                interval(-3.0, -2.5), disk(2.0j, 1e-9))),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 256])
+@pytest.mark.parametrize("name", sorted(_LEJA_UNIONS))
+def test_real_axis_distances_match_complex_leja(name, n):
+    sets = _LEJA_UNIONS[name]
+    try:
+        want = _complex_leja(sets, n)
+    except DegenerateSet:
+        with pytest.raises(DegenerateSet):
+            leja_points(sets, n=n)
+        return
+    model = leja_points(sets, n=n)
+    points, d_seq, cap_est, node_tol = want
+    assert model.points.tobytes() == points.tobytes()
+    assert model.d_seq == d_seq
+    assert model.cap_estimate == cap_est
+    assert model.node_tol == node_tol
+
+
+def test_flat_ratio_modulus_is_the_real_offset():
+    # the premise of leja_points' float path: complex abs of a + ib is |a|
+    # when |b| <= FLAT_RATIO |a|, at every scale and sign
+    rng = np.random.default_rng(7)
+    for e in range(-1070, 1020, 13):
+        a = rng.uniform(1.0, 2.0, 4096) * 2.0 ** e * rng.choice([-1, 1], 4096)
+        b = np.abs(a) * FLAT_RATIO * rng.uniform(0.0, 1.0, 4096)
+        b[:64] = np.abs(a[:64]) * FLAT_RATIO
+        b *= rng.choice([-1, 1], 4096)
+        assert np.array_equal(np.abs(a + 1j * b), np.abs(a))
 
 
 def test_leja_rejects_bad_mesh_and_caps_work():
