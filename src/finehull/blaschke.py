@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cantor import (HALVING_DENOM, MAX_DEPTH, CRule, _check_depth,
-                     _IndexWalk, _last_violation, _spec_obj, condition_sum)
+                     _IndexWalk, _last_violation, _spec_obj, condition_sum,
+                     json_number)
 from .errors import (BranchAtCut, ChainNotClosed, NotInEN, PoleHit,
                      PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
@@ -153,17 +154,19 @@ class BlaschkeSpec(_IndexWalk):
 def blaschke_spec_from_json(text: str) -> BlaschkeSpec:
     obj = _spec_obj(text, ("alpha", "beta", "c_rule", "N"))
     return build_blaschke_spec(
-        float(obj["alpha"]), float(obj["beta"]),
-        CRule.from_json_obj(obj["c_rule"]), int(obj["N"]),
-        l=int(obj.get("l", 0)), extras=int(obj.get("extras", 0)))
+        json_number(obj["alpha"], float, "alpha"),
+        json_number(obj["beta"], float, "beta"),
+        CRule.from_json_obj(obj["c_rule"]), json_number(obj["N"], int, "N"),
+        l=json_number(obj.get("l", 0), int, "l"),
+        extras=json_number(obj.get("extras", 0), int, "extras"))
 
 
 def build_blaschke_spec(alpha: float, beta: float, c_rule: CRule,
                         N: int, l: int = 0,
                         extras: int = 0) -> BlaschkeSpec:
-    """Materialize N arc zeros (dyadic arguments) plus optional extras;
-    each count runs from 0 to MAX_DEPTH."""
-    for name, count in (("N", N), ("extras", extras)):
+    """Materialize N arc zeros (dyadic arguments) plus optional extras,
+    with a zero of order l at 0; each count runs from 0 to MAX_DEPTH."""
+    for name, count in (("N", N), ("extras", extras), ("l", l)):
         if not 0 <= count <= MAX_DEPTH:
             raise PreconditionFailure(
                 f"{name} must be in 0..{MAX_DEPTH}, got {count}", field=name)
@@ -321,7 +324,7 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     if not bound.bound < cap_S:
         raise ChainNotClosed(
             f"union bound {bound.bound:.3g} does not beat cap(S) "
-            f"{cap_S:.3g} at N={N}")
+            f"{cap_S:.3g} at N={N}", field="N")
     FN = CompactUnion(tuple(disks))
     JN = CompactUnion((S,) + FN.shapes)
     return FineSets(N, FN, JN, bound, 0.0, sum_disks, cap_S)

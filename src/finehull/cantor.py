@@ -37,6 +37,7 @@ __all__ = [
     "condition_sum",
     "exp_cut",
     "cantor_length",
+    "json_number",
     "spec_to_json",
     "spec_from_json",
 ]
@@ -208,15 +209,27 @@ class CRule:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CRule":
+        if not isinstance(obj, dict):
+            raise PreconditionFailure(
+                f"c rule needs a JSON object, got {obj!r}", field="c_rule")
         kind = obj.get("kind")
         if kind == "affine":
-            return CRule("affine", slope=float(obj.get("slope", 0.0)),
-                         offset=float(obj.get("offset", 0.0)))
+            return CRule("affine",
+                         slope=json_number(obj.get("slope", 0.0), float,
+                                           "c_rule"),
+                         offset=json_number(obj.get("offset", 0.0), float,
+                                            "c_rule"))
         if kind == "factorial":
-            return CRule("factorial", shift=int(obj.get("shift", 2)))
+            return CRule("factorial",
+                         shift=json_number(obj.get("shift", 2), int, "c_rule"))
         if kind == "explicit":
-            return CRule("explicit",
-                         values=tuple(float(v) for v in obj.get("values", ())))
+            values = obj.get("values", ())
+            if not isinstance(values, (list, tuple)):
+                raise PreconditionFailure(
+                    f"explicit rule values need a JSON list, got {values!r}",
+                    field="c_rule")
+            return CRule("explicit", values=tuple(
+                json_number(v, float, "c_rule") for v in values))
         raise PreconditionFailure(f"unknown c rule kind {kind!r}", field="c_rule")
 
 
@@ -420,12 +433,13 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
     for j, length, half in zip(range(first, first + n_loop), lengths, halves):
         if used + length >= root_length:
             raise GapOverflow(
-                f"gap {j} would push removed length past the root interval")
+                f"gap {j} would push removed length past the root interval",
+                field="c_rule")
         _, lo, hi = heap[0]
         if length >= hi - lo:
             raise PlacementFailure(
                 f"gap {j} of length {length:.3e} does not fit in the largest "
-                f"remaining interval ({hi - lo:.3e})")
+                f"remaining interval ({hi - lo:.3e})", field="c_rule")
         center = 0.5 * (lo + hi)
         centers.append(center)
         heapq.heapreplace(heap, (lo - (center - half), lo, center - half))
@@ -436,7 +450,8 @@ def _place_gaps(c_rule: CRule, root_length: float, pieces, used: float,
     j = first + n_loop
     if used >= root_length:
         raise GapOverflow(
-            f"gap {j} would push removed length past the root interval")
+            f"gap {j} would push removed length past the root interval",
+            field="c_rule")
     more, pieces = _split_zero_length(heap, j, len(jcjs) - n_loop)
     return centers + more, logs, pieces
 
@@ -465,7 +480,7 @@ def _split_zero_length(heap, first: int, count: int):
             raise PlacementFailure(
                 f"gap {first + count - left + int(bad[0])} of length "
                 f"{0.0:.3e} does not fit in the largest remaining interval "
-                f"({float(hi[t]) - float(lo[t]):.3e})")
+                f"({float(hi[t]) - float(lo[t]):.3e})", field="c_rule")
         keep = np.ones(lo.size, dtype=bool)
         keep[take] = False
         plo, phi, center = lo[take], hi[take], mid[take]
@@ -629,12 +644,30 @@ def spec_to_json(spec: CantorSpec) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def json_number(value, kind, field: str):
+    """A JSON value (a number, or one written as a string) as a finite
+    float or an int; anything else is refused naming `field`."""
+    try:
+        x = kind(value)
+        if kind is float and not math.isfinite(x):
+            raise ValueError(x)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise PreconditionFailure(
+            f"{field} needs a finite number, got {value!r}",
+            field=field) from e
+    return x
+
+
 def _spec_obj(text: str, keys) -> dict:
     """Parsed spec JSON object holding every required key."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise PreconditionFailure(f"invalid spec JSON: {e}", field="config") from e
+        raise PreconditionFailure(f"invalid spec JSON: {e}",
+                                  field="spec") from e
+    if not isinstance(obj, dict):
+        raise PreconditionFailure(f"spec JSON needs an object, got {obj!r}",
+                                  field="spec")
     for key in keys:
         if key not in obj:
             raise PreconditionFailure(f"spec JSON missing {key!r}", field=key)
@@ -644,6 +677,7 @@ def _spec_obj(text: str, keys) -> dict:
 def spec_from_json(text: str) -> CantorSpec:
     obj = _spec_obj(text, ("a0", "b0", "c_rule", "N"))
     return build_cantor_spec(
-        float(obj["a0"]), float(obj["b0"]),
+        json_number(obj["a0"], float, "a0"),
+        json_number(obj["b0"], float, "b0"),
         CRule.from_json_obj(obj["c_rule"]),
-        obj.get("placement", "bisect"), int(obj["N"]))
+        obj.get("placement", "bisect"), json_number(obj["N"], int, "N"))

@@ -19,6 +19,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import blaschke as bl
 from . import hull as hl
 from . import potential as pt
@@ -26,10 +28,10 @@ from . import product as pr
 from .artifacts import (sha256, write_csv, write_grid_csv, write_json,
                         write_text)
 from .cantor import (MAX_DEPTH, CRule, build_cantor_spec, cantor_length,
-                     condition_sum, spec_from_json, spec_to_json,
+                     condition_sum, json_number, spec_from_json, spec_to_json,
                      sum_gap_lengths)
-from .errors import (DomainViolation, NotInEN, PoleHit, PreconditionFailure,
-                     RegionViolatesEN, UnsupportedShape)
+from .errors import (BranchAtCut, DomainViolation, NotInEN, PoleHit,
+                     PreconditionFailure, RegionViolatesEN, UnsupportedShape)
 
 __all__ = ["main"]
 
@@ -186,6 +188,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         except json.JSONDecodeError as e:
             raise PreconditionFailure(f"invalid config JSON: {e}",
                                       field="config") from e
+        if not isinstance(file_cfg, dict):
+            raise PreconditionFailure(
+                f"config JSON needs an object, got {file_cfg!r}",
+                field="config")
         for key, value in file_cfg.items():
             if key not in cfg:
                 raise PreconditionFailure(f"unknown config key {key!r}",
@@ -240,6 +246,10 @@ def _point(cfg: dict, key: str) -> complex:
     if len(parts) not in (1, 2):
         raise PreconditionFailure(f"{key} needs re,im, got {cfg[key]!r}",
                                   field=key)
+    if math.hypot(*parts) == math.inf:
+        raise PreconditionFailure(
+            f"{key} needs a point whose modulus is a finite double, "
+            f"got {cfg[key]!r}", field=key)
     return complex(*parts)
 
 
@@ -289,6 +299,14 @@ def _emit(outdir: str, artifacts) -> list[str]:
     return [name for name, *_ in artifacts]
 
 
+def _require_finite(*values: float, field: str = "at") -> None:
+    """Refuse the setting `field` when the values it leads to are not all
+    finite doubles (at a zero of f the log magnitude is -inf)."""
+    if not all(map(math.isfinite, values)):
+        raise DomainViolation(f"{field} gives values that are not all "
+                              f"finite doubles: {values!r}", field=field)
+
+
 def _rule_from_cfg(cfg: dict) -> CRule:
     rule = cfg["rule"]
     if rule == "affine":
@@ -300,35 +318,74 @@ def _rule_from_cfg(cfg: dict) -> CRule:
     raise PreconditionFailure(f"unknown rule {rule!r}", field="rule")
 
 
-def _shapes_from_obj(obj, field: str = "shapes") -> tuple:
-    shapes = []
-    for i, s in enumerate(obj):
-        kind = s.get("kind")
-        where = f"{field}[{i}]"
-        if kind == "interval":
-            shapes.append(pt.interval(float(s["a"]), float(s["b"])))
-        elif kind == "disk":
-            c = s["center"]
-            center = complex(float(c[0]), float(c[1])) \
-                if isinstance(c, (list, tuple)) else complex(float(c), 0.0)
-            if "log_radius" in s:
-                shapes.append(pt.disk(center,
-                                      log_radius=float(s["log_radius"])))
-            else:
-                shapes.append(pt.disk(center, float(s["radius"])))
-        elif kind == "arc":
-            shapes.append(pt.arc(float(s["theta1"]), float(s["theta2"])))
+def _shape_from_obj(s) -> pt.Shape:
+    """One shape; refusals name its key (a, b, center, radius, ...)."""
+    if not isinstance(s, dict):
+        raise UnsupportedShape(f"a shape needs a JSON object, got {s!r}")
+
+    def get(key):
+        if key not in s:
+            raise PreconditionFailure(f"shape needs {key!r}", field=key)
+        return json_number(s[key], float, key)
+    kind = s.get("kind")
+    if kind == "interval":
+        return pt.interval(get("a"), get("b"))
+    if kind == "disk":
+        c = s.get("center")
+        if isinstance(c, list) and len(c) == 2:
+            center = complex(*(json_number(x, float, "center") for x in c))
         else:
-            raise UnsupportedShape(f"unknown shape kind {kind!r}",
-                                   field=where + ".kind")
-    return tuple(shapes)
+            center = complex(get("center"), 0.0)
+        if "log_radius" in s:
+            return pt.disk(center, log_radius=get("log_radius"))
+        return pt.disk(center, get("radius"))
+    if kind == "arc":
+        return pt.arc(get("theta1"), get("theta2"))
+    raise UnsupportedShape(f"unknown shape kind {kind!r}", field="kind")
+
+
+def _union_from_obj(obj: dict) -> pt.CompactUnion:
+    """The union of a set JSON's "shapes" and "tail_inv_log_caps"; a
+    refusal names the shape and its key, e.g. shapes[1].radius."""
+    shapes, tail = obj["shapes"], obj.get("tail_inv_log_caps", [])
+    for key, value in (("shapes", shapes), ("tail_inv_log_caps", tail)):
+        if not isinstance(value, list):
+            raise PreconditionFailure(f"{key} needs a JSON list", field=key)
+    out = []
+    for i, s in enumerate(shapes):
+        try:
+            out.append(_shape_from_obj(s))
+        except PreconditionFailure as e:
+            e.field = f"shapes[{i}]" + (f".{e.field}" if e.field else "")
+            raise
+    with _field_as("shapes", None):     # an empty union
+        union = pt.CompactUnion(
+            tuple(out),
+            tuple(json_number(v, float, "tail_inv_log_caps") for v in tail))
+    # every distance within the set must be a finite double
+    if not math.isfinite(union.diameter_bound()):
+        raise PreconditionFailure("the shapes span more than the largest "
+                                  "double", field="shapes")
+    return union
+
+
+def _set_obj(cfg: dict) -> dict:
+    obj = _read(cfg, "set", json.loads)
+    if not isinstance(obj, dict):
+        raise PreconditionFailure(f"set JSON needs an object, got {obj!r}",
+                                  field="set")
+    return obj
 
 
 def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
     depth = _depth(cfg, MAX_DEPTH)
-    spec = build_cantor_spec(cfg["a0"], cfg["b0"], _rule_from_cfg(cfg),
-                             cfg["placement"], depth)
+    with _field_as("rule", "c_rule"):
+        spec = build_cantor_spec(cfg["a0"], cfg["b0"], _rule_from_cfg(cfg),
+                                 cfg["placement"], depth)
     cs = condition_sum(spec)
+    # 1/(j c_j) overflows where c_1 is below about 5.6e-309
+    _require_finite(*(v for v in (cs.partial, cs.tail_bound, cs.total)
+                      if v is not None), field="rule")
     build = {
         "root_length": spec.root_length,
         "gap_log_lengths": list(spec.log_lengths),
@@ -340,6 +397,8 @@ def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
     }
     return _emit(outdir, [("spec.json", write_text, spec_to_json(spec)),
                           ("build.json", write_json, build)])
+
+
 
 
 # refusals the point causes name it: a pole, a point off the branch's domain
@@ -373,6 +432,7 @@ def cmd_eval(cfg: dict, outdir: str) -> list[str]:
     else:
         raise PreconditionFailure(f"unknown branch {branch!r}",
                                   field="branch")
+    _require_finite(val.log_mag, val.arg, err)
     write_csv(os.path.join(outdir, "eval.csv"),
                ["z_re", "z_im", "log_mag", "arg", "err", "n_used"],
                [(z.real, z.imag, val.log_mag, val.arg, err, n_used)])
@@ -380,11 +440,11 @@ def cmd_eval(cfg: dict, outdir: str) -> list[str]:
 
 
 def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
-    obj = _read(cfg, "set", json.loads)
+    obj = _set_obj(cfg)
     if "shapes" in obj:
-        tail = tuple(float(v) for v in obj.get("tail_inv_log_caps", ()))
-        union = pt.CompactUnion(_shapes_from_obj(obj["shapes"]), tail)
-        ub = pt.union_capacity_bound(union)
+        union = _union_from_obj(obj)
+        with _field_as("shapes", None):     # a member too large to bound
+            ub = pt.union_capacity_bound(union)
         out = {
             "members": ub.members,
             "log_bound": ub.log_bound,
@@ -392,18 +452,15 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
             "inv_sum": ub.inv_sum,
             "rescale": ub.rescale,
         }
-        if len(union.shapes) == 1 and not tail:
+        if len(union.shapes) == 1 and not union.tail_inv_log_caps:
             out["exact_log_capacity"] = pt.exact_log_capacity(
                 union.shapes[0])
     elif "spec" in obj or "blaschke" in obj:
-        try:
-            N = int(obj.get("N", 1))
-        except (TypeError, ValueError) as e:
-            raise PreconditionFailure(f"cannot parse N {obj['N']!r}",
-                                      field="N") from e
+        N = json_number(obj.get("N", 1), int, "N")
         if "spec" in obj:
-            fs = pt.cantor_fine_sets(
-                spec_from_json(json.dumps(obj["spec"])), N)
+            spec = spec_from_json(json.dumps(obj["spec"]))
+            with _field_as("spec", None):   # no gap or disk is meshable
+                fs = pt.cantor_fine_sets(spec, N)
             out = {"sum_segments": fs.sum_segments,
                    "cap_ambient_floor": fs.cap_ambient_floor}
         else:
@@ -427,13 +484,15 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
 
 
 def cmd_green(cfg: dict, outdir: str) -> list[str]:
-    obj = _read(cfg, "set", json.loads)
+    obj = _set_obj(cfg)
     if "shapes" not in obj:
         raise PreconditionFailure("set JSON needs 'shapes'", field="set")
-    union = pt.CompactUnion(_shapes_from_obj(obj["shapes"]))
+    union = _union_from_obj({"shapes": obj["shapes"]})
     z = _point(cfg, "at")
-    model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
+    with _field_as("shapes", None):     # no shape is meshable
+        model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
     value = pt.green_eval(model, z)
+    _require_finite(value)
     # d_k needs two nodes: none for k = 0
     rows = [(k, p.real, p.imag, model.d_seq[k - 1] if k else None)
             for k, p in enumerate(model.points)]
@@ -462,15 +521,22 @@ def cmd_hull_scan(cfg: dict, outdir: str) -> list[str]:
     spec = _read(cfg, "spec", spec_from_json)
     z = _point(cfg, "z")
     wrect = _floats(cfg, "wrect", 4)
-    hps = hl.make_hull_spec(spec, cfg["depth"], scheme=cfg["scheme"])
+    with _field_as("depth", "M"):
+        hps = hl.make_hull_spec(spec, cfg["depth"], scheme=cfg["scheme"])
     grid = hl.fiber_scan(hps, z, wrect, cfg["res"], sq=cfg["sq"],
                          delta=cfg["delta"])
+    # P_n(z), Q_n(z) are finite here: w Q_n(z) overflows on the window
+    if not np.isfinite(grid.values).all():
+        raise PreconditionFailure("the potential overflows on the window",
+                                  field="wrect")
     return _emit(outdir, [
         ("grid.csv", write_grid_csv, ["w_re", "w_im", "v"],
          *hl.grid_axes(grid.wrect, grid.res), grid.values),
         ("dips.json", write_json, hl.grid_report(grid))])
 
 
+# refusals the point causes name it: a pole, the cut of the logarithm
+@_field_as("at", None, (PoleHit, BranchAtCut, DomainViolation))
 def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
     spec = _read(cfg, "spec", bl.blaschke_spec_from_json)
     out = []
@@ -486,6 +552,7 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
                     f"sheet range {k0},{k1} spans more than {MAX_SHEETS} "
                     "sheets", field="sheets")
         val = bl.eval_blaschke(spec, depth, z)
+        _require_finite(val.log_mag, val.arg)
         try:
             tail = bl.blaschke_tail_bound(spec, depth, z)
         except PreconditionFailure:
@@ -499,6 +566,7 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
             sheets = []
             for k, v in zip(ks, bl.fb_sheets(spec, ks, z, depth)):
                 w = v.to_complex()
+                _require_finite(w.real, w.imag)
                 sheets.append({"k": k, "re": w.real, "im": w.imag})
             out.append(("sheets.json", write_json, {
                 "at": [z.real, z.imag],

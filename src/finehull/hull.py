@@ -10,6 +10,7 @@ since a finite grid cannot resolve a minus-infinity locus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -137,6 +138,10 @@ class HullPotentialSpec:
 
 def make_hull_spec(spec: CantorSpec, M: int,
                    scheme: str = "flat_head") -> HullPotentialSpec:
+    # checked before the M weights are built
+    if not 1 <= M <= spec.max_index:
+        raise PreconditionFailure("need 1 <= M <= materialization",
+                                  field="M")
     return HullPotentialSpec(spec, build_weights(spec, M, scheme), M)
 
 
@@ -220,10 +225,11 @@ def _check_scan_point(spec: CantorSpec, z: complex) -> None:
     if any(a < x < b for a, b in zip(spec.a, spec.b)):
         return                          # interior of a gap: still in D
     if x == spec.a0 or x in spec.b:
-        raise PoleHit("scan point coincides with a pole")
+        raise PoleHit("scan point coincides with a pole", field="z")
     if not certify_en_point(spec, x, spec.max_index):
         raise DomainViolation(
-            "real scan point is neither off the set nor a certified E-point")
+            "real scan point is neither off the set nor a certified E-point",
+            field="z")
 
 
 def _nearest_local_min(vals: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -280,6 +286,10 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     xs, ys = grid_axes((x0, x1, y0, y1), res)
     terms = [(P, Q, hps.floor(n), hps.term_scale(n)) for n, (P, Q)
              in enumerate(_pq_prefixes(hps.spec, hps.M, z)) if n > 0]
+    if not all(cmath.isfinite(P) and cmath.isfinite(Q)
+               for P, Q, _, _ in terms):
+        raise PreconditionFailure("the products P_n(z), Q_n(z) overflow",
+                                  field="z")
     vals = np.zeros((res, res))
     rows = max(1, BAND_CELLS // res)
     # each band runs every term through one complex and one float buffer

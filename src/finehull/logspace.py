@@ -15,6 +15,7 @@ from dataclasses import dataclass
 __all__ = ["LogComplex", "wrap_angle", "log1p_complex", "logsum"]
 
 _NEG_INF = float("-inf")
+_LOG2 = math.log(2.0)
 
 
 def wrap_angle(theta: float) -> float:
@@ -59,8 +60,12 @@ class LogComplex:
         z = complex(z)
         if z == 0:
             return LogComplex.zero()
+        try:
+            log_mag = math.log(abs(z))
+        except OverflowError:   # finite parts, modulus past the largest double
+            log_mag = math.log(abs(0.5 * z)) + _LOG2
         # atan2, not cmath.phase: the latter overflows on subnormal parts
-        return LogComplex(math.log(abs(z)), math.atan2(z.imag, z.real))
+        return LogComplex(log_mag, math.atan2(z.imag, z.real))
 
     @staticmethod
     def from_polar(log_mag: float, arg: float) -> "LogComplex":

@@ -120,30 +120,53 @@ class Shape:
         return c, 2.0 * math.sin(0.5 * half) if half < math.pi else 2.0
 
 
+def _finite(name: str, x: float) -> None:
+    """Shape sizes are finite doubles; a refusal names the parameter."""
+    if not math.isfinite(x):
+        raise PreconditionFailure(f"{name} must be finite, got {x!r}",
+                                  field=name)
+
+
 def interval(a: float, b: float, log_length: float | None = None) -> Shape:
+    _finite("a", a)
+    _finite("b", b)
     if log_length is None:
         if not b > a:
-            raise PreconditionFailure("interval needs a < b", field="shape")
+            raise PreconditionFailure("interval needs a < b", field="b")
+        _finite("b", b - a)     # the length overflows
         log_length = math.log(b - a)
     return Shape("interval", a=a, b=b, log_size=log_length)
 
 
 def disk(center: complex, radius: float = 0.0,
          log_radius: float | None = None) -> Shape:
+    center = complex(center)
+    _finite("center", center.real)
+    _finite("center", center.imag)
     if log_radius is None:
+        _finite("radius", radius)
         if not radius > 0.0:
-            raise PreconditionFailure("disk needs radius > 0", field="shape")
+            raise PreconditionFailure("disk needs radius > 0", field="radius")
         log_radius = math.log(radius)
-    r = radius if radius > 0.0 else exp_cut(log_radius)
-    return Shape("disk", center=complex(center), radius=r, log_size=log_radius)
+    _finite("log_radius", log_radius)
+    try:
+        r = radius if radius > 0.0 else exp_cut(log_radius)
+    except OverflowError as e:
+        raise PreconditionFailure(
+            f"disk radius exp({log_radius!r}) overflows",
+            field="log_radius") from e
+    return Shape("disk", center=center, radius=r, log_size=log_radius)
 
 
 def arc(theta1: float, theta2: float) -> Shape:
+    _finite("theta1", theta1)
+    _finite("theta2", theta2)
     if not theta2 > theta1:
-        raise PreconditionFailure("arc needs theta1 < theta2", field="shape")
+        raise PreconditionFailure("arc needs theta1 < theta2",
+                                  field="theta2")
     if theta2 - theta1 > 2.0 * math.pi:
         raise PreconditionFailure("arc angle exceeds a full turn",
-                                  field="shape")
+                                  field="theta2")
     # log_size records the capacity scale sin(angle/4), capped at 1
     return Shape("arc", theta1=theta1, theta2=theta2,
                  log_size=math.log(math.sin(min(
@@ -171,7 +194,9 @@ class CompactUnion:
         cx = sum(c.real for c, _ in exts) / len(exts)
         cy = sum(c.imag for c, _ in exts) / len(exts)
         c0 = complex(cx, cy)
-        return c0, max(abs(c - c0) + r for c, r in exts)
+        # hypot is complex abs, but gives inf where abs raises
+        return c0, max(math.hypot(c.real - cx, c.imag - cy) + r
+                       for c, r in exts)
 
     def diameter_bound(self) -> float:
         if not self.shapes:

@@ -63,14 +63,15 @@ class BranchTag(enum.Enum):
 
 def _quotient_log(num: complex, den: complex, cut_arg: float) -> complex:
     """log(num/den), argument cut_arg where it is negative real; a quotient
-    that underflows to 0, or whose modulus overflows, gives
+    that underflows to 0, whose modulus overflows, or that complex
+    division cannot form (nan at huge num and den) gives
     log|num| - log|den| and the phase difference."""
     r = num / den
     try:
         mag = abs(r)
     except OverflowError:       # finite parts, modulus past the largest double
         mag = math.inf
-    if r == 0 or mag == math.inf:
+    if r == 0 or not math.isfinite(mag):
         q = LogComplex.from_complex(num) / LogComplex.from_complex(den)
         return complex(q.log_mag, q.arg)
     if r.imag == 0.0 and r.real < 0.0:
@@ -241,6 +242,22 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     fails a threshold e^{-j c_j / 2} below the least subnormal.  Only a
     touched pole, which needs |Im c| <= rad, can still refuse.  terms
     counts every pole past N.
+
+    eval_f runs the same walk through _tail_walk with a give-up level,
+    so a depth that cannot meet its tol stops at its first large term.
+    """
+    return _tail_walk(spec, N, region, math.inf)
+
+
+def _tail_walk(spec: CantorSpec, N: int, region,
+               give_up: float) -> TailBound | None:
+    """tail_bound, or None as soon as the largest log term so far (the
+    tail term, then every accepted pole term) exceeds give_up.
+
+    The returned bound is at least exp(lead) with lead that largest term:
+    the sum of exp(l - lead) holds exp(0.0) = 1, so its log is >= 0, and
+    log1p and expm1 only raise the value.  A walk that gives up at
+    give_up = log(tol) + margin would so have ended in a bound above tol.
     """
     _check_depth(spec, N)
     rule = spec.c_rule
@@ -274,6 +291,8 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
                 math.log(1.0 / HALVING_DENOM)
     logs = []
     m = -math.inf if tail is None else tail
+    if m > give_up:
+        return None
     cut = UNDERFLOW_LOG - min(m, 0.0)
     for i in range(N, len(poles)):
         j, b = poles[i]
@@ -292,6 +311,8 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
         logs.append(log_u)
         if log_u > m:
             m = log_u
+            if m > give_up:
+                return None
             cut = UNDERFLOW_LOG - min(m, 0.0)
     if tail is not None:
         logs.append(tail)
@@ -308,15 +329,26 @@ def eval_f(spec: CantorSpec, z: complex, tol: float = 1e-12):
 
     Returns (value, err_bound, N_used).  Raises NoConvergence when the
     materialized construction cannot push the bound under tol.
+
+    Depths N = 1, 2, 4, ... are tried in turn.  The tail walk of a depth
+    gives up as soon as one of its log terms exceeds log(tol') + 1e-6,
+    tol' the double after tol: the bound is at least the exponential of
+    its largest term, so it would then exceed tol' (the margin covers a
+    few ulps of rounding in the log, exp and sum; tol' rather than tol
+    because a subnormal bound rounds on a grid of 5e-324).  The depth
+    fails as it would after the full walk, and a refusal the shortened
+    walk no longer reaches would have failed it too.  Only the accepted
+    depth walks out to the underflow stop.
     """
     if tol <= 0.0:
         raise PreconditionFailure("tol must be positive", field="tol")
+    give_up = math.log(math.nextafter(tol, math.inf)) + 1e-6
     N = 1 if spec.max_index else 0
     while True:
         N = min(N, spec.max_index)
         try:
-            tb = tail_bound(spec, N, z)
-            if tb.bound <= tol:
+            tb = _tail_walk(spec, N, z, give_up)
+            if tb is not None and tb.bound <= tol:
                 return eval_partial_product(spec, N, z), tb.bound, N
         except RegionViolatesEN:
             pass

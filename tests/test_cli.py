@@ -155,7 +155,25 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["spec-build", "--depth", "-1"], "depth"),
     (["spec-build", "--depth", "131073"], "depth"),
     (["eval", "--spec", "{deep}", "--at", "2,0"], "N"),
+    # the rule removes more than the root interval holds
+    (["spec-build", "--slope", "1e-300", "--offset", "0", "--depth", "5"],
+     "rule"),
+    # the condition sum 1/(j c_j) overflows
+    (["spec-build", "--slope=2.225073858507e-311", "--depth=0"], "rule"),
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=-1.5,1.5,-1.5,1.5", "--depth", "0"], "depth"),
+    # refused before a weight list of that length is built
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=-1.5,1.5,-1.5,1.5", "--depth", "1000000000"], "depth"),
+    (["hull-scan", "--spec", "{fact}", "--z", "0,0",
+      "--wrect=-1.5,1.5,-1.5,1.5"], "z"),     # the pole a0
+    (["hull-scan", "--spec", "{fact}", "--z", "1e300,0",
+      "--wrect=-1.5,1.5,-1.5,1.5"], "z"),     # P_n(z) overflows
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=1e308,1.7e308,-1.5,1.5"], "wrect"),
+    (["blaschke", "--spec", "{disk}", "--at=-3,0", "--sheets=-1,1"], "at"),
     (["blaschke", "--spec", "{extras}", "--at", "0.3,0.2"], "extras"),
+    (["blaschke", "--spec", "{order}", "--at", "0.3,0.2"], "l"),
     # refused after the first artifact is computed
     (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2", "--sample-depth",
       "1", "--samples", "0"], "samples"),
@@ -201,6 +219,8 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                 "N": 10 ** 9}))
     extras = tmp_path / "extras.json"
     extras.write_text(json.dumps({**disk_obj, "extras": 10 ** 9}))
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps({**disk_obj, "l": 10 ** 400}))
     weak = tmp_path / "weak.json"
     weak.write_text(json.dumps({
         **json.loads(open(spec).read()),
@@ -208,7 +228,7 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     paths = {"shapes": str(shapes), "spec": spec, "weak": str(weak),
              "fact": str(tmp_path / "fact" / "spec.json"),
              "fineset": str(fineset), "disk": str(disk), "deep": str(deep),
-             "extras": str(extras)}
+             "extras": str(extras), "order": str(order)}
     out = tmp_path / "bad"
     rc, stdout = run([a.format(**paths) for a in argv] + ["--out", str(out)],
                      capsys)
@@ -217,6 +237,111 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     assert json.loads(line)["field"] == field
     # no artifact at all, not only no manifest
     assert not out.exists() or not any(out.iterdir())
+
+
+SHAPE_SET = {"shapes": [{"kind": "interval", "a": 0.0, "b": 1.0}]}
+
+
+@pytest.mark.parametrize("argv, payload, field", [
+    # non-finite or overflowing shape parameters; JSON 1e400 reads as inf
+    (["capacity"], '{"shapes": [{"kind": "disk", "center": 0, '
+                   '"radius": 1e400}]}', "shapes[0].radius"),
+    (["green", "--at", "3,0"], '{"shapes": [{"kind": "disk", "center": 0, '
+                               '"radius": 1e400}]}', "shapes[0].radius"),
+    (["capacity"], '{"shapes": [{"kind": "disk", "center": 0, '
+                   '"log_radius": 1e400}]}', "shapes[0].log_radius"),
+    (["capacity"], '{"shapes": [{"kind": "disk", "center": 0, '
+                   '"log_radius": 800}]}', "shapes[0].log_radius"),
+    (["capacity"], '{"shapes": [{"kind": "interval", "a": 0, '
+                   '"b": 1e400}]}', "shapes[0].b"),
+    (["capacity"], '{"shapes": [{"kind": "disk", "center": 1e400, '
+                   '"radius": 1}]}', "shapes[0].center"),
+    (["capacity"], {"shapes": [{"kind": "interval", "a": -1e308,
+                                "b": 1e308}]}, "shapes[0].b"),
+    (["capacity"], {"shapes": [{"kind": "disk", "center": -1e308,
+                                "radius": 1.0},
+                               {"kind": "disk", "center": 1e308,
+                                "radius": 1.0}]}, "shapes"),
+    # malformed JSON structure
+    (["capacity"], {"shapes": [1]}, "shapes[0]"),
+    (["capacity"], {"shapes": [{"kind": "interval", "b": 1.0}]},
+     "shapes[0].a"),
+    (["capacity"], {"shapes": 3}, "shapes"),
+    (["capacity"], {"shapes": [{"kind": "disk", "center": "x",
+                                "radius": 1.0}]}, "shapes[0].center"),
+    (["capacity"], {"shapes": [{"kind": "disk", "center": [1.0],
+                                "radius": 1.0}]}, "shapes[0].center"),
+    (["capacity"], {**SHAPE_SET, "tail_inv_log_caps": ["x"]},
+     "tail_inv_log_caps"),
+    (["capacity"], {"shapes": []}, "shapes"),
+    (["capacity"], [1], "set"),
+    (["capacity"], 3, "set"),
+    (["green", "--at", "3,0"], "shapes", "set"),
+])
+def test_malformed_set_json_names_its_key(tmp_path, capsys, argv, payload,
+                                          field):
+    path = tmp_path / "set.json"
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
+    out = tmp_path / "out"
+    rc, stdout = run(argv[:1] + ["--set", str(path)] + argv[1:] +
+                     ["--out", str(out)], capsys)
+    assert rc == 1
+    assert json.loads(stdout)["field"] == field
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"N": "x"}, "N"),
+    ({"N": 1e300}, "N"),
+    ({"c_rule": 5}, "c_rule"),
+    ({"c_rule": {"kind": "affine", "slope": "x"}}, "c_rule"),
+    ({"c_rule": {"kind": "explicit", "values": 3}}, "c_rule"),
+    ({"a0": [0]}, "a0"),
+])
+def test_malformed_spec_json_names_its_key(tmp_path, capsys, edit, field):
+    spec = json.loads(open(_spec_path(tmp_path, capsys)).read())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**spec, **edit}))
+    rc, stdout = run(["eval", "--spec", str(path), "--at", "2,0",
+                      "--out", str(tmp_path / "e")], capsys)
+    assert rc == 1
+    assert json.loads(stdout)["field"] == field
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    rc, stdout = run(["spec-build", "--config", str(cfg),
+                      "--out", str(tmp_path / "s")], capsys)
+    assert rc == 1
+    assert json.loads(stdout)["field"] == "config"
+
+
+@pytest.mark.parametrize("at, branch", [
+    ("1e308,1e308", "product"), ("1e308,1e308", "d-plus"),
+    ("-1e308,-1e308", "product"), ("-1e308,1e308", "h-plus")])
+def test_eval_at_huge_points_is_finite(tmp_path, capsys, at, branch):
+    # complex division makes (z - 1)/z nan here; f tends to 1 at infinity
+    spec = _spec_path(tmp_path, capsys, depth=3)
+    out = tmp_path / "e"
+    rc, _ = run(["eval", "--spec", spec, f"--at={at}", "--branch", branch,
+                 "--out", str(out)], capsys)
+    assert rc == 0
+    header, row = (out / "eval.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert abs(float(vals["log_mag"])) < 1e-300
+    assert all(math.isfinite(float(v)) for v in vals.values())
+
+
+@pytest.mark.parametrize("at", ["1.7e308,1.7e308", "1,0"])
+def test_eval_refuses_a_point_without_a_finite_value(tmp_path, capsys, at):
+    # |z| overflows; f vanishes at b0 = 1, so log|f| would be -inf
+    spec = _spec_path(tmp_path, capsys)
+    rc, stdout = run(["eval", "--spec", spec, f"--at={at}",
+                      "--out", str(tmp_path / "e")], capsys)
+    assert rc == 1
+    assert json.loads(stdout)["field"] == "at"
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -90,3 +90,11 @@ def test_log1p_complex_matches_reference(u):
 def test_log1p_complex_tiny_argument():
     u = 1e-30 + 0j
     assert log1p_complex(u).real == pytest.approx(1e-30, rel=1e-12)
+
+
+def test_from_complex_survives_a_modulus_past_the_largest_double():
+    z = complex(1.5e308, -1.5e308)
+    v = LogComplex.from_complex(z)
+    assert v.log_mag == pytest.approx(math.log(1.5e308) + 0.5 * math.log(2.0),
+                                      rel=1e-15)
+    assert v.arg == -0.25 * math.pi

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from finehull import acceptance
 from finehull.cantor import (CRule, build_cantor_spec, cantor_length,
                              sum_gap_lengths)
-from finehull.errors import (DomainViolation, NotInEN, PoleHit,
-                             PreconditionFailure, QuadratureFailure,
+from finehull.errors import (DomainViolation, NoConvergence, NotInEN,
+                             PoleHit, PreconditionFailure, QuadratureFailure,
                              RegionViolatesEN)
 from finehull.product import (BranchTag, TailBound, _factor_logs,
                               _gap_factor_log, certify_en_point, eval_f,
@@ -37,6 +37,18 @@ def test_depth_zero_is_the_mobius_seed():
         pytest.approx(1.0 + 1.0j)
     assert eval_partial_product(SPEC0, 0, -1j).to_complex() == \
         pytest.approx(1.0 - 1.0j)
+
+
+@pytest.mark.parametrize("z", [complex(1e308, 1e308),
+                               complex(-1e308, -1e308),
+                               complex(1.2e308, -1.2e308)])
+def test_quotients_complex_division_cannot_form_keep_their_log(z):
+    # (z - b0)/(z - a0) is nan in complex division at these points;
+    # f_N(z) is 1 up to a relative 1/|z|
+    val = eval_partial_product(SPEC5, 16, z)
+    assert abs(val.log_mag) <= 1e-307 and abs(val.arg) <= 1e-307
+    log_mag, arg = eval_partial_product_many(SPEC5, 16, [z])
+    assert (log_mag[0], arg[0]) == (val.log_mag, val.arg)
 
 
 def test_underflowed_quotients_keep_their_log():
@@ -510,3 +522,113 @@ def test_tail_bound_stops_at_the_underflow_index(monkeypatch):
     want = _reference_tail_bound(spec, 0, z)
     assert len(visits) > 4096
     assert (got.log_sum.hex(), got.terms) == (want.log_sum.hex(), 4097)
+
+
+# -- eval_f against candidates that walk every pole ---------------------
+
+def _reference_eval_f(spec, z, tol, walk):
+    """eval_f as it was before a failing candidate could give up early:
+    walk(N) is the full tail walk of candidate N."""
+    if tol <= 0.0:
+        raise PreconditionFailure("tol must be positive", field="tol")
+    N = 1 if spec.max_index else 0
+    while True:
+        N = min(N, spec.max_index)
+        try:
+            tb = walk(N)
+            if tb.bound <= tol:
+                return eval_partial_product(spec, N, z), tb.bound, N
+        except RegionViolatesEN:
+            pass
+        if N >= spec.max_index:
+            raise NoConvergence(
+                f"tail bound above tol={tol} at max materialization",
+                field="tol")
+        N = min(2 * N if N else 1, spec.max_index)
+
+
+def _full_walks(spec, z):
+    """_reference_tail_bound at z, each candidate depth walked once."""
+    done = {}
+
+    def walk(N):
+        if N not in done:
+            try:
+                done[N] = _reference_tail_bound(spec, N, z)
+            except RegionViolatesEN as e:
+                done[N] = e
+        if isinstance(done[N], Exception):
+            raise done[N]
+        return done[N]
+    return walk
+
+
+def _eval_outcome(fn, *args):
+    try:
+        val, err, N = fn(*args)
+    except PreconditionFailure as e:
+        return type(e).__name__, str(e), e.field
+    return val.log_mag.hex(), val.arg.hex(), err.hex(), N
+
+
+def _eval_points(spec):
+    """The point regions of _tail_regions, and one ulp either side of
+    every picked gap's ends."""
+    out = [r for r in _tail_regions(spec) if not isinstance(r, tuple)]
+    for j in sorted({1, 2, spec.max_index // 2, spec.max_index}):
+        if 1 <= j <= spec.max_index:
+            g = spec.gap(j)
+            out += [math.nextafter(x, d) for x in (g.a, g.b)
+                    for d in (-math.inf, math.inf)]
+    return out
+
+
+EVAL_TOLS = (1e-300, 1e-12, 1e-6, 1.0)
+
+
+@pytest.mark.parametrize("rule, depth", list(_tail_cases()))
+def test_eval_f_matches_the_full_walks(rule, depth):
+    spec = build_cantor_spec(0.0, 1.0, rule, N=depth)
+    seen = set()
+    for z in _eval_points(spec):
+        walk = _full_walks(spec, z)
+        for tol in EVAL_TOLS:
+            want = _eval_outcome(_reference_eval_f, spec, z, tol, walk)
+            assert _eval_outcome(eval_f, spec, z, tol) == want, (z, tol)
+            seen.add(want[0] if len(want) == 3 else "ok")
+    # a slow rule cannot meet any tol without a single gap
+    assert "ok" in seen or depth == 0
+
+
+def test_eval_f_gives_up_exactly_at_a_subnormal_tol():
+    # the bound 2.0454e-320 lies on a grid of 5e-324: log(tol) sits
+    # 4.9e-5 below its log term, so only the double after tol keeps the
+    # give-up level above the term and the depth that meets tol
+    spec = build_cantor_spec(0.0, 1.0, CRule("affine", slope=184.0,
+                                             offset=0.0), N=1)
+    z = 3.0 + 1.0j
+    tol = tail_bound(spec, 1, z).bound
+    assert 0.0 < tol < sys.float_info.min
+    assert eval_f(spec, z, tol=tol)[1:] == (tol, 1)
+    with pytest.raises(NoConvergence):
+        eval_f(spec, z, tol=math.nextafter(tol, 0.0))
+
+
+def test_eval_f_walks_only_the_accepted_depth_in_full(monkeypatch):
+    import types
+    from finehull import product
+    spec = build_cantor_spec(0.0, 1.0, CRule("affine", slope=0.002,
+                                             offset=1.0), N=2000)
+    calls = []
+    counting = types.SimpleNamespace(**vars(math))
+    counting.log = lambda x: calls.append(x) or math.log(x)
+    monkeypatch.setattr(product, "math", counting)
+    for z in (0.3 + 0.2j, 2.0, -0.3 + 0.5j):
+        calls.clear()
+        N = eval_f(spec, z)[2]
+        in_eval = len(calls)
+        calls.clear()
+        tail_bound(spec, N, z)
+        # one full walk (~650 logs) and a few terms per failed depth;
+        # walking every candidate in full took ~3200-3900
+        assert N == 32 and in_eval < len(calls) + 64, (z, in_eval)
