@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cantor import (HALVING_DENOM, MAX_DEPTH, CRule, _check_depth,
-                     _IndexWalk, _last_violation, _spec_obj, condition_sum,
-                     json_number)
+                     _IndexWalk, _last_violation, _spec_obj, check_point,
+                     condition_sum, json_number)
 from .errors import (BranchAtCut, ChainNotClosed, NotInEN, PoleHit,
                      PreconditionFailure)
 from .logspace import LogComplex, wrap_angle
-from .potential import (CompactUnion, FineSets, arc, disk, exact_capacity,
+from .potential import (CompactUnion, FineSets, arc, exact_capacity,
                         _bound_from_invs, _certified_tail, _check_samples,
                         _pole_disks, _witness_sample, UnionBound)
 
@@ -230,7 +230,7 @@ def _factor_log(zero: BlaschkeZero, z: complex) -> LogComplex:
 
 def eval_blaschke(spec: BlaschkeSpec, N: int, z: complex) -> LogComplex:
     """Partial product over the first N zeros of each family."""
-    z = complex(z)
+    z = check_point(z, "z")
     _check_depth(spec, N)
     out = LogComplex.from_complex(z).powi(spec.l) if spec.l else \
         LogComplex.one()
@@ -265,7 +265,7 @@ def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
     where one fails or the walk is uncertified); materialized factors
     beyond N add their q_j, the rest a halving majorant.
     """
-    z = complex(z)
+    z = check_point(z, "z")
     _check_depth(spec, N)
     last = _last_violation(spec, z)
     if last is None or last > N:
@@ -305,8 +305,8 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     """Materialize F_N = pole disks of log-radius -j c_j / 2 for j >= N
     and J_N = S union F_N for the zero arc S; certify cap(F_N) < cap(S).
 
-    Disks below MESH_RESOLUTION stay in F_N; leja_points skips them, so
-    with no meshable disk left the arc sample refuses.
+    As in cantor_fine_sets, disks below MESH_RESOLUTION stay in F_N and
+    leja_points skips them: with no meshable disk left the sample refuses.
     Raises ChainNotClosed when the certified union bound does not beat
     the arc capacity at this N.
     """
@@ -316,9 +316,6 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     disks, sum_disks = _pole_disks(
         spec.jcj, ((z.index, z.pole) for z in spec.zeros), N,
         condition_sum(spec.c_rule, J=spec.max_index).tail_bound)
-    # j c_j increases: the disks after the meshable ones are the rest
-    disks += [disk(z.pole, log_radius=-0.5 * spec.jcj[z.index - 1])
-              for z in spec.zeros[N - 1 + len(disks):]]
     bound = _fn_disk_bound(spec, N)
     cap_S = exact_capacity(S)
     if not bound.bound < cap_S:
@@ -354,6 +351,7 @@ def certify_arc_point(spec: BlaschkeSpec, theta: float, N: int) -> bool:
     thresholds never underflow within a fixed index budget cannot be
     certified this way.
     """
+    check_point(theta, "theta")
     last = _last_violation(spec, cmath.exp(1j * theta))
     return last is not None and last < max(N, 1)
 

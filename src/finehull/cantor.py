@@ -37,6 +37,7 @@ __all__ = [
     "condition_sum",
     "exp_cut",
     "cantor_length",
+    "check_point",
     "json_number",
     "spec_to_json",
     "spec_from_json",
@@ -656,6 +657,18 @@ def json_number(value, kind, field: str):
             f"{field} needs a finite number, got {value!r}",
             field=field) from e
     return x
+
+
+def check_point(z, field: str) -> complex:
+    """z as a complex number whose modulus is a finite double; a point
+    with a NaN or infinite part, or whose modulus overflows, is refused
+    naming `field`."""
+    z = complex(z)
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise PreconditionFailure(
+            f"{field} needs a point whose modulus is a finite double, "
+            f"got {z!r}", field=field)
+    return z
 
 
 def _spec_obj(text: str, keys) -> dict:

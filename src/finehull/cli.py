@@ -19,8 +19,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import blaschke as bl
 from . import hull as hl
 from . import potential as pt
@@ -28,8 +26,8 @@ from . import product as pr
 from .artifacts import (sha256, write_csv, write_grid_csv, write_json,
                         write_text)
 from .cantor import (MAX_DEPTH, CRule, build_cantor_spec, cantor_length,
-                     condition_sum, json_number, spec_from_json, spec_to_json,
-                     sum_gap_lengths)
+                     check_point, condition_sum, json_number, spec_from_json,
+                     spec_to_json, sum_gap_lengths)
 from .errors import (BranchAtCut, DomainViolation, NotInEN, PoleHit,
                      PreconditionFailure, RegionViolatesEN, UnsupportedShape)
 
@@ -246,11 +244,7 @@ def _point(cfg: dict, key: str) -> complex:
     if len(parts) not in (1, 2):
         raise PreconditionFailure(f"{key} needs re,im, got {cfg[key]!r}",
                                   field=key)
-    if math.hypot(*parts) == math.inf:
-        raise PreconditionFailure(
-            f"{key} needs a point whose modulus is a finite double, "
-            f"got {cfg[key]!r}", field=key)
-    return complex(*parts)
+    return check_point(complex(*parts), key)
 
 
 def _read(cfg: dict, key: str, parse):
@@ -358,15 +352,9 @@ def _union_from_obj(obj: dict) -> pt.CompactUnion:
         except PreconditionFailure as e:
             e.field = f"shapes[{i}]" + (f".{e.field}" if e.field else "")
             raise
-    with _field_as("shapes", None):     # an empty union
-        union = pt.CompactUnion(
-            tuple(out),
-            tuple(json_number(v, float, "tail_inv_log_caps") for v in tail))
-    # every distance within the set must be a finite double
-    if not math.isfinite(union.diameter_bound()):
-        raise PreconditionFailure("the shapes span more than the largest "
-                                  "double", field="shapes")
-    return union
+    return pt.CompactUnion(
+        tuple(out),
+        tuple(json_number(v, float, "tail_inv_log_caps") for v in tail))
 
 
 def _set_obj(cfg: dict) -> dict:
@@ -443,8 +431,7 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
     obj = _set_obj(cfg)
     if "shapes" in obj:
         union = _union_from_obj(obj)
-        with _field_as("shapes", None):     # a member too large to bound
-            ub = pt.union_capacity_bound(union)
+        ub = pt.union_capacity_bound(union)
         out = {
             "members": ub.members,
             "log_bound": ub.log_bound,
@@ -458,9 +445,8 @@ def cmd_capacity(cfg: dict, outdir: str) -> list[str]:
     elif "spec" in obj or "blaschke" in obj:
         N = json_number(obj.get("N", 1), int, "N")
         if "spec" in obj:
-            spec = spec_from_json(json.dumps(obj["spec"]))
-            with _field_as("spec", None):   # no gap or disk is meshable
-                fs = pt.cantor_fine_sets(spec, N)
+            fs = pt.cantor_fine_sets(
+                spec_from_json(json.dumps(obj["spec"])), N)
             out = {"sum_segments": fs.sum_segments,
                    "cap_ambient_floor": fs.cap_ambient_floor}
         else:
@@ -489,8 +475,7 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
         raise PreconditionFailure("set JSON needs 'shapes'", field="set")
     union = _union_from_obj({"shapes": obj["shapes"]})
     z = _point(cfg, "at")
-    with _field_as("shapes", None):     # no shape is meshable
-        model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
+    model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
     value = pt.green_eval(model, z)
     _require_finite(value)
     # d_k needs two nodes: none for k = 0
@@ -525,10 +510,6 @@ def cmd_hull_scan(cfg: dict, outdir: str) -> list[str]:
         hps = hl.make_hull_spec(spec, cfg["depth"], scheme=cfg["scheme"])
     grid = hl.fiber_scan(hps, z, wrect, cfg["res"], sq=cfg["sq"],
                          delta=cfg["delta"])
-    # P_n(z), Q_n(z) are finite here: w Q_n(z) overflows on the window
-    if not np.isfinite(grid.values).all():
-        raise PreconditionFailure("the potential overflows on the window",
-                                  field="wrect")
     return _emit(outdir, [
         ("grid.csv", write_grid_csv, ["w_re", "w_im", "v"],
          *hl.grid_axes(grid.wrect, grid.res), grid.values),

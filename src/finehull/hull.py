@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cantor import CantorSpec
+from .cantor import CantorSpec, check_point
 from .errors import (DomainViolation, NoValidWeights, PoleHit,
                      PreconditionFailure)
 from .product import (certify_en_point, eval_partial_product,
@@ -161,12 +161,17 @@ def v_n(spec: CantorSpec, n: int, z: complex, w: complex) -> float:
     """log |w Q_n(z) - P_n(z)|, the polynomial form of log(|w - f_n||Q_n|).
 
     Poles of f_n cancel against Q_n, so the value is finite everywhere
-    except on the graph of f_n itself, where -inf is returned.
+    except on the graph of f_n itself, where -inf is returned; an overflow
+    is refused.
     """
     if not 0 <= n <= spec.max_index:
         raise PreconditionFailure("n out of range", field="n")
-    *_, (P, Q) = _pq_prefixes(spec, n, complex(z))
-    r = abs(complex(w) * Q - P)
+    *_, (P, Q) = _pq_prefixes(spec, n, check_point(z, "z"))
+    d = check_point(w, "w") * Q - P
+    r = math.hypot(d.real, d.imag)
+    if not math.isfinite(r):
+        field = "w" if cmath.isfinite(P) and cmath.isfinite(Q) else "z"
+        raise PreconditionFailure("w Q_n(z) - P_n(z) overflows", field=field)
     return math.log(r) if r > 0.0 else float("-inf")
 
 
@@ -177,7 +182,7 @@ def eval_v_on_graph(hps: HullPotentialSpec, z: complex) -> float:
     evaluated in log space, so the value is exact even where the grid
     arithmetic would cancel to noise.  The n = M term is at its floor.
     """
-    z = complex(z)
+    z = check_point(z, "z")
     total = 0.0
     log_p_abs = math.log(abs(z - hps.spec.b0)) \
         if z != hps.spec.b0 else float("-inf")
@@ -273,17 +278,17 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     time, with the same ufuncs in the same order for every cell, and
     local minima are tested only in the window of cells within reach of
     a target.  Needs 64 <= res <= MAX_RES; the scan holds two float
-    res x res grids (16 B per cell, ~64 MB at MAX_RES = 2048).
+    res x res grids (16 B per cell, ~64 MB at MAX_RES = 2048).  A window
+    whose grid or potential is not finite is refused.
     """
     if not 64 <= res <= MAX_RES:
         raise PreconditionFailure(f"need 64 <= res <= {MAX_RES}",
                                   field="res")
-    z = complex(z)
+    z = check_point(z, "z")
     _check_scan_point(hps.spec, z)
     x0, x1, y0, y1 = (float(t) for t in wrect)
     if not (x0 < x1 and y0 < y1):
         raise PreconditionFailure("empty w-rectangle", field="wrect")
-    xs, ys = grid_axes((x0, x1, y0, y1), res)
     terms = [(P, Q, hps.floor(n), hps.term_scale(n)) for n, (P, Q)
              in enumerate(_pq_prefixes(hps.spec, hps.M, z)) if n > 0]
     if not all(cmath.isfinite(P) and cmath.isfinite(Q)
@@ -298,23 +303,30 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     cbuf = np.empty((rows, res), dtype=complex)
     term = np.empty((rows, res))
     clamped = 0
-    with np.errstate(divide="ignore"):
-        for r0 in range(0, res, rows):
-            r1 = min(r0 + rows, res)
-            W = xs[None, :] + 1j * ys[r0:r1, None]
-            if sq:
-                np.multiply(W, W, out=W)
-            cb, tb, band = cbuf[:r1 - r0], term[:r1 - r0], vals[r0:r1]
-            for P, Q, floor, scale in terms:
-                np.multiply(W, Q, out=cb)
-                np.subtract(cb, P, out=cb)
-                np.abs(cb, out=tb)
-                np.log(tb, out=tb)
-                np.maximum(tb, floor, out=tb)
-                np.multiply(tb, scale, out=tb)
-                band += tb
-            clamped += int(np.count_nonzero(band < SENTINEL))
-            np.maximum(band, SENTINEL, out=band)
+    try:
+        # only a side past the largest double, or a window too large for
+        # Q_n(z) and P_n(z), overflows or meets inf - inf
+        with np.errstate(divide="ignore", over="raise", invalid="raise"):
+            xs, ys = grid_axes((x0, x1, y0, y1), res)
+            for r0 in range(0, res, rows):
+                r1 = min(r0 + rows, res)
+                W = xs[None, :] + 1j * ys[r0:r1, None]
+                if sq:
+                    np.multiply(W, W, out=W)
+                cb, tb, band = cbuf[:r1 - r0], term[:r1 - r0], vals[r0:r1]
+                for P, Q, floor, scale in terms:
+                    np.multiply(W, Q, out=cb)
+                    np.subtract(cb, P, out=cb)
+                    np.abs(cb, out=tb)
+                    np.log(tb, out=tb)
+                    np.maximum(tb, floor, out=tb)
+                    np.multiply(tb, scale, out=tb)
+                    band += tb
+                clamped += int(np.count_nonzero(band < SENTINEL))
+                np.maximum(band, SENTINEL, out=band)
+    except FloatingPointError as e:
+        raise PreconditionFailure("the grid or the potential on the window "
+                                  "overflows", field="wrect") from e
     median = float(np.median(vals))
 
     f = eval_partial_product(hps.spec, hps.M, z)

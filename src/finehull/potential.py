@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cantor import CantorSpec, _seg_distance, condition_sum, exp_cut
+from .cantor import CantorSpec, check_point, condition_sum, exp_cut
 from .errors import (BoundVacuous, DegenerateSet, EmptySample,
                      PreconditionFailure, UnsupportedShape)
 from .product import certify_en_point
@@ -93,21 +93,6 @@ class Shape:
             np.arange(m) / (m - 1)
         return np.exp(1j * ang)
 
-    def distance(self, z: complex) -> float:
-        if self.kind == "interval":
-            return _seg_distance(complex(z), self.a, self.b)
-        if self.kind == "disk":
-            return max(abs(complex(z) - self.center) - self.radius, 0.0)
-        z = complex(z)
-        ph = math.atan2(z.imag, z.real)
-        lo, hi = min(self.theta1, self.theta2), max(self.theta1, self.theta2)
-        for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-            if lo <= ph + shift <= hi:
-                return abs(abs(z) - 1.0)
-        d1 = abs(z - complex(math.cos(lo), math.sin(lo)))
-        d2 = abs(z - complex(math.cos(hi), math.sin(hi)))
-        return min(d1, d2)
-
     def extent(self) -> tuple[complex, float]:
         """(center, outer radius) of a covering disk."""
         if self.kind == "interval":
@@ -135,6 +120,7 @@ def interval(a: float, b: float, log_length: float | None = None) -> Shape:
             raise PreconditionFailure("interval needs a < b", field="b")
         _finite("b", b - a)     # the length overflows
         log_length = math.log(b - a)
+    _finite("log_length", log_length)
     return Shape("interval", a=a, b=b, log_size=log_length)
 
 
@@ -187,27 +173,22 @@ class CompactUnion:
 
     def __post_init__(self):
         if not self.shapes and not self.tail_inv_log_caps:
-            raise DegenerateSet("empty union")
+            raise DegenerateSet("empty union", field="shapes")
+        if not math.isfinite(self.diameter_bound()):
+            raise PreconditionFailure("the shapes span more than the "
+                                      "largest double", field="shapes")
 
-    def covering(self) -> tuple[complex, float]:
+    def diameter_bound(self) -> float:
+        """Diameter of a disk about the mean extent center that covers
+        every shape; 1.0 without shapes."""
+        if not self.shapes:
+            return 1.0
         exts = [s.extent() for s in self.shapes]
         cx = sum(c.real for c, _ in exts) / len(exts)
         cy = sum(c.imag for c, _ in exts) / len(exts)
-        c0 = complex(cx, cy)
         # hypot is complex abs, but gives inf where abs raises
-        return c0, max(math.hypot(c.real - cx, c.imag - cy) + r
-                       for c, r in exts)
-
-    def diameter_bound(self) -> float:
-        if not self.shapes:
-            return 1.0
-        _, r = self.covering()
-        return 2.0 * r
-
-    def distance(self, z: complex) -> float:
-        if not self.shapes:
-            raise DegenerateSet("no materialized shapes")
-        return min(s.distance(z) for s in self.shapes)
+        return 2.0 * max(math.hypot(c.real - cx, c.imag - cy) + r
+                         for c, r in exts)
 
 
 def exact_log_capacity(shape: Shape) -> float:
@@ -257,11 +238,14 @@ def _bound_from_invs(neg_log_caps, diam: float,
     for v in neg_log_caps:
         adj = v - log_lam
         if adj <= 0.0:
-            raise BoundVacuous("a member has capacity >= 1 in the unit frame")
+            # a fine-set bound's members all have log(1/cap) > 0
+            raise BoundVacuous("a member has capacity >= 1 in the unit "
+                               "frame", field="shapes")
         inv_sum += 1.0 / adj
         count += 1
     if inv_sum == 0.0:
-        raise DegenerateSet("no members contribute")
+        # log(1/cap) = inf for all: a rule whose every j c_j overflows
+        raise DegenerateSet("no members contribute", field="c_rule")
     return UnionBound(-1.0 / inv_sum - log_lam, lam, inv_sum, count)
 
 
@@ -363,7 +347,8 @@ def leja_points(sets: CompactUnion, n: int = 64,
     m = 64 * n if mesh_per_shape is None else mesh_per_shape
     shapes = [s for s in sets.shapes if s.meshable]
     if not shapes:
-        raise DegenerateSet("no meshable shapes in the union")
+        raise DegenerateSet("no meshable shapes in the union",
+                            field="shapes")
     if n * m * len(shapes) > LEJA_MAX_WORK:
         raise PreconditionFailure(
             f"n={n} nodes over {m * len(shapes)} candidates exceeds the "
@@ -411,8 +396,9 @@ def green_eval(model: GreenModel, z: complex) -> float:
     On the support the raw value fluctuates within node_tol around 0;
     clamping keeps witness differences one-signed there.
     """
+    z = check_point(z, "z")
     with np.errstate(divide="ignore"):
-        raw = float(np.mean(np.log(np.abs(complex(z) - model.points))))
+        raw = float(np.mean(np.log(np.abs(z - model.points))))
     return max(raw - model.log_cap_estimate, 0.0)
 
 
@@ -491,9 +477,10 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
 
 def _pole_disks(jcjs, poles, N: int,
                 tail: float | None) -> tuple[list[Shape], float]:
-    """Meshable protection disks of log-radius -j c_j / 2 (jcjs[j-1] = j c_j)
-    around the poles (j, pole) with j >= N, and sum_disks: 2/(j c_j) added
-    in index order, then 2 * tail unless tail is None."""
+    """Protection disks, meshable or not, of log-radius -j c_j / 2
+    (jcjs[j-1] = j c_j) around the poles (j, pole) with j >= N, and
+    sum_disks: 2/(j c_j) added in index order, then 2 * tail unless tail
+    is None.  A pole whose j c_j overflows has capacity 0 and no disk."""
     disks: list[Shape] = []
     sum_disks = 0.0
     for j, pole in poles:
@@ -501,9 +488,8 @@ def _pole_disks(jcjs, poles, N: int,
             continue
         jcj = jcjs[j - 1]
         sum_disks += 2.0 / jcj
-        log_r = -0.5 * jcj
-        if log_r >= math.log(MESH_RESOLUTION):
-            disks.append(disk(pole, log_radius=log_r))
+        if jcj < math.inf:
+            disks.append(disk(pole, log_radius=-0.5 * jcj))
     if tail is not None:
         sum_disks += 2.0 * tail
     return disks, sum_disks
@@ -536,10 +522,11 @@ def cantor_fine_sets(spec: CantorSpec, N: int) -> FineSets:
     """Protection system for fine-limit certificates on a gap construction.
 
     F_N collects every gap segment plus disks of radius exp(-j c_j / 2)
-    around the poles b_j for j >= N; J_N adjoins the root interval.  Only
-    meshable members are materialized as shapes; the capacity bound is
-    computed analytically over the full (infinite) member list, so it is
-    independent of mesh admission.
+    around the poles b_j for j >= N; J_N adjoins the root interval.  As in
+    disk_fine_sets, members below MESH_RESOLUTION stay shapes that
+    leja_points skips, and a member whose j c_j overflows (capacity 0) is
+    left out.  The capacity bound is computed analytically over the full
+    (infinite) member list, so it is independent of mesh admission.
     """
     if not 1 <= N <= spec.max_index:
         raise PreconditionFailure("need 1 <= N <= materialization", field="N")
@@ -547,7 +534,7 @@ def cantor_fine_sets(spec: CantorSpec, N: int) -> FineSets:
     sum_segments = 0.0
     for log_length, a, b in zip(spec.log_lengths, spec.a, spec.b):
         sum_segments += 1.0 / (_LOG4 - log_length)
-        if log_length >= math.log(MESH_RESOLUTION):
+        if log_length > -math.inf:
             segs.append(interval(a, b, log_length=log_length))
     cs = condition_sum(spec.c_rule, J=spec.max_index)
     if cs.tail_bound is not None:

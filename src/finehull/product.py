@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import (HALVING_DENOM, UNDERFLOW_LOG, CantorSpec, _check_depth,
-                     _last_violation, _seg_distance, sum_gap_lengths)
+                     _last_violation, _seg_distance, check_point,
+                     sum_gap_lengths)
 from .errors import (DomainViolation, NoConvergence, NotInEN, PoleHit,
                      PreconditionFailure, QuadratureFailure, RegionViolatesEN)
 from .logspace import LogComplex, log1p_complex, logsum, wrap_angle
@@ -96,10 +97,10 @@ def _gap_factor_log(j: int, center: float, length: float, a: float,
 
 
 def _factor_logs(spec: CantorSpec, N: int, z: complex):
-    """Per-factor logs (root factor first); None signals f(z) = 0.  Gaps
-    past n_pos, of length 0.0, are unit factors and get no entry."""
+    """Per-factor logs at a checked point z (root factor first); None
+    signals f(z) = 0.  Gaps past n_pos, of length 0.0, are unit factors
+    and get no entry."""
     _check_depth(spec, N)
-    z = complex(z)
     den = z - spec.a0
     if den == 0:
         raise PoleHit("z hits pole a0")
@@ -133,7 +134,7 @@ def _factor_power(spec: CantorSpec, N: int, z: complex,
 
 def eval_partial_product(spec: CantorSpec, N: int, z: complex) -> LogComplex:
     """Truncation f_N(z) with N gap factors, as a log-polar value."""
-    return _factor_power(spec, N, z, 1.0)
+    return _factor_power(spec, N, check_point(z, "z"), 1.0)
 
 
 def _cquot(ar, ai, br, bi):
@@ -178,6 +179,9 @@ def eval_partial_product_many(spec: CantorSpec, N: int, zs):
     z = z.ravel()
     x, y = z.real, z.imag
     with np.errstate(all="ignore"):
+        if not np.isfinite(np.hypot(x, y)).all():
+            raise PreconditionFailure(
+                "zs needs points whose moduli are finite doubles", field="zs")
         rr, ri = _cquot(x - spec.b0, y, x - spec.a0, y)
         # the scalar sum starts from 0.0, which turns -0.0 into 0.0
         re = 0.0 + np.log(np.hypot(rr, ri))
@@ -246,13 +250,16 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     eval_f runs the same walk through _tail_walk with a give-up level,
     so a depth that cannot meet its tol stops at its first large term.
     """
-    return _tail_walk(spec, N, region, math.inf)
+    # a point is the disk of radius 0.0
+    c, rad = region if isinstance(region, tuple) else (region, 0.0)
+    return _tail_walk(spec, N, check_point(c, "region"), rad, math.inf)
 
 
-def _tail_walk(spec: CantorSpec, N: int, region,
+def _tail_walk(spec: CantorSpec, N: int, c: complex, rad: float,
                give_up: float) -> TailBound | None:
-    """tail_bound, or None as soon as the largest log term so far (the
-    tail term, then every accepted pole term) exceeds give_up.
+    """tail_bound over the disk of center c (a checked point) and radius
+    rad, or None as soon as the largest log term so far (the tail term,
+    then every accepted pole term) exceeds give_up.
 
     The returned bound is at least exp(lead) with lead that largest term:
     the sum of exp(l - lead) holds exp(0.0) = 1, so its log is >= 0, and
@@ -262,9 +269,6 @@ def _tail_walk(spec: CantorSpec, N: int, region,
     _check_depth(spec, N)
     rule = spec.c_rule
     M = spec.max_index
-    # a point is the disk of radius 0.0
-    c, rad = region if isinstance(region, tuple) else (region, 0.0)
-    c = complex(c)
     poles, jcjs = spec.gap_poles, spec.jcj
     tail = None
     # an explicit rule is a finite construction: nothing beyond its prefix
@@ -343,13 +347,14 @@ def eval_f(spec: CantorSpec, z: complex, tol: float = 1e-12):
     if tol <= 0.0:
         raise PreconditionFailure("tol must be positive", field="tol")
     give_up = math.log(math.nextafter(tol, math.inf)) + 1e-6
+    z = check_point(z, "z")
     N = 1 if spec.max_index else 0
     while True:
         N = min(N, spec.max_index)
         try:
-            tb = _tail_walk(spec, N, z, give_up)
+            tb = _tail_walk(spec, N, z, 0.0, give_up)
             if tb is not None and tb.bound <= tol:
-                return eval_partial_product(spec, N, z), tb.bound, N
+                return _factor_power(spec, N, z, 1.0), tb.bound, N
         except RegionViolatesEN:
             pass
         if N >= spec.max_index:
@@ -361,7 +366,7 @@ def eval_f(spec: CantorSpec, z: complex, tol: float = 1e-12):
 
 def sqrt_branch(spec: CantorSpec, N: int, z: complex, tag: BranchTag) -> LogComplex:
     """One of the four square roots of f_N, by per-factor principal roots."""
-    z = complex(z)
+    z = check_point(z, "z")
     if tag.is_h_family:
         if z.imag == 0.0:
             raise DomainViolation(
@@ -444,7 +449,7 @@ def certify_en_point(spec: CantorSpec, x: float, N: int) -> bool:
     thresholds stay representable beyond a fixed index budget cannot be
     certified this way.
     """
-    last = _last_violation(spec, x)
+    last = _last_violation(spec, check_point(x, "x"))
     return last is not None and last < max(N, 1)
 
 
@@ -501,7 +506,7 @@ def tail_product_minus_one(spec: CantorSpec, n: int, z: complex,
     M = spec.max_index if upto is None else upto
     if not 0 <= n < M <= spec.max_index:
         raise PreconditionFailure("need 0 <= n < upto <= materialization")
-    z = complex(z)
+    z = check_point(z, "z")
     terms = []
     for j, b, log_length in zip(range(n + 1, M + 1), spec.b[n:M],
                                 spec.log_lengths[n:M]):

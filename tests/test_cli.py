@@ -496,6 +496,51 @@ def test_capacity_of_a_disk_chain_without_meshable_disks(tmp_path, capsys):
     assert cap["fn_bound"] < cap["cap_arc"]
 
 
+# j c_j = j (j + 2)! overflows from j = 169 on: those poles have disks of
+# capacity 0, which the chain leaves out
+FACTORIAL_DISK_200 = {"alpha": 0, "beta": 1.5, "N": 200,
+                      "c_rule": {"kind": "factorial", "shift": 2}}
+
+
+def test_capacity_of_a_disk_chain_past_factorial_overflow(tmp_path, capsys):
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps({"blaschke": FACTORIAL_DISK_200, "N": 1}))
+    out = tmp_path / "cap"
+    rc, stdout = run(["capacity", "--set", str(setfile), "--out", str(out)],
+                     capsys)
+    assert rc == 0, stdout
+    cap = json.loads((out / "capacity.json").read_text())
+    assert cap["chain_closes"] is True
+    assert cap["meshable_fn_shapes"] == 2
+
+
+def test_arc_sample_past_factorial_overflow(tmp_path, capsys):
+    spec = tmp_path / "disk.json"
+    spec.write_text(json.dumps(FACTORIAL_DISK_200))
+    out = tmp_path / "sample"
+    rc, stdout = run(["blaschke", "--spec", str(spec), "--sample-depth", "1",
+                      "--out", str(out)], capsys)
+    assert rc == 0, stdout
+    assert (out / "bsample.csv").exists()
+
+
+def test_capacity_of_a_cantor_chain_without_meshable_members(tmp_path,
+                                                             capsys):
+    # every gap of this spec has length 0.0: F_N holds no meshable shape,
+    # yet the analytic chain bound answers
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps({"spec": {
+        "a0": -1.94, "b0": 7.8e-44, "N": 22,
+        "c_rule": {"kind": "factorial", "shift": 83}}}))
+    out = tmp_path / "cap"
+    rc, stdout = run(["capacity", "--set", str(setfile), "--out", str(out)],
+                     capsys)
+    assert rc == 0, stdout
+    cap = json.loads((out / "capacity.json").read_text())
+    assert cap["meshable_fn_shapes"] == 0
+    assert cap["chain_closes"] is True
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     digests = []
     for name in ("r1", "r2"):

@@ -51,7 +51,7 @@ def test_leja_points_lie_on_the_support():
     sets = CompactUnion((interval(0.0, 1.0),))
     model = leja_points(sets, n=32)
     for p in model.points:
-        assert sets.distance(complex(p)) <= 1e-9
+        assert 0.0 <= p.real <= 1.0 and p.imag == 0.0
 
 
 def test_green_grows_logarithmically():
