@@ -132,8 +132,7 @@ def _c01_capacity_oracles(art: _Artifacts):
 def _c02_union_bound_chain(art: _Artifacts):
     spec = _spec5()
     cs = condition_sum(spec)
-    cond_total = cs.partial + (cs.tail_bound or 0.0)
-    cond_ok = cs.certified and cond_total < 0.5
+    cond_ok = cs.satisfied is True
     closing_N = None
     for N in range(1, 13):
         fs = pt.cantor_fine_sets(spec, N)
@@ -154,7 +153,7 @@ def _c02_union_bound_chain(art: _Artifacts):
     art.csv("criterion02_esample.csv", ["x", "u", "in_EN"],
             [(r.x, r.u, r.in_EN) for r in rows])
     art.json("criterion02_chain.json", {
-        "condition_sum_total": cond_total,
+        "condition_sum_total": cs.total,
         "condition_sum_certified": cs.certified,
         "closing_N": closing_N,
         "fn_bound": fs.fn_bound.bound,
@@ -164,7 +163,7 @@ def _c02_union_bound_chain(art: _Artifacts):
         "log_cap_ratio": log_ratio,
     })
     ok = cond_ok and chain_ok and sample_ok and proxy_ok
-    detail = (f"condition sum {cond_total:.4f} certified below 1/2; "
+    detail = (f"condition sum {cs.total:.4f} certified below 1/2; "
               f"chain closes at N={closing_N}; "
               f"{len(certified)} certified points with u > 0; "
               f"u at the far proxy {u_far:.4f} vs capacity ratio "

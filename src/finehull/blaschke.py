@@ -303,12 +303,12 @@ def _fn_disk_bound(spec: BlaschkeSpec, N: int) -> UnionBound:
 
 def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     """Materialize F_N = pole disks of log-radius -j c_j / 2 for j >= N
-    and J_N = S union F_N for the zero arc S; certify cap(F_N) < cap(S).
+    and J_N = S union F_N for the zero arc S, with the certified union
+    bound on cap(F_N).
 
     As in cantor_fine_sets, disks below MESH_RESOLUTION stay in F_N and
     leja_points skips them: with no meshable disk left the sample refuses.
-    Raises ChainNotClosed when the certified union bound does not beat
-    the arc capacity at this N.
+    FineSets.chain_closes tells whether the bound beats cap(S) at this N.
     """
     if not 1 <= N <= spec.max_index:
         raise PreconditionFailure("need 1 <= N <= materialization", field="N")
@@ -316,15 +316,12 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     disks, sum_disks = _pole_disks(
         spec.jcj, ((z.index, z.pole) for z in spec.zeros), N,
         condition_sum(spec.c_rule, J=spec.max_index).tail_bound)
+    # before the unions: a rule whose every j c_j overflows is refused
+    # naming c_rule, not its empty F_N naming shapes
     bound = _fn_disk_bound(spec, N)
-    cap_S = exact_capacity(S)
-    if not bound.bound < cap_S:
-        raise ChainNotClosed(
-            f"union bound {bound.bound:.3g} does not beat cap(S) "
-            f"{cap_S:.3g} at N={N}", field="N")
     FN = CompactUnion(tuple(disks))
     JN = CompactUnion((S,) + FN.shapes)
-    return FineSets(N, FN, JN, bound, 0.0, sum_disks, cap_S)
+    return FineSets(N, FN, JN, bound, 0.0, sum_disks, exact_capacity(S))
 
 
 def smallest_closing_N(spec: BlaschkeSpec, limit: int | None = None) -> int:
@@ -332,8 +329,7 @@ def smallest_closing_N(spec: BlaschkeSpec, limit: int | None = None) -> int:
     limit = spec.max_index if limit is None else min(limit, spec.max_index)
     for N in range(1, limit + 1):
         try:
-            if _fn_disk_bound(spec, N).bound < exact_capacity(
-                    arc(spec.alpha, spec.beta)):
+            if disk_fine_sets(spec, N).chain_closes:
                 return N
         except PreconditionFailure:
             continue

@@ -101,18 +101,21 @@ class CRule:
 
     def __post_init__(self):
         if self.kind == "affine":
-            if not (self.slope > 0.0 and self.offset >= 0.0):
-                raise PreconditionFailure(
-                    "affine rule needs slope > 0 and offset >= 0", field="c_rule")
+            if not (0.0 < self.slope < math.inf and
+                    0.0 <= self.offset < math.inf):
+                raise PreconditionFailure("affine rule needs finite slope > 0 "
+                                          "and offset >= 0", field="c_rule")
         elif self.kind == "factorial":
-            if self.shift < 0:
+            if type(self.shift) is not int or self.shift < 0:
                 raise PreconditionFailure(
-                    "factorial rule needs shift >= 0", field="c_rule")
+                    "factorial rule needs an integer shift >= 0",
+                    field="c_rule")
         elif self.kind == "explicit":
             vals = tuple(float(v) for v in self.values)
-            if not vals or any(v <= 0.0 for v in vals):
+            if not vals or not all(0.0 < v < math.inf for v in vals):
                 raise PreconditionFailure(
-                    "explicit rule needs positive entries", field="c_rule")
+                    "explicit rule needs finite positive entries",
+                    field="c_rule")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise PreconditionFailure(
                     "explicit rule must be strictly increasing", field="c_rule")
@@ -213,25 +216,17 @@ class CRule:
         if not isinstance(obj, dict):
             raise PreconditionFailure(
                 f"c rule needs a JSON object, got {obj!r}", field="c_rule")
-        kind = obj.get("kind")
-        if kind == "affine":
-            return CRule("affine",
-                         slope=json_number(obj.get("slope", 0.0), float,
-                                           "c_rule"),
-                         offset=json_number(obj.get("offset", 0.0), float,
-                                            "c_rule"))
-        if kind == "factorial":
-            return CRule("factorial",
-                         shift=json_number(obj.get("shift", 2), int, "c_rule"))
-        if kind == "explicit":
-            values = obj.get("values", ())
-            if not isinstance(values, (list, tuple)):
-                raise PreconditionFailure(
-                    f"explicit rule values need a JSON list, got {values!r}",
-                    field="c_rule")
-            return CRule("explicit", values=tuple(
-                json_number(v, float, "c_rule") for v in values))
-        raise PreconditionFailure(f"unknown c rule kind {kind!r}", field="c_rule")
+        values = obj.get("values", ())
+        if not isinstance(values, (list, tuple)):
+            raise PreconditionFailure(
+                f"explicit rule values need a JSON list, got {values!r}",
+                field="c_rule")
+        return CRule(
+            obj.get("kind"),
+            slope=json_number(obj.get("slope", 0.0), float, "c_rule"),
+            offset=json_number(obj.get("offset", 0.0), float, "c_rule"),
+            shift=json_number(obj.get("shift", 2), int, "c_rule"),
+            values=tuple(json_number(v, float, "c_rule") for v in values))
 
 
 class _IndexWalk:
@@ -516,7 +511,10 @@ def _last_violation(spec, z) -> int | None:
         return None
     jcj = spec.walk_jcj
     for j, pole in reversed(walk):
-        d = abs(z - pole)
+        try:
+            d = abs(z - pole)
+        except OverflowError:   # farther than the largest double: it holds
+            continue
         if d == 0.0 or math.log(d) < -0.5 * jcj[j - 1]:
             return j
     return 0
@@ -646,17 +644,23 @@ def spec_to_json(spec: CantorSpec) -> str:
 
 
 def json_number(value, kind, field: str):
-    """A JSON value (a number, or one written as a string) as a finite
-    float or an int; anything else is refused naming `field`."""
+    """A number from outside the package (JSON, a flag, the environment)
+    as a finite float or an int.  An int may be an int, an integral float
+    (16.0) or a decimal integer string ("16"); a bool, a non-integral value
+    and anything else are refused naming `field`."""
     try:
-        x = kind(value)
-        if kind is float and not math.isfinite(x):
+        if isinstance(value, bool):
+            raise TypeError(value)
+        if kind is int and isinstance(value, (int, str)):
+            return int(value)
+        x = float(value)
+        if not math.isfinite(x) or kind is int and not x.is_integer():
             raise ValueError(x)
     except (TypeError, ValueError, OverflowError) as e:
-        raise PreconditionFailure(
-            f"{field} needs a finite number, got {value!r}",
-            field=field) from e
-    return x
+        what = "an integer" if kind is int else "a finite number"
+        raise PreconditionFailure(f"{field} needs {what}, got {value!r}",
+                                  field=field) from e
+    return int(x) if kind is int else x
 
 
 def check_point(z, field: str) -> complex:

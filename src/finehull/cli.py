@@ -56,17 +56,23 @@ def _write_manifest(outdir: str, command: str, cfg: dict,
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _coerce(value, kind):
+_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(name: str, value, kind):
+    """A setting as its kind: a number through json_number, a switch from
+    a JSON bool or a _SWITCH word in any case (str(True) is "True")."""
     if kind is bool:
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+        switch = _SWITCH.get(str(value).strip().lower())
+        if switch is None:
+            raise PreconditionFailure(
+                f"{name} needs 1/0, true/false, yes/no or on/off, got "
+                f"{value!r}", field=name)
+        return switch
     if value is None:
         return None
-    value = kind(value)
-    if kind is float and not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
+    return str(value) if kind is str else json_number(value, kind, name)
 
 
 # (name, type, default, help); type None keeps raw strings/objects
@@ -205,12 +211,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             cfg[name] = given
     for name, kind, _, _ in params:
         if kind is not None:
-            try:
-                cfg[name] = _coerce(cfg[name], kind)
-            except (TypeError, ValueError) as e:
-                raise PreconditionFailure(
-                    f"cannot parse {name} {cfg[name]!r} as {kind.__name__}",
-                    field=name) from e
+            cfg[name] = _coerce(name, cfg[name], kind)
     return cfg
 
 
@@ -221,19 +222,12 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _floats(cfg: dict, key: str, count: int | None) -> tuple:
-    """Finite numbers from a setting given as "a,b,..." or a JSON list;
-    count None accepts any length."""
+def _floats(cfg: dict, key: str, count: int | None, kind=float) -> tuple:
+    """Numbers of `kind` (json_number) from a setting given as "a,b,..."
+    or a JSON list; count None accepts any length."""
     v = _require(cfg, key)
-    try:
-        parts = tuple(float(x) for x in (
-            v if isinstance(v, (list, tuple)) else str(v).split(",")))
-    except (TypeError, ValueError) as e:
-        raise PreconditionFailure(f"cannot parse {key} {v!r}",
-                                  field=key) from e
-    if not all(math.isfinite(x) for x in parts):
-        raise PreconditionFailure(f"{key} needs finite numbers, got {v!r}",
-                                  field=key)
+    parts = tuple(json_number(x, kind, key) for x in (
+        v if isinstance(v, (list, tuple)) else str(v).split(",")))
     if count is not None and len(parts) != count:
         raise PreconditionFailure(f"{key} needs {count} numbers", field=key)
     return parts
@@ -302,14 +296,10 @@ def _require_finite(*values: float, field: str = "at") -> None:
 
 
 def _rule_from_cfg(cfg: dict) -> CRule:
-    rule = cfg["rule"]
-    if rule == "affine":
-        return CRule("affine", slope=cfg["slope"], offset=cfg["offset"])
-    if rule == "factorial":
-        return CRule("factorial", shift=cfg["shift"])
-    if rule == "explicit":
-        return CRule("explicit", values=_floats(cfg, "values", None))
-    raise PreconditionFailure(f"unknown rule {rule!r}", field="rule")
+    """The rule of the settings; CRule refuses a bad kind or parameter."""
+    values = () if cfg["values"] is None else _floats(cfg, "values", None)
+    return CRule(cfg["rule"], slope=cfg["slope"], offset=cfg["offset"],
+                 shift=cfg["shift"], values=values)
 
 
 def _shape_from_obj(s) -> pt.Shape:
@@ -477,7 +467,6 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
     z = _point(cfg, "at")
     model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
     value = pt.green_eval(model, z)
-    _require_finite(value)
     # d_k needs two nodes: none for k = 0
     rows = [(k, p.real, p.imag, model.d_seq[k - 1] if k else None)
             for k, p in enumerate(model.points)]
@@ -527,7 +516,7 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
     if cfg["at"] is not None:
         z = _point(cfg, "at")
         if cfg["sheets"] is not None:
-            k0, k1 = (int(v) for v in _floats(cfg, "sheets", 2))
+            k0, k1 = _floats(cfg, "sheets", 2, int)
             if k1 - k0 >= MAX_SHEETS:
                 raise PreconditionFailure(
                     f"sheet range {k0},{k1} spans more than {MAX_SHEETS} "

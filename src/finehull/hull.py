@@ -19,6 +19,7 @@ import numpy as np
 from .cantor import CantorSpec, check_point
 from .errors import (DomainViolation, NoValidWeights, PoleHit,
                      PreconditionFailure)
+from .logspace import LogComplex
 from .product import (certify_en_point, eval_partial_product,
                       tail_product_minus_one)
 
@@ -184,11 +185,11 @@ def eval_v_on_graph(hps: HullPotentialSpec, z: complex) -> float:
     """
     z = check_point(z, "z")
     total = 0.0
-    log_p_abs = math.log(abs(z - hps.spec.b0)) \
-        if z != hps.spec.b0 else float("-inf")
+    # log|z - p| as LogComplex takes it: -inf at p, finite past the
+    # largest double
+    log_p_abs = LogComplex.from_complex(z - hps.spec.b0).log_mag
     for n in range(1, hps.M + 1):
-        d = abs(z - hps.spec.a[n - 1])
-        log_p_abs += math.log(d) if d > 0.0 else float("-inf")
+        log_p_abs += LogComplex.from_complex(z - hps.spec.a[n - 1]).log_mag
         if n == hps.M:
             vn = float("-inf")
         else:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cantor import CantorSpec, check_point, condition_sum, exp_cut
-from .errors import (BoundVacuous, DegenerateSet, EmptySample,
-                     PreconditionFailure, UnsupportedShape)
+from .errors import (BoundVacuous, ChainNotClosed, DegenerateSet,
+                     EmptySample, PreconditionFailure, UnsupportedShape)
 from .product import certify_en_point
 
 __all__ = [
@@ -397,8 +397,13 @@ def green_eval(model: GreenModel, z: complex) -> float:
     clamping keeps witness differences one-signed there.
     """
     z = check_point(z, "z")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         raw = float(np.mean(np.log(np.abs(z - model.points))))
+        if raw == math.inf or math.isnan(raw):
+            # a distance past the largest double: take every one at a
+            # quarter scale, where each part, and so the modulus, is finite
+            raw = float(np.mean(np.log(np.abs(
+                0.25 * z - 0.25 * model.points)))) + _LOG4
     return max(raw - model.log_cap_estimate, 0.0)
 
 
@@ -453,9 +458,14 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
     """Score (key, z) candidates by the Green witness u = g_F - g_J at z.
 
     A row is in E_N when u > 0 and certify(key) holds; raises EmptySample
-    when no row is.  A Leja size refusal names the setting leja_n; a set
-    with no meshable shape names the depth N it was built at.
+    when no row is.  A chain that does not close at fs.N (ChainNotClosed)
+    and a set with no meshable shape name the depth N; a Leja size refusal
+    names the setting leja_n.
     """
+    if not fs.chain_closes:
+        raise ChainNotClosed(
+            f"union bound {fs.fn_bound.bound:.3g} does not beat the ambient "
+            f"floor {fs.cap_ambient_floor:.3g} at N={fs.N}", field="N")
     try:
         model_F = leja_points(fs.FN, n=leja_n)
         model_J = leja_points(fs.JN, n=leja_n)
@@ -575,19 +585,9 @@ def sample_E(spec: CantorSpec, N: int, samples: int = 32,
             f"summability condition not certified below 1/2 "
             f"(partial sum {cs.partial:.6g})", field="spec")
     fs = cantor_fine_sets(spec, N)
-    if not fs.chain_closes:
-        raise PreconditionFailure(
-            f"union bound {fs.fn_bound.bound:.3g} does not beat the "
-            f"ambient capacity floor {fs.cap_ambient_floor:.3g} at N={N}",
-            field="N")
-    # endpoints of the remaining intervals at depth N; all lie in the
-    # limit set exactly (gap endpoints persist through the construction)
-    cands: list[float] = [spec.a0, spec.b0]
-    for a, b in zip(spec.a[:N], spec.b[:N]):
-        for x in (a, b):
-            if x not in cands:
-                cands.append(x)
-    cands.sort()
+    # endpoints of the remaining pieces at depth N, all in the limit set
+    # (gap endpoints persist); the set keeps the first of 0.0 and -0.0
+    cands = sorted({spec.a0, spec.b0, *spec.a[:N], *spec.b[:N]})
     if samples < len(cands):
         step = len(cands) / samples
         cands = [cands[int(i * step)] for i in range(samples)]

@@ -87,7 +87,11 @@ def _gap_factor_log(j: int, center: float, length: float, a: float,
     w = z - b
     if w == 0:
         raise PoleHit(f"z hits pole b_{j}")
-    if abs(z - center) <= 8.0 * length:
+    try:
+        near = abs(z - center) <= 8.0 * length
+    except OverflowError:   # farther from the gap than the largest double
+        near = False
+    if near:
         num = z - a
         if num == 0:
             return None
@@ -303,10 +307,17 @@ def _tail_walk(spec: CantorSpec, N: int, c: complex, rad: float,
         jcj = jcjs[i]
         if 0.5 * jcj > cut:
             for j, b in poles[i:] if abs(c.imag) <= rad else ():
-                if abs(c - b) - rad <= 0.0:
+                try:
+                    d = abs(c - b) - rad
+                except OverflowError:   # farther than the largest double
+                    continue
+                if d <= 0.0:
                     raise RegionViolatesEN(f"region touches pole b_{j}")
             break
-        d = abs(c - b) - rad
+        try:
+            d = abs(c - b) - rad
+        except OverflowError:   # a far pole: its term is exactly 0.0
+            d = math.inf
         if d <= 0.0:
             raise RegionViolatesEN(f"region touches pole b_{j}")
         log_u = -jcj - math.log(d)
@@ -320,12 +331,12 @@ def _tail_walk(spec: CantorSpec, N: int, c: complex, rad: float,
             cut = UNDERFLOW_LOG - min(m, 0.0)
     if tail is not None:
         logs.append(tail)
-    if not logs:
-        return TailBound(float("-inf"), 0)
-    lead = max(logs)
+    terms = len(poles) - N + (tail is not None)
+    lead = max(logs, default=-math.inf)
+    if lead == -math.inf:   # no term, or every term exactly 0.0
+        return TailBound(lead, terms)
     s = sum(math.exp(l - lead) for l in logs)
-    return TailBound(lead + math.log(s),
-                     len(poles) - N + (tail is not None))
+    return TailBound(lead + math.log(s), terms)
 
 
 def eval_f(spec: CantorSpec, z: complex, tol: float = 1e-12):

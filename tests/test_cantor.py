@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from finehull.cantor import (CONDITION_BLOCK, MAX_DEPTH, ROOT_LIMIT,
                              ZERO_BATCH, ZERO_LOG, CRule, _place_gaps,
                              build_cantor_spec, cantor_length,
-                             condition_sum, spec_from_json, spec_to_json,
-                             sum_gap_lengths)
+                             condition_sum, json_number, spec_from_json,
+                             spec_to_json, sum_gap_lengths)
 from finehull.errors import GapOverflow, PlacementFailure, PreconditionFailure
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -30,6 +30,46 @@ def test_rule_validation():
         CRule("factorial", shift=-1)
     with pytest.raises(PreconditionFailure):
         CRule("hyperbolic")
+
+
+@pytest.mark.parametrize("kwargs", [
+    # shift 2.7 used to build, then fail as TypeError in placement
+    {"kind": "factorial", "shift": 2.7},
+    {"kind": "factorial", "shift": True},
+    {"kind": "factorial", "shift": 2.0},
+    {"kind": "affine", "slope": math.inf},
+    {"kind": "affine", "slope": 5.0, "offset": math.inf},
+    {"kind": "explicit", "values": (1.0, 2.0, math.inf)},
+    {"kind": "explicit", "values": (1.0, math.nan)},
+])
+def test_rule_refuses_parameters_it_cannot_use(kwargs):
+    with pytest.raises(PreconditionFailure) as exc:
+        CRule(**kwargs)
+    assert exc.value.field == "c_rule"
+
+
+@pytest.mark.parametrize("value, kind, want", [
+    (16, int, 16), (16.0, int, 16), ("16", int, 16), (-3, int, -3),
+    (1e300, int, int(1e300)), (3, float, 3.0), ("1e-3", float, 1e-3),
+    (" 2.5 ", float, 2.5), (-0.0, float, -0.0),
+])
+def test_json_number_reads_exact_values(value, kind, want):
+    got = json_number(value, kind, "x")
+    assert type(got) is kind and got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (2.9, int), (16.7, int), ("2.5", int), ("16.0", int), ("1e3", int),
+    (True, int), (False, int), (math.inf, int), (math.nan, int),
+    (None, int), ([1], int), (True, float), ("nan", float), ("inf", float),
+    (math.inf, float), (10 ** 400, float), ("1e400", float), ("x", float),
+    (None, float), ({}, float),
+])
+def test_json_number_refuses_what_it_would_round(value, kind):
+    with pytest.raises(PreconditionFailure) as exc:
+        json_number(value, kind, "x")
+    assert exc.value.field == "x"
 
 
 def test_rule_values():

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import pathlib
 
 import pytest
 
@@ -91,7 +92,7 @@ def test_env_overrides_defaults_and_flags_override_env(tmp_path, capsys,
                                                        monkeypatch):
     monkeypatch.setenv("FINEHULL_DEPTH", "3")
     spec = _spec_path(tmp_path, capsys, depth=5)  # flag wins
-    assert spec_from_json(open(spec).read()).max_index == 5
+    assert spec_from_json(pathlib.Path(spec).read_text()).max_index == 5
     out = tmp_path / "envonly"
     rc, _ = run(["spec-build", "--rule", "affine", "--slope", "5",
                  "--offset", "0", "--out", str(out)], capsys)
@@ -205,7 +206,7 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     spec = _spec_path(tmp_path, capsys)
     fineset = tmp_path / "fineset.json"
     fineset.write_text(json.dumps(
-        {"spec": json.loads(open(spec).read()), "N": "x"}))
+        {"spec": json.loads(pathlib.Path(spec).read_text()), "N": "x"}))
     disk_obj = {
         "alpha": 0.0, "beta": 1.5707963267948966,
         "c_rule": {"kind": "affine", "slope": 5.0, "offset": 0.0},
@@ -215,7 +216,7 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     disk.write_text(json.dumps(disk_obj))
     # depths past cantor.MAX_DEPTH, refused before anything is allocated
     deep = tmp_path / "deep.json"
-    deep.write_text(json.dumps({**json.loads(open(spec).read()),
+    deep.write_text(json.dumps({**json.loads(pathlib.Path(spec).read_text()),
                                 "N": 10 ** 9}))
     extras = tmp_path / "extras.json"
     extras.write_text(json.dumps({**disk_obj, "extras": 10 ** 9}))
@@ -223,7 +224,7 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     order.write_text(json.dumps({**disk_obj, "l": 10 ** 400}))
     weak = tmp_path / "weak.json"
     weak.write_text(json.dumps({
-        **json.loads(open(spec).read()),
+        **json.loads(pathlib.Path(spec).read_text()),
         "c_rule": {"kind": "affine", "slope": 0.05, "offset": 1.0}}))
     paths = {"shapes": str(shapes), "spec": spec, "weak": str(weak),
              "fact": str(tmp_path / "fact" / "spec.json"),
@@ -240,6 +241,8 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
 
 
 SHAPE_SET = {"shapes": [{"kind": "interval", "a": 0.0, "b": 1.0}]}
+SPEC_JSON = {"a0": 0.0, "b0": 1.0, "N": 8,
+             "c_rule": {"kind": "affine", "slope": 5.0, "offset": 0.0}}
 
 
 @pytest.mark.parametrize("argv, payload, field", [
@@ -277,6 +280,8 @@ SHAPE_SET = {"shapes": [{"kind": "interval", "a": 0.0, "b": 1.0}]}
     (["capacity"], [1], "set"),
     (["capacity"], 3, "set"),
     (["green", "--at", "3,0"], "shapes", "set"),
+    # a fine-set depth is refused, not truncated to 2
+    (["capacity"], {"spec": SPEC_JSON, "N": 2.5}, "N"),
 ])
 def test_malformed_set_json_names_its_key(tmp_path, capsys, argv, payload,
                                           field):
@@ -298,15 +303,110 @@ def test_malformed_set_json_names_its_key(tmp_path, capsys, argv, payload,
     ({"c_rule": {"kind": "affine", "slope": "x"}}, "c_rule"),
     ({"c_rule": {"kind": "explicit", "values": 3}}, "c_rule"),
     ({"a0": [0]}, "a0"),
+    # depths and shifts are refused, not truncated
+    ({"N": 16.7}, "N"),
+    ({"N": True}, "N"),
+    ({"c_rule": {"kind": "factorial", "shift": 2.7}}, "c_rule"),
 ])
 def test_malformed_spec_json_names_its_key(tmp_path, capsys, edit, field):
-    spec = json.loads(open(_spec_path(tmp_path, capsys)).read())
+    spec = json.loads(pathlib.Path(_spec_path(tmp_path, capsys)).read_text())
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**spec, **edit}))
     rc, stdout = run(["eval", "--spec", str(path), "--at", "2,0",
                       "--out", str(tmp_path / "e")], capsys)
     assert rc == 1
     assert json.loads(stdout)["field"] == field
+
+
+# numbers that a parser would round are refused, from every source
+@pytest.mark.parametrize("argv, config, env, field", [
+    (["spec-build"], {"depth": 2.9}, {}, "depth"),
+    (["spec-build"], {"depth": True}, {}, "depth"),
+    (["spec-build"], {}, {"FINEHULL_DEPTH": "2.9"}, "depth"),
+    (["spec-build", "--rule", "factorial"], {"shift": 2.7}, {}, "shift"),
+    (["sample-e", "--spec", "{spec}", "--depth", "6"], {"samples": 3.99}, {},
+     "samples"),
+    (["sample-e", "--spec", "{spec}"], {"depth": 6.5}, {}, "depth"),
+    (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2",
+      "--sheets=-3.5,3.9"], None, {}, "sheets"),
+    (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2"],
+     {"sheets": [-3, 3.5]}, {}, "sheets"),
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=-1.5,1.5,-1.5,1.5"], None, {"FINEHULL_SQ": "banana"}, "sq"),
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=-1.5,1.5,-1.5,1.5"], {"sq": 2}, {}, "sq"),
+    (["hull-scan", "--spec", "{fact}", "--z", "2,0",
+      "--wrect=-1.5,1.5,-1.5,1.5"], {"sq": None}, {}, "sq"),
+    (["eval", "--spec", "{spec}"], {"at": [True, 0.5]}, {}, "at"),
+    (["green", "--set", "{shapes}", "--at", "3,0"], {"n": 8.5}, {}, "n"),
+])
+def test_numbers_are_refused_not_rounded(tmp_path, capsys, monkeypatch,
+                                          argv, config, env, field):
+    spec = json.loads(pathlib.Path(_spec_path(tmp_path, capsys)).read_text())
+    files = {
+        "spec": spec, "shapes": SHAPE_SET,
+        "fact": {**spec, "c_rule": {"kind": "factorial", "shift": 2}},
+        "disk": {"alpha": 0.0, "beta": 1.5707963267948966, "N": 12,
+                 "c_rule": {"kind": "affine", "slope": 5.0, "offset": 0.0}},
+    }
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        pathlib.Path(paths[name]).write_text(json.dumps(obj))
+    argv = [a.format(**paths) for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "bad"
+    rc, stdout = run(argv + ["--out", str(out)], capsys)
+    assert rc == 1, stdout
+    assert json.loads(stdout)["field"] == field
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("config, env", [
+    ({"depth": 5.0}, {}), ({"depth": "5"}, {}), ({}, {"FINEHULL_DEPTH": "5"}),
+    ({"depth": 5, "shift": 2.0, "slope": 5}, {}),
+])
+def test_integral_numbers_keep_their_bytes(tmp_path, capsys, monkeypatch,
+                                           config, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    rc, _ = run(["spec-build", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "a")], capsys)
+    assert rc == 0
+    monkeypatch.delenv("FINEHULL_DEPTH", raising=False)
+    rc, _ = run(["spec-build", "--depth", "5", "--out", str(tmp_path / "b")],
+                capsys)
+    assert rc == 0
+    for name in ("spec.json", "build.json", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("sq", ["1", "true", "YES", " On ", True])
+def test_switch_words_set_the_switch(tmp_path, capsys, monkeypatch, sq):
+    rc, _ = run(["spec-build", "--rule", "factorial", "--depth", "12",
+                 "--out", str(tmp_path / "fact")], capsys)
+    assert rc == 0
+    spec = str(tmp_path / "fact" / "spec.json")
+    argv = ["hull-scan", "--spec", spec, "--z", "2,0",
+            "--wrect=-1.5,1.5,-1.5,1.5", "--res", "64", "--depth", "4"]
+    rc, _ = run(argv + ["--sq", "--out", str(tmp_path / "flag")], capsys)
+    assert rc == 0
+    if isinstance(sq, bool):
+        (tmp_path / "cfg.json").write_text(json.dumps({"sq": sq}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        monkeypatch.setenv("FINEHULL_SQ", sq)
+    rc, _ = run(argv + ["--out", str(tmp_path / "word")], capsys)
+    assert rc == 0
+    for name in ("grid.csv", "dips.json", "manifest.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == \
+            (tmp_path / "word" / name).read_bytes()
 
 
 def test_config_file_must_hold_an_object(tmp_path, capsys):
@@ -385,7 +485,7 @@ def test_capacity_fine_sets(tmp_path, capsys):
     spec = _spec_path(tmp_path, capsys)
     setfile = tmp_path / "set.json"
     setfile.write_text(json.dumps(
-        {"spec": json.loads(open(spec).read()), "N": 2}))
+        {"spec": json.loads(pathlib.Path(spec).read_text()), "N": 2}))
     out = tmp_path / "cap"
     rc, _ = run(["capacity", "--set", str(setfile), "--out", str(out)],
                 capsys)
@@ -494,6 +594,38 @@ def test_capacity_of_a_disk_chain_without_meshable_disks(tmp_path, capsys):
     assert cap["meshable_fn_shapes"] == 0
     assert cap["chain_closes"] is True
     assert cap["fn_bound"] < cap["cap_arc"]
+
+
+# c_j = 0.5 j + 3 on an arc of angle 3: the chain does not close at N = 1
+OPEN_DISK = {"alpha": 0, "beta": 3.0, "N": 16,
+             "c_rule": {"kind": "affine", "slope": 0.5, "offset": 3}}
+
+
+def test_capacity_of_a_disk_chain_that_does_not_close(tmp_path, capsys):
+    # a verdict, as for an interval chain, not a refusal
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps({"blaschke": OPEN_DISK, "N": 1}))
+    out = tmp_path / "cap"
+    rc, stdout = run(["capacity", "--set", str(setfile), "--out", str(out)],
+                     capsys)
+    assert rc == 0, stdout
+    cap = json.loads((out / "capacity.json").read_text())
+    assert cap["chain_closes"] is False
+    assert cap["fn_bound"] >= cap["cap_arc"]
+
+
+def test_samples_refuse_a_chain_that_does_not_close(tmp_path, capsys):
+    disk = tmp_path / "disk.json"
+    disk.write_text(json.dumps(OPEN_DISK))
+    for argv, field in (
+            (["sample-e", "--spec", _spec_path(tmp_path, capsys),
+              "--depth", "1"], "depth"),
+            (["blaschke", "--spec", str(disk), "--sample-depth", "1"],
+             "sample_depth")):
+        rc, stdout = run(argv + ["--out", str(tmp_path / "s")], capsys)
+        assert rc == 1
+        out = json.loads(stdout)
+        assert (out["error"], out["field"]) == ("chain_not_closed", field)
 
 
 # j c_j = j (j + 2)! overflows from j = 169 on: those poles have disks of

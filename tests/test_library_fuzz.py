@@ -61,6 +61,29 @@ POINT_CALLS = [
 ]
 
 
+# sets whose distance to a finite point may pass the largest double: the
+# root of WIDE spans +-4e307, every pole of FAR lies in [3e307, 4.4e307]
+WIDE = build_cantor_spec(-4e307, 4e307, RULE5, N=4)
+FAR = build_cantor_spec(3e307, 4.4e307,
+                        CRule("explicit", values=(1.0, 2.0, 3.0, 4.0)), N=4)
+WIDE_HPS = hl.make_hull_spec(
+    build_cantor_spec(-4e307, 4e307, CRule("factorial", shift=2), N=4), 4)
+WIDE_MODEL = pt.leja_points(pt.CompactUnion((pt.interval(-1e308, 5e307),)),
+                            n=8)
+FAR_CALLS = [
+    ("z", lambda z: pr.eval_partial_product(WIDE, 4, z)),
+    ("zs", lambda z: pr.eval_partial_product_many(WIDE, 4, [z])),
+    ("region", lambda z: pr.tail_bound(WIDE, 0, z)),
+    ("z", lambda z: pr.eval_f(WIDE, z)),
+    ("z", lambda z: pr.sqrt_branch(WIDE, 4, z, pr.BranchTag.D_PLUS)),
+    ("x", lambda z: pr.certify_en_point(WIDE, z, 2)),
+    ("region", lambda z: pr.tail_bound(FAR, 0, z)),
+    ("z", lambda z: pr.eval_f(FAR, z)),
+    ("z", lambda z: hl.eval_v_on_graph(WIDE_HPS, z)),
+    ("z", lambda z: pt.green_eval(WIDE_MODEL, z)),
+]
+
+
 def _keeps_contract(call, field: str, finite: bool) -> None:
     """call() returns, or refuses as the module docstring says; a
     non-finite input must be refused naming field."""
@@ -87,6 +110,20 @@ def _keeps_contract(call, field: str, finite: bool) -> None:
 def test_points_are_checked_where_they_enter(z):
     finite = math.isfinite(math.hypot(z.real, z.imag))
     for field, call in POINT_CALLS:
+        _keeps_contract(lambda: call(z), field, finite)
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=points)
+# seven calls raised OverflowError: |z - pole| passes the largest double
+@example(z=complex(1.2e308, 1.2e308))
+# every pole of FAR is that far: the explicit tail has no term left
+@example(z=complex(-1.2e308, 1.2e308))
+# green_eval warned of an overflow in subtract and returned inf
+@example(z=complex(1.7e308, 0.0))
+def test_points_far_from_wide_sets(z):
+    finite = math.isfinite(math.hypot(z.real, z.imag))
+    for field, call in FAR_CALLS:
         _keeps_contract(lambda: call(z), field, finite)
 
 

@@ -1,10 +1,13 @@
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finehull import potential
 from finehull.blaschke import build_blaschke_spec, disk_fine_sets
 from finehull.cantor import CRule, build_cantor_spec
 from finehull.errors import DegenerateSet, PreconditionFailure
@@ -263,3 +266,37 @@ def test_leja_memory_scales_with_the_mesh():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_green_eval_far_from_a_wide_union():
+    # |z - node| passes the largest double for the node at -1e308
+    model = leja_points(CompactUnion((interval(-1e308, 5e307),)), n=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = green_eval(model, 1.7e308)
+    assert g == pytest.approx(1.3816752804910948, rel=1e-12)
+
+
+def _scanned_candidates(spec, N):
+    """sample_E's candidates as a scan of a list gathers them."""
+    cands = [spec.a0, spec.b0]
+    for x in itertools.chain.from_iterable(zip(spec.a[:N], spec.b[:N])):
+        if x not in cands:
+            cands.append(x)
+    return sorted(cands)
+
+
+@pytest.mark.parametrize("root, rule, N", [
+    # gap 1 has length 0.0 at center +0.0, next to a0 = -0.0
+    ((-0.0, 5e-324), CRule("affine", slope=800.0, offset=0.0), 4),
+    # gaps 13.. have length 0.0, so a_j == b_j
+    ((-0.0, 1.0), CRule("affine", slope=5.0, offset=0.0), 16),
+])
+def test_sample_E_candidates_match_a_list_scan(monkeypatch, root, rule, N):
+    spec = build_cantor_spec(*root, rule, N=N)
+    got = []
+    monkeypatch.setattr(potential, "_witness_sample",
+                        lambda fs, n, cands, *_: got.extend(cands))
+    sample_E(spec, N, samples=4096)
+    assert [x.hex() for x, _ in got] == \
+        [x.hex() for x in _scanned_candidates(spec, N)]

@@ -12,6 +12,7 @@ from finehull.cantor import (CRule, build_cantor_spec, cantor_length,
 from finehull.errors import (DomainViolation, NoConvergence, NotInEN,
                              PoleHit, PreconditionFailure, QuadratureFailure,
                              RegionViolatesEN)
+from finehull.logspace import LogComplex
 from finehull.product import (BranchTag, TailBound, _factor_logs,
                               _gap_factor_log, certify_en_point, eval_f,
                               eval_partial_product, eval_partial_product_many,
@@ -632,3 +633,28 @@ def test_eval_f_walks_only_the_accepted_depth_in_full(monkeypatch):
         # one full walk (~650 logs) and a few terms per failed depth;
         # walking every candidate in full took ~3200-3900
         assert N == 32 and in_eval < len(calls) + 64, (z, in_eval)
+
+
+def test_poles_farther_than_the_largest_double_are_far():
+    # |z - pole| overflows for some poles of WIDE and every pole of FAR
+    wide = build_cantor_spec(-4e307, 4e307, RULE5, N=4)
+    z = complex(1.2e308, 1.2e308)
+    root = LogComplex.from_complex(z - wide.b0).log_mag - \
+        LogComplex.from_complex(z - wide.a0).log_mag
+    assert eval_partial_product(wide, 4, z).log_mag == \
+        pytest.approx(root, rel=1e-15)
+    assert eval_f(wide, z)[0] == eval_partial_product(wide, 1, z)
+    assert certify_en_point(wide, z, 1)
+    far = build_cantor_spec(3e307, 4.4e307,
+                            CRule("explicit", values=(1.0, 2.0, 3.0, 4.0)),
+                            N=4)
+    tb = tail_bound(far, 0, complex(-1.2e308, 1.2e308))
+    assert (tb.log_sum, tb.terms, tb.bound) == (-math.inf, 4, 0.0)
+
+
+def test_tail_past_overflowing_j_c_j_is_exactly_zero():
+    # (j + 2)! overflows from j = 169 on: every term past N = 167 is 0.0
+    spec = build_cantor_spec(0.0, 1.0, RULEF, N=168)
+    for z in (2.0, 0.3 + 0.1j, 0.5):
+        tb = tail_bound(spec, 167, z)
+        assert (tb.log_sum, tb.terms, tb.bound) == (-math.inf, 2, 0.0)
