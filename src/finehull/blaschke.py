@@ -21,7 +21,7 @@ from .cantor import (HALVING_DENOM, MAX_DEPTH, CRule, _check_depth,
                      condition_sum, json_number)
 from .errors import (BranchAtCut, ChainNotClosed, NotInEN, PoleHit,
                      PreconditionFailure)
-from .logspace import LogComplex, wrap_angle
+from .logspace import LogComplex, _sum_logs, wrap_angle
 from .potential import (CompactUnion, FineSets, arc, exact_capacity,
                         _bound_from_invs, _certified_tail, _check_samples,
                         _pole_disks, _witness_sample, UnionBound)
@@ -97,11 +97,11 @@ class BlaschkeZero:
     log_one_minus_r: float
     log_condition: float       # log |a - 1/conj(a)| = -j c_j
 
-    @property
+    @cached_property
     def a(self) -> complex:
         return self.r * cmath.exp(1j * self.theta)
 
-    @property
+    @cached_property
     def pole(self) -> complex:
         return cmath.exp(1j * self.theta) / self.r
 
@@ -138,17 +138,17 @@ class BlaschkeSpec(_IndexWalk):
         return len(self.zeros)
 
     @cached_property
-    def horizon_poles(self) -> tuple[tuple[int, complex], ...] | None:
-        """(j, 1/conj(a_j)) for j = 1 .. c_rule.horizon(max_index): the
-        materialized arc zeros, then the would-be zeros of the placement
-        rule in closed form e^{i theta_j} / r_j.  None when the horizon
-        lies past the index budget.  Built once per spec object."""
-        H = self.horizon
-        if H is None:
-            return None
-        more = tuple(_arc_zero(self.alpha, self.beta, self.c_rule, j)
-                     for j in range(self.max_index + 1, H + 1))
-        return tuple((z.index, z.pole) for z in self.zeros + more)
+    def b(self) -> list[complex]:
+        """The poles b_j = 1/conj(a_j) of the arc zeros, b[j-1] = b_j."""
+        return [z.pole for z in self.zeros]
+
+    def _would_be_poles(self, H: int) -> list[complex]:
+        """e^{i theta_j} / r_j of the would-be arc zeros max_index+1 .. H,
+        with theta_j and r_j as _arc_zero takes them."""
+        a, span = self.alpha, self.beta - self.alpha
+        return [cmath.exp(1j * (a + span * van_der_corput(j))) /
+                radius_from_condition(j, self.c_rule)
+                for j in range(self.max_index + 1, H + 1)]
 
 
 def blaschke_spec_from_json(text: str) -> BlaschkeSpec:
@@ -203,40 +203,38 @@ def extra_zeros(alpha: float, beta: float, count: int) -> tuple[
     return tuple(out)
 
 
-def _factor_log(zero: BlaschkeZero, z: complex) -> LogComplex:
-    """One Blaschke factor as LogComplex, stable on both sides of |z|=1.
+def _factor_log(zero: BlaschkeZero, z: complex) -> complex:
+    """log of one Blaschke factor as a complex number (argument not
+    wrapped), stable on both sides of |z|=1; -inf at the zero itself.
 
     Degenerate zeros (modulus rounded to 1) contribute the unit factor:
     the Moebius factor collapses to the constant 1 there, matching the
     unit-factor convention for underflowed gaps.
     """
     if zero.degenerate:
-        return LogComplex.one()
-    a = zero.a
+        return 0j
     if abs(z) <= 1.0:
-        den = 1.0 - a.conjugate() * z
-        if den == 0:
-            raise PoleHit(f"z hits pole 1/conj(a_{zero.index})")
-        num = LogComplex.from_complex(a - z)
-        rot = LogComplex.from_polar(0.0, wrap_angle(-zero.theta))
-        return rot * num / LogComplex.from_complex(den)
-    den = zero.pole - z
+        den = 1.0 - zero.a.conjugate() * z
+        scale, rot = 0.0, wrap_angle(-zero.theta)
+    else:
+        den = zero.pole - z
+        scale, rot = -math.log(zero.r), 0.0
     if den == 0:
         raise PoleHit(f"z hits pole 1/conj(a_{zero.index})")
-    num = LogComplex.from_complex(a - z)
-    scale = LogComplex.from_polar(-math.log(zero.r), 0.0)
-    return scale * num / LogComplex.from_complex(den)
+    num = LogComplex.from_complex(zero.a - z)
+    den = LogComplex.from_complex(den)
+    return complex((scale + num.log_mag) - den.log_mag,
+                   rot + num.arg - den.arg)
 
 
 def eval_blaschke(spec: BlaschkeSpec, N: int, z: complex) -> LogComplex:
     """Partial product over the first N zeros of each family."""
     z = check_point(z, "z")
     _check_depth(spec, N)
-    out = LogComplex.from_complex(z).powi(spec.l) if spec.l else \
+    z_l = LogComplex.from_complex(z).powi(spec.l) if spec.l else \
         LogComplex.one()
-    for zero in spec.zeros[:N] + spec.extras[:N]:
-        out = out * _factor_log(zero, z)
-    return out
+    return _sum_logs([_factor_log(zero, z) for zero in
+                      spec.zeros[:N] + spec.extras[:N]], z_l.log_mag, z_l.arg)
 
 
 def _log_q(zero: BlaschkeZero, z: complex) -> float:
@@ -261,7 +259,7 @@ def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
     """Certified bound on |B/B_N - 1| under the disk distance conditions.
 
     The conditions |1/conj(a_j) - z| >= e^{-j c_j / 2}, j > N, are checked
-    over spec.horizon_poles, materialized and would-be zeros (NotInEN
+    over spec.walk_poles, materialized and would-be zeros (NotInEN
     where one fails or the walk is uncertified); materialized factors
     beyond N add their q_j, the rest a halving majorant.
     """
@@ -313,9 +311,8 @@ def disk_fine_sets(spec: BlaschkeSpec, N: int) -> FineSets:
     if not 1 <= N <= spec.max_index:
         raise PreconditionFailure("need 1 <= N <= materialization", field="N")
     S = arc(spec.alpha, spec.beta)
-    disks, sum_disks = _pole_disks(
-        spec.jcj, ((z.index, z.pole) for z in spec.zeros), N,
-        condition_sum(spec.c_rule, J=spec.max_index).tail_bound)
+    disks, sum_disks = _pole_disks(spec.jcj, spec.b, N, condition_sum(
+        spec.c_rule, J=spec.max_index).tail_bound)
     # before the unions: a rule whose every j c_j overflows is refused
     # naming c_rule, not its empty F_N naming shapes
     bound = _fn_disk_bound(spec, N)
@@ -340,12 +337,10 @@ def certify_arc_point(spec: BlaschkeSpec, theta: float, N: int) -> bool:
     """Distance conditions |e^{i theta} - 1/conj(a_j)| >= e^{-j c_j / 2}
     for all j >= N at machine resolution.
 
-    The check runs over spec.horizon_poles: the materialized zeros, then
-    the would-be poles the placement rule determines, until the threshold
-    e^{-j c_j / 2} underflows to exact zero; past that horizon every
-    remaining condition holds at double precision.  Rules whose
-    thresholds never underflow within a fixed index budget cannot be
-    certified this way.
+    The check runs over spec.walk_poles, the materialized and would-be
+    zeros out to the horizon where e^{-j c_j / 2} underflows; past it the
+    conditions hold at double precision.  A rule whose horizon lies past
+    the index budget cannot be certified this way.
     """
     check_point(theta, "theta")
     last = _last_violation(spec, cmath.exp(1j * theta))

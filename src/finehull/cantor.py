@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -230,7 +230,9 @@ class CRule:
 
 
 class _IndexWalk:
-    """The would-be pole walk of either spec family (c_rule, max_index)."""
+    """The would-be pole walk of either spec family.  A family supplies
+    c_rule, max_index, its materialized poles b (b[j-1] = b_j) and
+    _would_be_poles(H), the poles max_index+1 .. H of its placement rule."""
 
     @cached_property
     def horizon(self) -> int | None:
@@ -242,8 +244,19 @@ class _IndexWalk:
         return self.c_rule.jcj_values(1, self.max_index).tolist()
 
     @cached_property
+    def walk_poles(self) -> list | None:
+        """The poles b_j for j = 1 .. horizon, b_j at position j - 1: the
+        materialized ones, then the would-be ones.  None when the horizon
+        lies past the index budget or the family refuses the extension."""
+        H = self.horizon
+        if H is None:
+            return None
+        more = self._would_be_poles(H) if H > self.max_index else []
+        return None if more is None else self.b + more
+
+    @cached_property
     def walk_jcj(self) -> list[float]:
-        """jcj continued over horizon_poles, where that is not None."""
+        """jcj continued over walk_poles, where that is not None."""
         return self.jcj + self.c_rule.jcj_values(self.max_index + 1,
                                                  self.horizon).tolist()
 
@@ -305,33 +318,18 @@ class CantorSpec(_IndexWalk):
         """The poles b_j; a -0.0 center with half width 0.0 gives +0.0."""
         return [c + h for c, h in zip(self.centers, self.half_widths)]
 
-    @cached_property
-    def gap_poles(self) -> tuple[tuple[int, float], ...]:
-        """(j, b_j) for the materialized gaps."""
-        return tuple(zip(range(1, self.max_index + 1), self.b))
-
-    @cached_property
-    def horizon_poles(self) -> tuple[tuple[int, float], ...] | None:
-        """(j, b_j) for j = 1 .. c_rule.horizon(max_index): gap_poles, then
-        the would-be gaps that bisect placement adds next, resumed from
-        the remaining pieces.
-
-        None when the horizon lies past the index budget or the extension
-        is refused (GapOverflow, PlacementFailure, non-increasing c).
-        """
-        H = self.horizon
-        if H is None or H == self.max_index:
-            return None if H is None else self.gap_poles
+    def _would_be_poles(self, H: int) -> list[float] | None:
+        """b_j, formed as b forms it, of the gaps max_index+1 .. H that
+        placement resumed from the remaining pieces adds; None when it
+        refuses them (GapOverflow, PlacementFailure, non-increasing c)."""
         try:
-            centers, logs, pieces = _place_gaps(
+            centers, logs, _ = _place_gaps(
                 self.c_rule, self.root_length, self.remaining,
                 sum_gap_lengths(self), self.max_index + 1, H)
         except PreconditionFailure:
             return None
-        return replace(self, max_index=H,
-                       centers=self.centers + tuple(centers),
-                       log_lengths=self.log_lengths + tuple(logs),
-                       remaining=tuple(pieces)).gap_poles
+        return [c + (math.exp(l - _LN2) if l > ZERO_LOG else 0.0)
+                for c, l in zip(centers, logs)]
 
     def poles(self, upto: int | None = None) -> list[float]:
         """Pole locations of the truncated product: a0 and the right gap
@@ -499,24 +497,24 @@ def _split_zero_length(heap, first: int, count: int):
 
 
 def _last_violation(spec, z) -> int | None:
-    """Largest j whose distance condition |z - pole_j| >= e^{-j c_j / 2}
-    fails over spec.horizon_poles, scanned from the horizon down; 0 when
+    """Largest j whose distance condition |z - b_j| >= e^{-j c_j / 2}
+    fails over spec.walk_poles, scanned from the horizon down; 0 when
     every condition holds, None when the walk cannot be certified.
 
     Conditions hold for all j >= N exactly when the result is below
-    max(N, 1); either spec family supplies horizon_poles and c_rule.
+    max(N, 1); either spec family supplies walk_poles and walk_jcj.
     """
-    walk = spec.horizon_poles
+    walk = spec.walk_poles
     if walk is None:
         return None
     jcj = spec.walk_jcj
-    for j, pole in reversed(walk):
+    for i in range(len(walk) - 1, -1, -1):
         try:
-            d = abs(z - pole)
+            d = abs(z - walk[i])
         except OverflowError:   # farther than the largest double: it holds
             continue
-        if d == 0.0 or math.log(d) < -0.5 * jcj[j - 1]:
-            return j
+        if d == 0.0 or math.log(d) < -0.5 * jcj[i]:
+            return i + 1
     return 0
 
 

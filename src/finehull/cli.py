@@ -209,7 +209,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         given = getattr(args, name)
         if given is not None:
             cfg[name] = given
-    for name, kind, _, _ in params:
+    for name, kind, default, _ in params:
+        if cfg[name] is None and default is not None:   # a JSON null
+            raise PreconditionFailure(f"{name} needs a value, got null",
+                                      field=name)
         if kind is not None:
             cfg[name] = _coerce(name, cfg[name], kind)
     return cfg
@@ -357,7 +360,7 @@ def _set_obj(cfg: dict) -> dict:
 
 def cmd_spec_build(cfg: dict, outdir: str) -> list[str]:
     depth = _depth(cfg, MAX_DEPTH)
-    with _field_as("rule", "c_rule"):
+    with _field_as("rule", "c_rule"), _field_as("depth"):
         spec = build_cantor_spec(cfg["a0"], cfg["b0"], _rule_from_cfg(cfg),
                                  cfg["placement"], depth)
     cs = condition_sum(spec)

@@ -187,9 +187,9 @@ def eval_v_on_graph(hps: HullPotentialSpec, z: complex) -> float:
     total = 0.0
     # log|z - p| as LogComplex takes it: -inf at p, finite past the
     # largest double
-    log_p_abs = LogComplex.from_complex(z - hps.spec.b0).log_mag
+    log_p_abs = LogComplex.from_difference(z, hps.spec.b0).log_mag
     for n in range(1, hps.M + 1):
-        log_p_abs += LogComplex.from_complex(z - hps.spec.a[n - 1]).log_mag
+        log_p_abs += LogComplex.from_difference(z, hps.spec.a[n - 1]).log_mag
         if n == hps.M:
             vn = float("-inf")
         else:

@@ -68,6 +68,15 @@ class LogComplex:
         return LogComplex(log_mag, math.atan2(z.imag, z.real))
 
     @staticmethod
+    def from_difference(z: complex, p: complex) -> "LogComplex":
+        """z - p, taken at half scale where the difference overflows."""
+        w = z - p
+        if cmath.isfinite(w):
+            return LogComplex.from_complex(w)
+        h = LogComplex.from_complex(0.5 * z - 0.5 * p)
+        return LogComplex(h.log_mag + _LOG2, h.arg)
+
+    @staticmethod
     def from_polar(log_mag: float, arg: float) -> "LogComplex":
         if log_mag == _NEG_INF:
             return LogComplex.zero()
@@ -128,6 +137,16 @@ class LogComplex:
         if self.is_zero:
             return self if k > 0 else LogComplex.one()
         return LogComplex(k * self.log_mag, wrap_angle(k * self.arg))
+
+
+def _sum_logs(logs, re: float = 0.0, im: float = 0.0,
+              p: float = 1.0) -> LogComplex:
+    """exp(re + i im) times the product of exp(p l) over complex logs l:
+    real parts and arguments added in order, the argument wrapped once."""
+    for l in logs:
+        re += p * l.real
+        im += p * l.imag
+    return LogComplex.from_polar(re, im)
 
 
 def logsum(terms: list[LogComplex]) -> LogComplex:

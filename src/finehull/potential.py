@@ -184,8 +184,13 @@ class CompactUnion:
         if not self.shapes:
             return 1.0
         exts = [s.extent() for s in self.shapes]
-        cx = sum(c.real for c, _ in exts) / len(exts)
-        cy = sum(c.imag for c, _ in exts) / len(exts)
+        n = len(exts)
+        cx = sum(c.real for c, _ in exts) / n
+        cy = sum(c.imag for c, _ in exts) / n
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            # the sum overflows: add the centers at scale 1/n instead
+            cx, cy = sum(c.real / n for c, _ in exts), \
+                sum(c.imag / n for c, _ in exts)
         # hypot is complex abs, but gives inf where abs raises
         return 2.0 * max(math.hypot(c.real - cx, c.imag - cy) + r
                          for c, r in exts)
@@ -458,9 +463,9 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
     """Score (key, z) candidates by the Green witness u = g_F - g_J at z.
 
     A row is in E_N when u > 0 and certify(key) holds; raises EmptySample
-    when no row is.  A chain that does not close at fs.N (ChainNotClosed)
-    and a set with no meshable shape name the depth N; a Leja size refusal
-    names the setting leja_n.
+    naming the setting samples when no row is.  A chain that does not
+    close at fs.N (ChainNotClosed) and a set with no meshable shape name
+    the depth N; a Leja size refusal names the setting leja_n.
     """
     if not fs.chain_closes:
         raise ChainNotClosed(
@@ -481,22 +486,20 @@ def _witness_sample(fs, leja_n: int, cands, certify, row) -> list:
         out.append(row(key, u, u > 0.0 and certify(key)))
     if not any(s.in_EN for s in out):
         raise EmptySample(
-            "no candidate passes both the witness and distance conditions")
+            "no candidate passes both the witness and distance conditions",
+            field="samples")
     return out
 
 
 def _pole_disks(jcjs, poles, N: int,
                 tail: float | None) -> tuple[list[Shape], float]:
-    """Protection disks, meshable or not, of log-radius -j c_j / 2
-    (jcjs[j-1] = j c_j) around the poles (j, pole) with j >= N, and
+    """Protection disks, meshable or not, of log-radius -j c_j / 2 around
+    the poles b_j with j >= N (jcjs[j-1] = j c_j, poles[j-1] = b_j), and
     sum_disks: 2/(j c_j) added in index order, then 2 * tail unless tail
     is None.  A pole whose j c_j overflows has capacity 0 and no disk."""
     disks: list[Shape] = []
     sum_disks = 0.0
-    for j, pole in poles:
-        if j < N:
-            continue
-        jcj = jcjs[j - 1]
+    for pole, jcj in zip(poles[N - 1:], jcjs[N - 1:]):
         sum_disks += 2.0 / jcj
         if jcj < math.inf:
             disks.append(disk(pole, log_radius=-0.5 * jcj))
@@ -549,8 +552,7 @@ def cantor_fine_sets(spec: CantorSpec, N: int) -> FineSets:
     cs = condition_sum(spec.c_rule, J=spec.max_index)
     if cs.tail_bound is not None:
         sum_segments += cs.tail_bound      # 1/(jc_j + log4) <= 1/(jc_j)
-    disks, sum_disks = _pole_disks(spec.jcj, spec.gap_poles, N,
-                                   cs.tail_bound)
+    disks, sum_disks = _pole_disks(spec.jcj, spec.b, N, cs.tail_bound)
     fn_bound = _fn_analytic_bound(spec, N)
     union_F = CompactUnion(tuple(segs + disks))
     root = interval(spec.a0, spec.b0)

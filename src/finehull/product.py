@@ -26,7 +26,8 @@ from .cantor import (HALVING_DENOM, UNDERFLOW_LOG, CantorSpec, _check_depth,
                      sum_gap_lengths)
 from .errors import (DomainViolation, NoConvergence, NotInEN, PoleHit,
                      PreconditionFailure, QuadratureFailure, RegionViolatesEN)
-from .logspace import LogComplex, log1p_complex, logsum, wrap_angle
+from .logspace import (LogComplex, _sum_logs, log1p_complex, logsum,
+                       wrap_angle)
 
 __all__ = [
     "BranchTag",
@@ -111,6 +112,8 @@ def _factor_logs(spec: CantorSpec, N: int, z: complex):
     num = z - spec.b0
     if num == 0:
         return None
+    if not (cmath.isfinite(num) and cmath.isfinite(den)):   # half scale
+        num, den = 0.5 * z - 0.5 * spec.b0, 0.5 * z - 0.5 * spec.a0
     # inside the root interval on the real axis: convention +pi
     logs = [_quotient_log(num, den, math.pi)]
     for fl in map(_gap_factor_log, range(1, min(N, spec.n_pos) + 1),
@@ -128,12 +131,7 @@ def _factor_power(spec: CantorSpec, N: int, z: complex,
     logs = _factor_logs(spec, N, z)
     if logs is None:
         return LogComplex.zero()
-    re = 0.0
-    im = 0.0
-    for l in logs:
-        re += p * l.real
-        im += p * l.imag
-    return LogComplex.from_polar(re, wrap_angle(im))
+    return _sum_logs(logs, p=p)
 
 
 def eval_partial_product(spec: CantorSpec, N: int, z: complex) -> LogComplex:
@@ -273,7 +271,7 @@ def _tail_walk(spec: CantorSpec, N: int, c: complex, rad: float,
     _check_depth(spec, N)
     rule = spec.c_rule
     M = spec.max_index
-    poles, jcjs = spec.gap_poles, spec.jcj
+    poles, jcjs = spec.b, spec.jcj
     tail = None
     # an explicit rule is a finite construction: nothing beyond its prefix
     if rule.max_defined_index is None:
@@ -289,7 +287,7 @@ def _tail_walk(spec: CantorSpec, N: int, c: complex, rad: float,
             # inside or near the root: the placement rule fixes every
             # later gap, so the would-be poles out to the underflow
             # horizon join the check; past it each term stays below p_n
-            poles = spec.horizon_poles
+            poles = spec.walk_poles
             if poles is None:
                 raise RegionViolatesEN(
                     "rule keeps thresholds representable past the "
@@ -303,26 +301,25 @@ def _tail_walk(spec: CantorSpec, N: int, c: complex, rad: float,
         return None
     cut = UNDERFLOW_LOG - min(m, 0.0)
     for i in range(N, len(poles)):
-        j, b = poles[i]
         jcj = jcjs[i]
         if 0.5 * jcj > cut:
-            for j, b in poles[i:] if abs(c.imag) <= rad else ():
+            for k, b in enumerate(poles[i:], i) if abs(c.imag) <= rad else ():
                 try:
                     d = abs(c - b) - rad
                 except OverflowError:   # farther than the largest double
                     continue
                 if d <= 0.0:
-                    raise RegionViolatesEN(f"region touches pole b_{j}")
+                    raise RegionViolatesEN(f"region touches pole b_{k + 1}")
             break
         try:
-            d = abs(c - b) - rad
+            d = abs(c - poles[i]) - rad
         except OverflowError:   # a far pole: its term is exactly 0.0
             d = math.inf
         if d <= 0.0:
-            raise RegionViolatesEN(f"region touches pole b_{j}")
+            raise RegionViolatesEN(f"region touches pole b_{i + 1}")
         log_u = -jcj - math.log(d)
         if log_u > -0.5 * jcj:
-            raise RegionViolatesEN(f"distance condition fails at gap {j}")
+            raise RegionViolatesEN(f"distance condition fails at gap {i + 1}")
         logs.append(log_u)
         if log_u > m:
             m = log_u
@@ -453,12 +450,10 @@ def certify_en_point(spec: CantorSpec, x: float, N: int) -> bool:
     """Distance conditions |x - b_n| >= exp(-n c_n / 2) for all n >= N
     at machine resolution.
 
-    The check runs over spec.horizon_poles: the materialized gaps, then
-    the would-be gaps the placement rule determines, until the threshold
-    e^{-n c_n / 2} underflows to exact zero; past that horizon the
-    remaining conditions hold at double precision.  A rule whose
-    thresholds stay representable beyond a fixed index budget cannot be
-    certified this way.
+    The check runs over spec.walk_poles, the materialized and would-be
+    gaps out to the horizon where e^{-n c_n / 2} underflows; past it the
+    conditions hold at double precision.  A rule whose horizon lies past
+    the index budget cannot be certified this way.
     """
     last = _last_violation(spec, check_point(x, "x"))
     return last is not None and last < max(N, 1)
@@ -476,7 +471,11 @@ def fine_boundary_value(spec: CantorSpec, x: float, tag: BranchTag,
     if not tag.is_h_family:
         raise PreconditionFailure("fine boundary values exist for the "
                                   "H family only", field="tag")
-    x = float(x)
+    z = check_point(x, "x")
+    if z.imag != 0.0:
+        raise PreconditionFailure(f"x needs a real point, got {z!r}",
+                                  field="x")
+    x = z.real
     if not (spec.a0 <= x <= spec.b0):
         raise NotInEN("x lies off the root interval")
     d_set = min(_seg_distance(complex(x), lo, hi) for lo, hi in spec.remaining)
@@ -521,10 +520,9 @@ def tail_product_minus_one(spec: CantorSpec, n: int, z: complex,
     terms = []
     for j, b, log_length in zip(range(n + 1, M + 1), spec.b[n:M],
                                 spec.log_lengths[n:M]):
-        w = z - b
-        if w == 0:
+        lw = LogComplex.from_difference(z, b)
+        if lw.is_zero:
             raise PoleHit(f"z hits pole b_{j}")
-        lw = LogComplex.from_complex(w)
         u = LogComplex(log_length - lw.log_mag, wrap_angle(-lw.arg))
         terms.append(u)
     if not terms:

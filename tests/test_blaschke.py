@@ -15,6 +15,7 @@ from finehull.blaschke import (blaschke_sample_E, blaschke_spec_from_json,
 from finehull.cantor import MAX_DEPTH, CRule
 from finehull.errors import (BranchAtCut, DegenerateSet, NotInEN, PoleHit,
                              PreconditionFailure)
+from finehull.logspace import LogComplex, wrap_angle
 from finehull.potential import arc, exact_capacity, union_capacity_bound
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -60,6 +61,50 @@ def test_zero_and_pole():
     assert eval_blaschke(SPEC, 16, z1.a).is_zero
     with pytest.raises(PoleHit):
         eval_blaschke(SPEC, 16, z1.pole)
+
+
+def _chained_eval_blaschke(spec, N, z):
+    """eval_blaschke as a chain of LogComplex factors, each product and
+    quotient wrapping its argument: the reference for the summed logs."""
+    out = LogComplex.from_complex(z).powi(spec.l) if spec.l else \
+        LogComplex.one()
+    for zero in spec.zeros[:N] + spec.extras[:N]:
+        a = zero.a
+        if zero.degenerate:
+            f = LogComplex.one()
+        elif abs(z) <= 1.0:
+            den = 1.0 - a.conjugate() * z
+            f = LogComplex.from_polar(0.0, wrap_angle(-zero.theta)) * \
+                LogComplex.from_complex(a - z) / LogComplex.from_complex(den)
+        else:
+            den = zero.pole - z
+            f = LogComplex.from_polar(-math.log(zero.r), 0.0) * \
+                LogComplex.from_complex(a - z) / LogComplex.from_complex(den)
+        out = out * f
+    return out
+
+
+# RULE5 zeros have modulus 1 from index 3 on, SLOW ones from 19 on; the
+# unwrapped sum of the factor arguments grows with the factor count, and
+# so does its rounding: up to 3 ulp(pi) over 5 factors, 7 over 16 to 19
+@pytest.mark.parametrize("rule, ulps", [(RULE5, 4.0), (SLOW, 8.0)],
+                         ids=["slope5", "slow"])
+@pytest.mark.parametrize("l, extras", [(0, 0), (2, 3)])
+def test_summed_factor_logs_match_the_chained_factors(rule, ulps, l, extras):
+    spec = build_blaschke_spec(0.0, QUARTER, rule, 16, l=l, extras=extras)
+    rng = random.Random(20)
+    zs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+          for _ in range(400)] + [0j, 1.0, 1j, cmath.exp(0.3j), 1e5 + 3j]
+    moved = 0
+    for z in zs:
+        got, want = eval_blaschke(spec, 16, z), _chained_eval_blaschke(
+            spec, 16, z)
+        assert got.log_mag.hex() == want.log_mag.hex()
+        # the argument is wrapped once, not after each factor
+        d = abs(got.arg - want.arg)
+        assert min(d, 2.0 * math.pi - d) <= ulps * math.ulp(math.pi)
+        moved += got.arg != want.arg
+    assert moved < len(zs) // 4
 
 
 def test_value_at_origin_is_the_radius_product():
@@ -140,10 +185,12 @@ def test_would_be_poles_match_a_deeper_build(N):
     rule = CRule("affine", slope=0.05, offset=1.0)
     spec = build_blaschke_spec(0.0, QUARTER, rule, N)
     deeper = build_blaschke_spec(0.0, QUARTER, rule, N + 8)
-    walk = spec.horizon_poles
-    assert walk[:N] == tuple((z.index, z.pole) for z in spec.zeros)
-    assert walk[N:N + 8] == tuple((z.index, z.pole)
-                                  for z in deeper.zeros[N:])
+    walk = spec.walk_poles
+
+    def hexes(poles):
+        return [(p.real.hex(), p.imag.hex()) for p in poles]
+    assert hexes(walk[:N]) == hexes(z.pole for z in spec.zeros)
+    assert hexes(walk[N:N + 8]) == hexes(z.pole for z in deeper.zeros[N:])
     # moduli round to 1 from index 19 on: the closed form covers them too
     assert any(z.degenerate for z in deeper.zeros) == (N == 16)
 

@@ -257,10 +257,10 @@ def test_resumed_placement_matches_full_build(rule, depth):
     assert list(full.centers) == centers
     assert list(full.remaining) == ref_pieces
     # the horizon walk is the same resumed placement, built once per spec
-    walk = spec.horizon_poles
-    assert walk is spec.horizon_poles
-    assert walk == tuple((j, full.gap(j).b)
-                         for j in range(1, rule.horizon(depth) + 1))
+    walk = spec.walk_poles
+    assert walk is spec.walk_poles
+    assert _hexes(walk) == [full.gap(j).b.hex()
+                            for j in range(1, rule.horizon(depth) + 1)]
 
 
 def test_gap_overflow_and_placement_failure():
@@ -392,7 +392,7 @@ def _rule_id(rule):
 
 def _check_placement(rule, a0, b0, depth):
     """_place_gaps against the index loop from the root [a0, b0], then the
-    build, its resumed horizon extension and horizon_poles."""
+    build, its resumed horizon extension and walk_poles."""
     if rule.max_defined_index is not None:
         depth = min(depth, rule.max_defined_index)
     args = (rule, b0 - a0, [(a0, b0)], 0.0, 1, depth)
@@ -413,18 +413,18 @@ def _check_placement(rule, a0, b0, depth):
             H)
     more = _placed(_reference_place_gaps, *args)
     assert _placed(_place_gaps, *args) == more
-    walk = spec.horizon_poles
+    walk = spec.walk_poles
     if isinstance(more[0], str):
         assert walk is None
     else:
-        assert walk[:depth] == spec.gap_poles
-        assert [(j, b.hex()) for j, b in walk] == [
+        assert walk[:depth] == spec.b
+        assert [(j, b.hex()) for j, b in enumerate(walk, 1)] == [
             (j, spec.gap(j).b.hex()) for j in range(1, depth + 1)] + [
             (j, _old_gap(float.fromhex(c), float.fromhex(l))[3].hex())
             for j, c, l in more[0]]
         if H > depth:
             deeper = build_cantor_spec(a0, b0, rule, N=H)
-            assert [(j, b.hex()) for j, b in walk] == [
+            assert [(j, b.hex()) for j, b in enumerate(walk, 1)] == [
                 (j, deeper.gap(j).b.hex()) for j in range(1, H + 1)]
 
 
@@ -590,9 +590,9 @@ def _check_representation(spec):
         assert _hexes(getattr(spec, name)) == [o[k].hex() for o in old]
     assert spec.n_pos == sum(o[0] > 0.0 for o in old)
     assert _hexes(spec.jcj) == [rule.jcj(j).hex() for j in range(1, M + 1)]
-    if spec.horizon_poles is not None:
+    if spec.walk_poles is not None:
         assert _hexes(spec.walk_jcj) == [
-            rule.jcj(j).hex() for j in range(1, len(spec.horizon_poles) + 1)]
+            rule.jcj(j).hex() for j in range(1, len(spec.walk_poles) + 1)]
     assert [spec.gap(j).b.hex() for j in range(1, M + 1)] == \
         [o[3].hex() for o in old]
     for n in (None, 0, M // 2):
@@ -635,7 +635,7 @@ def test_blaschke_jcj_spans_its_horizon_walk():
     spec = build_blaschke_spec(0.0, 1.5, RULE5, 6)
     assert _hexes(spec.jcj) == [RULE5.jcj(j).hex() for j in range(1, 7)]
     assert _hexes(spec.walk_jcj) == [
-        RULE5.jcj(j).hex() for j in range(1, len(spec.horizon_poles) + 1)]
+        RULE5.jcj(j).hex() for j in range(1, len(spec.walk_poles) + 1)]
 
 
 def test_materialized_jcj_takes_no_horizon_walk(monkeypatch):

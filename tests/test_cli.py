@@ -195,6 +195,12 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["sample-e", "--spec", "{spec}", "--depth", "1"], "depth"),  # no chain
     (["sample-e", "--spec", "{weak}", "--depth", "4"],
      "spec"),   # the summability condition is not certified
+    # the explicit rule is shorter than the depth (the library's N)
+    (["spec-build", "--rule", "explicit", "--values", "1,2", "--depth", "5"],
+     "depth"),
+    # no arc candidate passes both conditions: the sample was too small
+    (["blaschke", "--spec", "{dfact}", "--sample-depth", "1", "--samples",
+      "1"], "samples"),
 ])
 def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                               field):
@@ -220,6 +226,9 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
                                 "N": 10 ** 9}))
     extras = tmp_path / "extras.json"
     extras.write_text(json.dumps({**disk_obj, "extras": 10 ** 9}))
+    dfact = tmp_path / "dfact.json"
+    dfact.write_text(json.dumps({"alpha": 0, "beta": 0.5, "N": 12, "c_rule": {
+        "kind": "factorial", "shift": 2}}))
     order = tmp_path / "order.json"
     order.write_text(json.dumps({**disk_obj, "l": 10 ** 400}))
     weak = tmp_path / "weak.json"
@@ -229,7 +238,8 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
     paths = {"shapes": str(shapes), "spec": spec, "weak": str(weak),
              "fact": str(tmp_path / "fact" / "spec.json"),
              "fineset": str(fineset), "disk": str(disk), "deep": str(deep),
-             "extras": str(extras), "order": str(order)}
+             "extras": str(extras), "order": str(order),
+             "dfact": str(dfact)}
     out = tmp_path / "bad"
     rc, stdout = run([a.format(**paths) for a in argv] + ["--out", str(out)],
                      capsys)
@@ -366,6 +376,38 @@ def test_numbers_are_refused_not_rounded(tmp_path, capsys, monkeypatch,
     assert not out.exists() or not any(out.iterdir())
 
 
+# every typed setting whose default is not None, by command
+TYPED_DEFAULTS = [(command, name) for command, params in cli._PARAMS.items()
+                  for name, kind, default, _ in params + cli._COMMON
+                  if kind is not None and default is not None]
+
+
+@pytest.mark.parametrize("command, name", TYPED_DEFAULTS)
+def test_a_null_setting_is_refused_naming_it(tmp_path, capsys, monkeypatch,
+                                             command, name):
+    # a JSON null reached the command as None and failed there (exit 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({name: None}))
+    rc, stdout = run([command, "--config", "cfg.json"], capsys)
+    assert rc == 1, stdout
+    assert json.loads(stdout)["field"] == name
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_null_setting_without_a_default_stays_unset(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps({"values": None,
+                                                   "depth": 3}))
+    rc, _ = run(["spec-build", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "s")], capsys)
+    assert rc == 0
+    spec = str(tmp_path / "s" / "spec.json")
+    (tmp_path / "cfg.json").write_text(json.dumps({"depth": None}))
+    rc, _ = run(["eval", "--spec", spec, "--at", "2,0", "--config",
+                 str(tmp_path / "cfg.json"), "--out", str(tmp_path / "e")],
+                capsys)
+    assert rc == 0      # the adaptive depth
+
+
 @pytest.mark.parametrize("config, env", [
     ({"depth": 5.0}, {}), ({"depth": "5"}, {}), ({}, {"FINEHULL_DEPTH": "5"}),
     ({"depth": 5, "shift": 2.0, "slope": 5}, {}),
@@ -432,6 +474,36 @@ def test_eval_at_huge_points_is_finite(tmp_path, capsys, at, branch):
     vals = dict(zip(header.split(","), row.split(",")))
     assert abs(float(vals["log_mag"])) < 1e-300
     assert all(math.isfinite(float(v)) for v in vals.values())
+
+
+@pytest.mark.parametrize("at, log_mag", [("1.7e308,0", -0.4795730802618862),
+                                         ("-1.7e308,0", 0.4795730802618863)])
+def test_eval_where_the_root_quotient_overflows(tmp_path, capsys, at,
+                                                log_mag):
+    # z - a0 or z - b0 rounds to infinity: log|f| was -inf or inf (exit 1)
+    rc, _ = run(["spec-build", "--a0=-4e307", "--b0=4e307", "--depth", "4",
+                 "--out", str(tmp_path / "s")], capsys)
+    assert rc == 0
+    rc, _ = run(["eval", "--spec", str(tmp_path / "s" / "spec.json"),
+                 f"--at={at}", "--out", str(tmp_path / "e")], capsys)
+    assert rc == 0
+    header, row = (tmp_path / "e" / "eval.csv").read_text().splitlines()
+    got = float(dict(zip(header.split(","), row.split(",")))["log_mag"])
+    assert got == pytest.approx(log_mag, rel=1e-15)
+
+
+def test_capacity_of_disks_whose_centers_sum_past_the_largest_double(
+        tmp_path, capsys):
+    # the mean center overflowed and the set was refused naming shapes
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"shapes": [
+        {"kind": "disk", "center": [-1.2e308, -1.2e308], "radius": 1},
+        {"kind": "disk", "center": [-1.19e308, -1.2e308], "radius": 1}]}))
+    rc, _ = run(["capacity", "--set", str(path), "--out", str(tmp_path / "c")],
+                capsys)
+    assert rc == 0
+    out = json.loads((tmp_path / "c" / "capacity.json").read_text())
+    assert out["members"] == 2 and math.isfinite(out["log_bound"])
 
 
 @pytest.mark.parametrize("at", ["1.7e308,1.7e308", "1,0"])

@@ -236,6 +236,21 @@ DISK_1E400 = '{"shapes": [{"kind": "disk", "center": 0, "radius": 1e400}]}'
                 "--depth", "5"], None))
 @example(case=(["spec-build", "--slope=2.225073858507e-311", "--depth=0"],
                None))
+@example(case=(["spec-build", "--rule", "explicit", "--values", "1,2",
+                "--depth", "5"], None))
+@example(case=(["blaschke", "--spec", "{f}", "--sample-depth", "1",
+                "--samples", "1"], {"alpha": 0, "beta": 0.5, "N": 12,
+                                    "c_rule": {"kind": "factorial",
+                                               "shift": 2}}))
+# a JSON null for a setting with a default reached the command (exit 2)
+@example(case=(["spec-build", "--config", "{f}"], {"slope": None}))
+@example(case=(["spec-build", "--config", "{f}"], {"depth": None}))
+@example(case=(["eval", "--spec", "{s8}", "--at", "2,0", "--config", "{f}"],
+               {"tol": None}))
+@example(case=(["hull-scan", "--spec", "{fact}", "--z", "2,0",
+                "--wrect=-1,1,-1,1", "--config", "{f}"], {"res": None}))
+@example(case=(["sample-e", "--spec", "{s8}", "--depth", "1", "--config",
+                "{f}"], {"samples": None}))
 def test_every_command_exits_zero_or_one_with_a_field(files, case):
     argv, payload = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -422,3 +422,31 @@ def test_grid_csv_memory_stays_at_one_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < grid.values.nbytes / 4
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+@pytest.mark.parametrize("z", [1.7e308, -1.7e308, 1.7e308 + 1j])
+def test_on_graph_value_past_the_largest_double_matches_mpmath(M, z):
+    # |z - a_n| or |z - b_n| overflows: the value was NaN or inf.  The
+    # oracle's gaps sit at the float centers with exact lengths, below
+    # an ulp of the centers from gap 2 on
+    mpmath = pytest.importorskip("mpmath")
+    spec = build_cantor_spec(-4e307, 4e307, RULEF, N=4)
+    hps = make_hull_spec(spec, M)
+    with mpmath.workdps(50):
+        L = [mpmath.exp(l) for l in spec.log_lengths]
+        a = [c - x / 2 for c, x in zip(spec.centers, L)]
+        w = mpmath.mpc(z)
+        # (w - a)/(w - b) = 1 + L/(w - b): the tail f_M/f_n - 1 in log1p
+        # form, as 1 + e^-2880/|w - b| is 1 at any workable precision
+        u = [x / (w - c - x / 2) for c, x in zip(spec.centers, L)]
+        want = mpmath.mpf(0)
+        for n in range(1, M + 1):
+            vn = -mpmath.inf
+            if n < M:
+                P = (w - spec.b0) * mpmath.fprod(w - x for x in a[:n])
+                tail = mpmath.expm1(mpmath.fsum(mpmath.log1p(x)
+                                                for x in u[n:M]))
+                vn = mpmath.log(abs(P)) + mpmath.log(abs(tail))
+            want += hps.term_scale(n) * max(vn, hps.floor(n))
+    assert eval_v_on_graph(hps, z) == pytest.approx(float(want), rel=1e-14)

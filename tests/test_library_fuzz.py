@@ -51,6 +51,7 @@ POINT_CALLS = [
     ("z", lambda z: pr.eval_f(SPEC, z)),
     ("z", lambda z: pr.tail_product_minus_one(SPEC, 2, z)),
     ("x", lambda z: pr.certify_en_point(SPEC, z, 2)),
+    ("x", lambda z: pr.fine_boundary_value(SPEC, z, pr.BranchTag.H_PLUS)),
     ("z", lambda z: bl.eval_blaschke(BSPEC, 16, z)),
     ("z", lambda z: bl.blaschke_tail_bound(BSPEC, 4, z)),
     ("z", lambda z: hl.v_n(SPEC, 8, z, 1.0)),

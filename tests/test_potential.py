@@ -300,3 +300,15 @@ def test_sample_E_candidates_match_a_list_scan(monkeypatch, root, rule, N):
     sample_E(spec, N, samples=4096)
     assert [x.hex() for x, _ in got] == \
         [x.hex() for x in _scanned_candidates(spec, N)]
+
+
+def test_union_of_disks_whose_centers_sum_past_the_largest_double():
+    # the mean center overflowed and the union was refused as "shapes"
+    mpmath = pytest.importorskip("mpmath")
+    centers = (complex(-1.2e308, -1.2e308), complex(-1.19e308, -1.2e308))
+    union = CompactUnion(tuple(disk(c, 1.0) for c in centers))
+    with mpmath.workdps(50):
+        mean = mpmath.fsum(mpmath.mpc(c) for c in centers) / 2
+        want = 2 * max(abs(mpmath.mpc(c) - mean) + 1 for c in centers)
+    assert union.diameter_bound() == pytest.approx(float(want), rel=1e-15)
+    assert math.isfinite(union_capacity_bound(union).log_bound)

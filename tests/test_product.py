@@ -418,12 +418,12 @@ def _reference_tail_bound(spec, N, region):
         if droot > 0.0 and log_p_next <= math.log(droot):
             tail = -rule.jcj(M + 1) - math.log(droot) + math.log(2.0)
         else:
-            walk = spec.horizon_poles
+            walk = spec.walk_poles
             if walk is None:
                 raise RegionViolatesEN(
                     "rule keeps thresholds representable past the "
                     "index budget")
-            poles = walk[N:]
+            poles = list(enumerate(walk, 1))[N:]
             tail = rule.halving_tail(len(walk) + 1) + \
                 math.log(1.0 / (1.0 - 0.5 ** 0.5))
     logs = []
@@ -465,11 +465,11 @@ def _tail_regions(spec):
     touch scan."""
     out = [0.5, 0.0, 1.0, -0.25, 1.75, 0.3 + 0.2j, 0.7 - 0.05j,
            (0.5 + 0.25j, 0.25), (0.3 - 0.2j, 0.2), (2.0 + 0.5j, 0.5)]
-    walk = spec.horizon_poles or ()
+    walk = spec.walk_poles or []
     picks = {1, 2, spec.max_index // 2, spec.max_index,
              spec.max_index + 1, len(walk)}
     for k in sorted(p for p in picks if 1 <= p <= len(walk)):
-        b = walk[k - 1][1]
+        b = walk[k - 1]
         out += [b, math.nextafter(b, math.inf), complex(b, 1e-300),
                 (complex(b, 1e-3), 1e-3), (complex(b + 1e-9, 1e-12), 1e-12)]
         if k <= spec.max_index:
@@ -658,3 +658,32 @@ def test_tail_past_overflowing_j_c_j_is_exactly_zero():
     for z in (2.0, 0.3 + 0.1j, 0.5):
         tb = tail_bound(spec, 167, z)
         assert (tb.log_sum, tb.terms, tb.bound) == (-math.inf, 2, 0.0)
+
+
+# -- gap products whose differences pass the largest double -------------
+
+WIDE = build_cantor_spec(-4e307, 4e307, RULE5, N=4)
+
+
+def _mp_partial_product(spec, N, z):
+    """(log|f_N(z)|, arg f_N(z)) at 50 digits from the spec's float gap
+    ends."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        f = (z - spec.b0) / (z - spec.a0)
+        for a, b in zip(spec.a[:N], spec.b[:N]):
+            f *= (z - a) / (z - b)
+        return float(mpmath.log(abs(f))), float(mpmath.arg(f))
+
+
+@pytest.mark.parametrize("z", [1.7e308, 1.7e308 + 1j, -1.7e308,
+                               complex(-1.7e308, -3e307), 1.75e308 + 1e307j])
+def test_root_quotient_past_the_largest_double_matches_mpmath(z):
+    # z - a0 or z - b0 overflows: log|f| was -inf or +inf with err 0.0
+    log_mag, arg = _mp_partial_product(WIDE, 4, z)
+    for v in (eval_partial_product(WIDE, 4, z), eval_f(WIDE, z)[0]):
+        assert abs(v.log_mag - log_mag) <= 4 * math.ulp(log_mag)
+        assert abs(v.arg - arg) <= 4 * math.ulp(max(abs(arg), 1e-300))
+    many = eval_partial_product_many(WIDE, 4, [z])
+    assert (many[0][0], many[1][0]) == (v.log_mag, v.arg)
