@@ -1,17 +1,20 @@
 """Weighted graph-detecting potential over C^2 and fiber scans.
 
 The potential sums weighted, floored logarithms of the polynomial forms
-|w Q_n(z) - P_n(z)|.  At points of the limit graph every term sits at
-its floor, so the truncated sum drops below any target as the truncation
-grows; off the graph the terms stay bounded below.  Scans locate the
-resulting dips on w-grids and certify their depth at exact graph points,
-since a finite grid cannot resolve a minus-infinity locus.
+|w Q_n(z) - P_n(z)| = |Q_n(z)| |w - f_n(z)|; scans take the factored
+side.  At points of the limit graph every term sits at its floor, so
+the truncated sum drops below any target as the truncation grows; off
+the graph the terms stay bounded below.  Scans locate the resulting
+dips on w-grids and certify their depth at exact graph points, since a
+finite grid cannot resolve a minus-infinity locus.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +22,8 @@ import numpy as np
 from .cantor import CantorSpec, check_point
 from .errors import (DomainViolation, NoValidWeights, PoleHit,
                      PreconditionFailure)
-from .logspace import LogComplex
-from .product import (certify_en_point, eval_partial_product,
-                      tail_product_minus_one)
+from .logspace import _LOG2, LogComplex
+from .product import _factor_logs, certify_en_point, tail_product_minus_one
 
 __all__ = [
     "WeightScheme",
@@ -39,11 +41,17 @@ __all__ = [
 
 SENTINEL = -1.0e6
 # largest w-grid side fiber_scan accepts: a scan holds two float
-# res x res grids (the values and the median's copy), 16 B per cell, so
-# ~64 MB at 2048
+# res x res grids (the values and the partitioned copy its median reads),
+# 16 B per cell, so ~64 MB at 2048; the band buffers add 2 x 128 kB
 MAX_RES = 2048
-# cells per band of rows the scan's term buffers cover (16 rows at 1024)
+# cells per band of rows the scan's field and term buffers cover (16 rows
+# at 1024)
 BAND_CELLS = 16384
+# coordinates below 2^(_FREE_EXP - 1) leave a field unscaled: a squared
+# axis offset stays below 2^500 and the product of two sums below 2^1002
+_FREE_EXP = 250
+# log of the largest double: P_n(z) or Q_n(z) past it is refused
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -265,6 +273,70 @@ def _nearest_local_min(vals: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return None if best is None else best[1]
 
 
+def _scan_terms(hps: HullPotentialSpec, z: complex):
+    """[(f_n(z), log|Q_n(z)|, floor_n, scale_n) for n = 1..M].
+
+    Every f_n is one prefix of a single running sum of the factor logs,
+    bit-equal to eval_partial_product(spec, n, z); log|Q_n| adds
+    log|z - b_j| in log space.  A z where P_n(z) = f_n Q_n or Q_n(z)
+    overflows a double is refused.
+    """
+    spec = hps.spec
+    prefixes = []
+    re = im = 0.0
+    for l in _factor_logs(spec, hps.M, z):
+        if l is None:            # a zero of this factor: f_n = 0 from here
+            prefixes.append(LogComplex.zero())
+            break
+        re += l.real
+        im += l.imag
+        prefixes.append(LogComplex.from_polar(re, im))
+    log_q = LogComplex.from_difference(z, spec.a0).log_mag
+    terms = []
+    for n in range(1, hps.M + 1):
+        log_q += LogComplex.from_difference(z, spec.b[n - 1]).log_mag
+        f = prefixes[min(n, len(prefixes) - 1)]
+        if max(log_q, log_q + f.log_mag) > _LOG_MAX:
+            raise PreconditionFailure("the products P_n(z), Q_n(z) overflow",
+                                      field="z")
+        terms.append((f, log_q, hps.floor(n), hps.term_scale(n)))
+    return terms
+
+
+def _field_target(t: LogComplex, wrect) -> tuple[complex, int]:
+    """(t 2^-k, k) for the distance field of target t over wrect.
+
+    k = 0 while every coordinate of the window and of t lies below
+    2^(_FREE_EXP - 1), so no squared axis offset, no sum of two and no
+    product of two sums overflows; past that, k brings all of them below
+    1/2.
+    """
+    c = t.to_complex()
+    exps = [math.frexp(v)[1] for v in wrect]
+    if cmath.isfinite(c):
+        exps += [math.frexp(c.real)[1], math.frexp(c.imag)[1]]
+    else:                               # |t| past the largest double
+        exps.append(math.floor(t.log_mag / _LOG2) + 1)
+    k = max(exps) + 1
+    if k <= _FREE_EXP:
+        return c, 0
+    if cmath.isfinite(c):
+        return complex(math.ldexp(c.real, -k), math.ldexp(c.imag, -k)), k
+    return LogComplex(t.log_mag - k * _LOG2, t.arg).to_complex(), k
+
+
+def _median(vals: np.ndarray) -> float:
+    """np.median of vals, bit for bit, from one partition: the element
+    of rank size//2, averaged with the largest below it at even sizes.
+    Adding 0.0 turns -0.0 into 0.0, as np.median's mean does."""
+    flat = vals.ravel()
+    k = flat.size // 2
+    part = np.partition(flat, k)
+    if flat.size % 2:
+        return float(0.0 + part[k])
+    return float((0.0 + part[:k].max() + part[k]) / 2.0)
+
+
 def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
                sq: bool = False, delta: float = 20.0) -> HullGrid:
     """Evaluate the potential over a w-grid and classify certified dips.
@@ -275,62 +347,78 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     median.  Grid values alone cannot reach the certified depth; the
     refinement step supplies it.
 
-    The terms are summed over one band of about BAND_CELLS cells at a
-    time, with the same ufuncs in the same order for every cell, and
+    Term n is scale_n max(log|Q_n(z)| + log|W - f_n(z)|, floor_n), since
+    W Q_n - P_n = Q_n (W - f_n); with sq, W = w^2 and log|W - f_n| =
+    log|w - s_n| + log|w + s_n| with s_n = sqrt(f_n(z)).  Consecutive
+    terms whose target double (f_n, or s_n) is the same share one
+    distance field, half the log of an outer sum of squared axis offsets
+    (with sq, a product of two such sums): one log per cell and distinct
+    target, plus an add, floor, scale and accumulate pass per term.  The
+    passes run over one band of about BAND_CELLS cells at a time, and
     local minima are tested only in the window of cells within reach of
-    a target.  Needs 64 <= res <= MAX_RES; the scan holds two float
-    res x res grids (16 B per cell, ~64 MB at MAX_RES = 2048).  A window
-    whose grid or potential is not finite is refused.
+    a target.  The offsets are scaled by a power of two, 2^0 unless a
+    square could overflow (see _field_target), so every window whose
+    grid is finite answers.  Offsets below ~1.5e-154 have subnormal
+    squares, and a cell within ~2e-162 of a target in both axes reads as
+    the target itself.
+    Needs 64 <= res <= MAX_RES; the scan holds two float res x res grids
+    (16 B per cell, ~64 MB at MAX_RES = 2048).
     """
     if not 64 <= res <= MAX_RES:
         raise PreconditionFailure(f"need 64 <= res <= {MAX_RES}",
                                   field="res")
     z = check_point(z, "z")
     _check_scan_point(hps.spec, z)
-    x0, x1, y0, y1 = (float(t) for t in wrect)
+    rect = x0, x1, y0, y1 = tuple(float(t) for t in wrect)
     if not (x0 < x1 and y0 < y1):
         raise PreconditionFailure("empty w-rectangle", field="wrect")
-    terms = [(P, Q, hps.floor(n), hps.term_scale(n)) for n, (P, Q)
-             in enumerate(_pq_prefixes(hps.spec, hps.M, z)) if n > 0]
-    if not all(cmath.isfinite(P) and cmath.isfinite(Q)
-               for P, Q, _, _ in terms):
-        raise PreconditionFailure("the products P_n(z), Q_n(z) overflow",
-                                  field="z")
+    terms = _scan_terms(hps, z)
     vals = np.zeros((res, res))
     rows = max(1, BAND_CELLS // res)
-    # each band runs every term through one complex and one float buffer
-    # in the order log|W Q - P|, floor, scale, so a cell sees the same
-    # ufuncs as over the full grid while the buffers stay cache-sized
-    cbuf = np.empty((rows, res), dtype=complex)
-    term = np.empty((rows, res))
+    fbuf = np.empty((rows, res))
+    tbuf = np.empty((rows, res))
     clamped = 0
     try:
-        # only a side past the largest double, or a window too large for
-        # Q_n(z) and P_n(z), overflows or meets inf - inf
+        # only a side past the largest double, whose linspace step
+        # overflows, makes the grid not finite
         with np.errstate(divide="ignore", over="raise", invalid="raise"):
-            xs, ys = grid_axes((x0, x1, y0, y1), res)
+            xs, ys = grid_axes(rect, res)
+            fields = []
+            for (t, k), group in itertools.groupby(
+                    terms, lambda tm: _field_target(
+                        tm[0].sqrt() if sq else tm[0], rect)):
+                xk, yk = (xs, ys) if k == 0 else \
+                    (np.ldexp(xs, -k), np.ldexp(ys, -k))
+                axes = [np.square(xk - t.real), np.square(yk - t.imag)]
+                if sq:
+                    axes += [np.square(xk + t.real), np.square(yk + t.imag)]
+                fields.append((axes, (2 * k if sq else k) * _LOG2,
+                               [tm[1:] for tm in group]))
             for r0 in range(0, res, rows):
                 r1 = min(r0 + rows, res)
-                W = xs[None, :] + 1j * ys[r0:r1, None]
-                if sq:
-                    np.multiply(W, W, out=W)
-                cb, tb, band = cbuf[:r1 - r0], term[:r1 - r0], vals[r0:r1]
-                for P, Q, floor, scale in terms:
-                    np.multiply(W, Q, out=cb)
-                    np.subtract(cb, P, out=cb)
-                    np.abs(cb, out=tb)
-                    np.log(tb, out=tb)
-                    np.maximum(tb, floor, out=tb)
-                    np.multiply(tb, scale, out=tb)
-                    band += tb
+                fb, tb, band = fbuf[:r1 - r0], tbuf[:r1 - r0], vals[r0:r1]
+                for axes, shift, group in fields:
+                    np.add(axes[0], axes[1][r0:r1, None], out=fb)
+                    if sq:
+                        np.add(axes[2], axes[3][r0:r1, None], out=tb)
+                        np.multiply(fb, tb, out=fb)
+                    np.log(fb, out=fb)
+                    np.multiply(fb, 0.5, out=fb)
+                    if shift:
+                        np.add(fb, shift, out=fb)
+                    for log_q, floor, scale in group:
+                        np.add(fb, log_q, out=tb)
+                        np.maximum(tb, floor, out=tb)
+                        np.multiply(tb, scale, out=tb)
+                        band += tb
                 clamped += int(np.count_nonzero(band < SENTINEL))
                 np.maximum(band, SENTINEL, out=band)
     except FloatingPointError as e:
         raise PreconditionFailure("the grid or the potential on the window "
-                                  "overflows", field="wrect") from e
-    median = float(np.median(vals))
+                                  "is not finite", field="wrect") from e
+    median = _median(vals)
 
-    f = eval_partial_product(hps.spec, hps.M, z)
+    f = terms[-1][0]
     if sq:
         d = f.sqrt()
         targets = [d.to_complex(), (-d).to_complex()]
@@ -349,7 +437,7 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
         if best is not None and depth >= delta:
             dips.append(Dip(t, best, depth))
     dips.sort(key=lambda p: (p.w.real, p.w.imag))
-    return HullGrid(z, (x0, x1, y0, y1), res, sq, vals, median,
+    return HullGrid(z, rect, res, sq, vals, median,
                     tuple(dips), clamped, delta, hps.M, hps.weights.name)
 
 

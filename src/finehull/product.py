@@ -101,17 +101,18 @@ def _gap_factor_log(j: int, center: float, length: float, a: float,
     return log1p_complex(length / w)
 
 
-def _factor_logs(spec: CantorSpec, N: int, z: complex):
-    """Per-factor logs at a checked point z (root factor first); None
-    signals f(z) = 0.  Gaps past n_pos, of length 0.0, are unit factors
-    and get no entry."""
+def _factor_logs(spec: CantorSpec, N: int, z: complex) -> list:
+    """Per-factor logs at a checked point z, root factor first; a None
+    entry, always the last, marks an exact zero of that factor, so f_n(z)
+    = 0 from its index on.  Gaps past n_pos, of length 0.0, are unit
+    factors and get no entry."""
     _check_depth(spec, N)
     den = z - spec.a0
     if den == 0:
         raise PoleHit("z hits pole a0")
     num = z - spec.b0
     if num == 0:
-        return None
+        return [None]
     if not (cmath.isfinite(num) and cmath.isfinite(den)):   # half scale
         num, den = 0.5 * z - 0.5 * spec.b0, 0.5 * z - 0.5 * spec.a0
     # inside the root interval on the real axis: convention +pi
@@ -119,9 +120,9 @@ def _factor_logs(spec: CantorSpec, N: int, z: complex):
     for fl in map(_gap_factor_log, range(1, min(N, spec.n_pos) + 1),
                   spec.centers, spec.lengths, spec.a, spec.b,
                   itertools.repeat(z)):
-        if fl is None:
-            return None
         logs.append(fl)
+        if fl is None:
+            break
     return logs
 
 
@@ -129,7 +130,7 @@ def _factor_power(spec: CantorSpec, N: int, z: complex,
                   p: float) -> LogComplex:
     """f_N(z)^p as the product of per-factor principal powers."""
     logs = _factor_logs(spec, N, z)
-    if logs is None:
+    if logs[-1] is None:
         return LogComplex.zero()
     return _sum_logs(logs, p=p)
 

@@ -170,8 +170,9 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
       "--wrect=-1.5,1.5,-1.5,1.5"], "z"),     # the pole a0
     (["hull-scan", "--spec", "{fact}", "--z", "1e300,0",
       "--wrect=-1.5,1.5,-1.5,1.5"], "z"),     # P_n(z) overflows
+    # the window's span overflows, so its grid is not finite
     (["hull-scan", "--spec", "{fact}", "--z", "2,0",
-      "--wrect=1e308,1.7e308,-1.5,1.5"], "wrect"),
+      "--wrect=-1e308,1.7e308,-1.5,1.5"], "wrect"),
     (["blaschke", "--spec", "{disk}", "--at=-3,0", "--sheets=-1,1"], "at"),
     (["blaschke", "--spec", "{extras}", "--at", "0.3,0.2"], "extras"),
     (["blaschke", "--spec", "{order}", "--at", "0.3,0.2"], "l"),
@@ -610,6 +611,20 @@ def test_hull_scan(tmp_path, capsys):
     assert len(report["dips"]) == 2
     grid_lines = (scan / "grid.csv").read_text().splitlines()
     assert len(grid_lines) == 64 * 64 + 1
+
+
+def test_hull_scan_past_the_largest_double_answers(tmp_path, capsys):
+    # w Q_n(z) overflows on this window, but the factored potential
+    # measures its distances at a power-of-two scale
+    out = tmp_path / "spec"
+    run(["spec-build", "--rule", "factorial", "--depth", "12",
+         "--out", str(out)], capsys)
+    scan = tmp_path / "scan"
+    rc, _ = run(["hull-scan", "--spec", str(out / "spec.json"),
+                 "--z", "2,0", "--wrect=1e308,1.7e308,-1.5,1.5",
+                 "--res", "64", "--out", str(scan)], capsys)
+    assert rc == 0
+    assert json.loads((scan / "dips.json").read_text())["dips"] == []
 
 
 def test_blaschke_command(tmp_path, capsys):

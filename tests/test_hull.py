@@ -11,9 +11,11 @@ from finehull.artifacts import write_csv, write_grid_csv
 from finehull.cantor import CRule, build_cantor_spec, spec_to_json
 from finehull.errors import (DomainViolation, NoValidWeights, PoleHit,
                              PreconditionFailure)
-from finehull.hull import (BAND_CELLS, SENTINEL, Dip, _nearest_local_min,
-                           build_weights, eval_v_on_graph, fiber_scan,
-                           grid_axes, grid_report, make_hull_spec, v_n)
+from finehull.hull import (BAND_CELLS, SENTINEL, Dip, _median,
+                           _nearest_local_min, _scan_terms, build_weights,
+                           eval_v_on_graph, fiber_scan, grid_axes,
+                           grid_report, make_hull_spec, v_n)
+from finehull.logspace import LogComplex
 from finehull.product import eval_partial_product
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
@@ -134,58 +136,6 @@ def test_potential_dominated_by_graph_value(z, w):
 
 
 
-def _stacked_scan(hps, z, res, sq, delta):
-    """(values, median, clamped, dips) with per-term temporaries and an
-    8-plane neighbour stack."""
-    xs = np.linspace(WRECT[0], WRECT[1], res)
-    ys = np.linspace(WRECT[2], WRECT[3], res)
-    W = xs[None, :] + 1j * ys[:, None]
-    Warg = W * W if sq else W
-    vals = np.zeros((res, res))
-    P, Q = z - hps.spec.b0, z - hps.spec.a0
-    with np.errstate(divide="ignore"):
-        for n in range(1, hps.M + 1):
-            g = hps.spec.gap(n)
-            P *= z - g.a
-            Q *= z - g.b
-            vn = np.log(np.abs(Warg * Q - P))
-            vals += hps.term_scale(n) * np.maximum(vn, hps.floor(n))
-    clamped = int(np.sum(vals < SENTINEL))
-    np.maximum(vals, SENTINEL, out=vals)
-    median = float(np.median(vals))
-    neigh = np.stack([vals[1 + di:res - 1 + di, 1 + dj:res - 1 + dj]
-                      for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                      if (di, dj) != (0, 0)])
-    mins = np.argwhere(vals[1:-1, 1:-1] <= neigh.min(axis=0)) + 1
-    f = eval_partial_product(hps.spec, hps.M, z)
-    targets = {f.sqrt().to_complex(), (-f.sqrt()).to_complex()} if sq \
-        else {f.to_complex()}
-    depth = median - eval_v_on_graph(hps, z)
-    reach = 1.5 * math.hypot(3.0 / (res - 1), 3.0 / (res - 1))
-    dips = []
-    for t in targets:
-        nodes = [complex(xs[ix], ys[iy]) for iy, ix in mins]
-        best = min(nodes, key=lambda p: abs(p - t), default=None)
-        if best is not None and abs(best - t) <= reach and depth >= delta:
-            dips.append(Dip(t, best, depth))
-    dips.sort(key=lambda p: (p.w.real, p.w.imag))
-    return vals, median, clamped, tuple(dips)
-
-
-@pytest.mark.parametrize("M", [1, 4])
-@pytest.mark.parametrize("res", [64, 128])
-@pytest.mark.parametrize("sq", [False, True])
-@pytest.mark.parametrize("z", [2.0 + 0.0j, 0.3 + 0.2j])
-def test_fiber_scan_buffers_match_stacked_reference(M, res, sq, z):
-    hps = make_hull_spec(SPECF, M)
-    grid = fiber_scan(hps, z, WRECT, res, sq=sq, delta=1.0)
-    vals, median, clamped, dips = _stacked_scan(hps, z, res, sq, 1.0)
-    assert grid.values.tobytes() == vals.tobytes()
-    assert grid.median == median
-    assert grid.clamped == clamped
-    assert grid.dips == dips
-
-
 def _scan_peak(res):
     hps = make_hull_spec(SPECF, 8)
     tracemalloc.start()
@@ -232,28 +182,36 @@ def _argwhere_nearest(vals, xs, ys, t, reach):
 
 
 def _full_grid_scan(hps, z, wrect, res, sq, delta):
-    """(values, median, clamped, dips) with every term over the whole grid
-    and the dip search of _argwhere_nearest."""
+    """(values, median, clamped, dips) of the factored potential over the
+    whole grid at once, every term with its own distance field.
+
+    Term n is scale_n max(log|Q_n(z)| + log|W - f_n(z)|, floor_n), f_n
+    from eval_partial_product and log|Q_n| summed in log space; with sq,
+    log|W - f_n| = log|w - s_n| + log|w + s_n|, s_n = sqrt(f_n).  Each
+    log|.| is half the log of a sum of squared axis offsets (with sq, of
+    a product of two sums): the unscaled field of windows whose
+    coordinates and targets lie below 2^240.  The median is np.median's
+    and the dip search that of _argwhere_nearest.
+    """
     x0, x1, y0, y1 = wrect
     xs, ys = grid_axes(wrect, res)
-    W = xs[None, :] + 1j * ys[:, None]
-    if sq:
-        np.multiply(W, W, out=W)
-    cbuf = np.empty_like(W)
-    term = np.empty((res, res))
+    spec = hps.spec
     vals = np.zeros((res, res))
-    P, Q = z - hps.spec.b0, z - hps.spec.a0
+    log_q = LogComplex.from_difference(z, spec.a0).log_mag
     with np.errstate(divide="ignore"):
         for n in range(1, hps.M + 1):
-            P *= z - hps.spec.a[n - 1]
-            Q *= z - hps.spec.b[n - 1]
-            np.multiply(W, Q, out=cbuf)
-            np.subtract(cbuf, P, out=cbuf)
-            np.abs(cbuf, out=term)
-            np.log(term, out=term)
-            np.maximum(term, hps.floor(n), out=term)
-            np.multiply(term, hps.term_scale(n), out=term)
-            vals += term
+            log_q += LogComplex.from_difference(z, spec.b[n - 1]).log_mag
+            f = eval_partial_product(spec, n, z)
+            t = (f.sqrt() if sq else f).to_complex()
+            assert max(map(abs, (x0, x1, y0, y1, t.real, t.imag))) < 2.0 ** 240
+            field = np.square(xs - t.real)[None, :] + \
+                np.square(ys - t.imag)[:, None]
+            if sq:
+                field *= np.square(xs + t.real)[None, :] + \
+                    np.square(ys + t.imag)[:, None]
+            field = 0.5 * np.log(field)
+            vals += hps.term_scale(n) * np.maximum(field + log_q,
+                                                   hps.floor(n))
     clamped = int(np.sum(vals < SENTINEL))
     np.maximum(vals, SENTINEL, out=vals)
     median = float(np.median(vals))
@@ -288,8 +246,18 @@ def _assert_scan_matches_full_grid(hps, z, wrect, res, sq, delta):
     return grid
 
 
+# 1.0 is the root's right end b0 of SPECF, where f vanishes
 _SCAN_Z = [2.0 + 0.0j, 0.3 + 0.2j, -0.5 + 0.0j, 0.7 - 0.4j, 1.7 + 0.0j,
-           0.5 + 0.01j]
+           0.5 + 0.01j, 1.0 + 0.0j]
+
+
+@pytest.mark.parametrize("M", [1, 4])
+@pytest.mark.parametrize("res", [64, 128])
+@pytest.mark.parametrize("sq", [False, True])
+@pytest.mark.parametrize("z", [2.0 + 0.0j, 0.3 + 0.2j])
+def test_fiber_scan_matches_full_grid_reference(M, res, sq, z):
+    _assert_scan_matches_full_grid(make_hull_spec(SPECF, M), z, WRECT, res,
+                                   sq, 1.0)
 
 
 def _wrect_around(t, res, u, v, cell):
@@ -450,3 +418,148 @@ def test_on_graph_value_past_the_largest_double_matches_mpmath(M, z):
                 vn = mpmath.log(abs(P)) + mpmath.log(abs(tail))
             want += hps.term_scale(n) * max(vn, hps.floor(n))
     assert eval_v_on_graph(hps, z) == pytest.approx(float(want), rel=1e-14)
+
+
+# a certified E-point of SPECF in its longest remaining piece
+_SET_Z = complex((lambda lo, hi: lo + (hi - lo) / 3.0)(
+    *max(SPECF.remaining, key=lambda p: p[1] - p[0])))
+
+
+@pytest.mark.parametrize("z", _SCAN_Z + [_SET_Z,
+                                         complex(SPECF.gap(1).b, 1e-300)])
+def test_scan_terms_are_prefixes_of_one_factor_log_sum(z):
+    hps = make_hull_spec(SPECF, 8)
+    terms = _scan_terms(hps, z)
+    log_q = LogComplex.from_difference(z, SPECF.a0).log_mag
+    for n, (fn, lq, floor, scale) in enumerate(terms, 1):
+        log_q += LogComplex.from_difference(z, SPECF.b[n - 1]).log_mag
+        want = eval_partial_product(SPECF, n, z)
+        assert repr((fn.log_mag, fn.arg)) == repr((want.log_mag, want.arg))
+        assert (lq, floor, scale) == (log_q, hps.floor(n), hps.term_scale(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9),
+       st.lists(st.sampled_from([0.0, -0.0, SENTINEL, -1.5, 1.0, 2.5,
+                                 5e-324, -5e-324]) | st.floats(-3.0, 3.0),
+                min_size=81, max_size=81))
+def test_one_partition_median_is_np_median_bit_for_bit(ny, nx, pool):
+    # odd and even sizes; signed zeros, SENTINEL-clamped cells and ties.
+    # At odd sizes np.median turns -0.0 into 0.0, which part[k] alone
+    # would not
+    vals = np.array(pool[:ny * nx]).reshape(ny, nx)
+    assert np.float64(_median(vals)).view(np.int64) == \
+        np.float64(np.median(vals)).view(np.int64)
+
+
+def test_one_partition_median_turns_negative_zero_positive():
+    for vals in (np.full((3, 3), -0.0), np.full((2, 2), -0.0),
+                 np.array([[-0.0, SENTINEL, 1.0]])):
+        got = _median(vals)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("im", [1e-320, 1e-300, 1e-200])
+@pytest.mark.parametrize("sq", [False, True])
+def test_scan_next_to_a_pole_answers(im, sq):
+    # f_M(z) ~ 1e297 (1e197): the squared offsets from the target would
+    # overflow, so the field is taken at a power-of-two scale; at 1e-320
+    # f_M itself is past the largest double, and the parent answered all
+    hps = make_hull_spec(SPECF, 8)
+    z = complex(SPECF.gap(1).b, im)
+    grid = fiber_scan(hps, z, WRECT, 64, sq=sq)
+    assert np.isfinite(grid.values).all() and math.isfinite(grid.median)
+    assert grid.clamped == 0
+
+
+def test_scan_windows_past_the_largest_double():
+    hps = make_hull_spec(SPECF, 8)
+    # a window whose points times Q_n(z) overflowed now answers
+    grid = fiber_scan(hps, 2.0, (1e308, 1.7e308, -1.5, 1.5), 64, sq=True)
+    assert np.isfinite(grid.values).all() and not grid.dips
+    far = fiber_scan(hps, 2.0, (1e308, 1.7e308, -1.5, 1.5), 64)
+    assert np.isfinite(far.values).all() and not far.dips
+    # its span overflows: the grid itself is not finite
+    with pytest.raises(PreconditionFailure) as e:
+        fiber_scan(hps, 2.0, (-1e308, 1.7e308, -1.5, 1.5), 64)
+    assert e.value.field == "wrect"
+    # P_n(z) and Q_n(z) overflow
+    with pytest.raises(PreconditionFailure) as e:
+        fiber_scan(hps, 1e300, WRECT, 64)
+    assert e.value.field == "z"
+
+
+U = 2.0 ** -53
+
+
+def _oracle_cell(mpmath, hps, P, Q, fh, w, k):
+    """(oracle, bound) at grid node w: the 50-digit potential
+    sum_n scale_n max(log|w^k Q_n - P_n|, floor_n) on the float gap
+    endpoints, and how far the scan may sit from it.
+
+    The scan measures the distance d_n = |W - fh_n| to the represented
+    f_n, a double within delta_n = 32 ulps of P_n/Q_n (with sq, to a
+    double s_n whose square is), so both its term and the oracle's lie
+    in scale_n [max(lq_n + log(d_n - delta_n), floor_n),
+    max(lq_n + log(d_n + delta_n), floor_n)], lq_n = log|Q_n|.  Rounding
+    in the field, the log-space sum and the accumulation adds at most
+    2^-46 scale_n (1 + |lq_n| + |upper end|) per term.
+    """
+    W = mpmath.mpc(w) ** k
+    oracle = bound = mpmath.mpf(0)
+    for n in range(1, hps.M + 1):
+        scale, floor = hps.term_scale(n), hps.floor(n)
+        prod = abs(W * Q[n] - P[n])
+        oracle += scale * max(mpmath.log(prod) if prod else -mpmath.inf,
+                              floor)
+        lq = mpmath.log(abs(Q[n]))
+        d = abs(W - mpmath.mpc(fh[n]))
+        delta = 32 * U * abs(mpmath.mpc(fh[n]))
+        hi = max(lq + mpmath.log(d + delta), floor)
+        lo = max(lq + mpmath.log(d - delta), floor) if d > delta else floor
+        bound += scale * (hi - lo + 2.0 ** -46 * (1 + abs(lq) + abs(hi)))
+    return oracle, bound
+
+
+# (z, u, v, cell): the target at fractional node (u, v); at integer
+# (u, v) it is a node exactly (the dyadic cells make it so for these z)
+_ORACLE_CASES = [(z, 31, 31, cell) for z in (2.0 + 0.0j, 0.3 + 0.2j,
+                                             0.7 - 0.4j)
+                 for cell in (2.0 ** -12, 2.0 ** -9)] + \
+    [(z, u, v, cell) for z in (2.0 + 0.0j, 0.3 + 0.2j, 0.7 - 0.4j, _SET_Z)
+     for u, v, cell in ((31.3, 30.6, 1e-4), (1.5, 61.7, 3e-3))]
+
+
+@pytest.mark.parametrize("z, u, v, cell", _ORACLE_CASES)
+@pytest.mark.parametrize("sq", [False, True])
+def test_scan_near_its_targets_matches_mpmath(z, u, v, cell, sq):
+    # cells within two grid steps of the target; on a node the scan's
+    # log|W - f_n| is -inf, so its terms sit at their floors
+    mpmath = pytest.importorskip("mpmath")
+    hps = make_hull_spec(SPECF, 8)
+    spec, res = hps.spec, 64
+    t = _targets(hps, z, sq)[0]
+    grid = fiber_scan(hps, z, _wrect_around(t, res, u, v, cell), res, sq=sq,
+                      delta=-math.inf)
+    xs, ys = grid_axes(grid.wrect, res)
+    if u == int(u):
+        assert complex(xs[u], ys[v]) == t
+    fh = [None] + [eval_partial_product(spec, n, z).to_complex()
+                   for n in range(1, hps.M + 1)]
+    with mpmath.workdps(50):
+        zz = mpmath.mpc(z)
+        P, Q = [zz - spec.b0], [zz - spec.a0]
+        for a, b in zip(spec.a[:hps.M], spec.b[:hps.M]):
+            P.append(P[-1] * (zz - a))
+            Q.append(Q[-1] * (zz - b))
+        for n in range(1, hps.M + 1):
+            assert abs(mpmath.mpc(fh[n]) - P[n] / Q[n]) <= \
+                32 * U * abs(P[n] / Q[n])
+        near = [range(max(0, math.floor(c) - 2), min(res, math.ceil(c) + 3))
+                for c in (v, u)]
+        for iy in near[0]:
+            for ix in near[1]:
+                oracle, bound = _oracle_cell(mpmath, hps, P, Q, fh,
+                                             complex(xs[ix], ys[iy]),
+                                             2 if sq else 1)
+                assert abs(grid.values[iy, ix] - oracle) <= bound, (ix, iy)
