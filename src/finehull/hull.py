@@ -154,34 +154,25 @@ def make_hull_spec(spec: CantorSpec, M: int,
     return HullPotentialSpec(spec, build_weights(spec, M, scheme), M)
 
 
-def _pq_prefixes(spec: CantorSpec, n: int, z: complex):
-    """Monic numerator/denominator pairs (P_k, Q_k) of the partial
-    products f_k, for k = 0..n."""
-    P = z - spec.b0
-    Q = z - spec.a0
-    yield P, Q
-    for a, b in zip(spec.a[:n], spec.b[:n]):
-        P *= z - a
-        Q *= z - b
-        yield P, Q
-
-
 def v_n(spec: CantorSpec, n: int, z: complex, w: complex) -> float:
-    """log |w Q_n(z) - P_n(z)|, the polynomial form of log(|w - f_n||Q_n|).
-
-    Poles of f_n cancel against Q_n, so the value is finite everywhere
-    except on the graph of f_n itself, where -inf is returned; an overflow
-    is refused.
-    """
+    """log |w Q_n(z) - P_n(z)| = log|Q_n(z)| + log|w - f_n(z)|, taken as
+    fiber_scan takes its terms (w - f_n(z) at the same power-of-two
+    scale), so -inf exactly on the graph w = f_n(z); at a pole of f_n,
+    log|P_n(z)|.  A z where P_n(z) or Q_n(z) overflows is refused."""
     if not 0 <= n <= spec.max_index:
         raise PreconditionFailure("n out of range", field="n")
-    *_, (P, Q) = _pq_prefixes(spec, n, check_point(z, "z"))
-    d = check_point(w, "w") * Q - P
-    r = math.hypot(d.real, d.imag)
-    if not math.isfinite(r):
-        field = "w" if cmath.isfinite(P) and cmath.isfinite(Q) else "z"
-        raise PreconditionFailure("w Q_n(z) - P_n(z) overflows", field=field)
-    return math.log(r) if r > 0.0 else float("-inf")
+    z, w = check_point(z, "z"), check_point(w, "w")
+    try:
+        f, log_q = _scan_terms(spec, n, z)[n]
+    except PoleHit:
+        log_p = math.fsum(LogComplex.from_difference(z, p).log_mag
+                          for p in (spec.b0, *spec.a[:n]))
+        if log_p > _LOG_MAX:
+            raise PreconditionFailure("P_n(z) overflows", field="z")
+        return log_p
+    t, k = _field_target(f, (w.real, w.real, w.imag, w.imag))
+    w = complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k))
+    return log_q + LogComplex.from_difference(w, t).log_mag + k * _LOG2
 
 
 def eval_v_on_graph(hps: HullPotentialSpec, z: complex) -> float:
@@ -273,33 +264,28 @@ def _nearest_local_min(vals: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return None if best is None else best[1]
 
 
-def _scan_terms(hps: HullPotentialSpec, z: complex):
-    """[(f_n(z), log|Q_n(z)|, floor_n, scale_n) for n = 1..M].
+def _scan_terms(spec: CantorSpec, M: int, z: complex):
+    """[(f_n(z), log|Q_n(z)|) for n = 0..M].
 
     Every f_n is one prefix of a single running sum of the factor logs,
     bit-equal to eval_partial_product(spec, n, z); log|Q_n| adds
     log|z - b_j| in log space.  A z where P_n(z) = f_n Q_n or Q_n(z)
     overflows a double is refused.
     """
-    spec = hps.spec
-    prefixes = []
-    re = im = 0.0
-    for l in _factor_logs(spec, hps.M, z):
-        if l is None:            # a zero of this factor: f_n = 0 from here
-            prefixes.append(LogComplex.zero())
-            break
-        re += l.real
-        im += l.imag
-        prefixes.append(LogComplex.from_polar(re, im))
-    log_q = LogComplex.from_difference(z, spec.a0).log_mag
+    logs = _factor_logs(spec, M, z)
+    live = [l for l in logs if l is not None]  # a last None: f_n = 0 on
+    prefixes = [LogComplex.from_polar(s.real, s.imag)
+                for s in itertools.accumulate(live, initial=0j)][1:]
+    prefixes += [LogComplex.zero()] * (len(logs) - len(live))
+    log_q = 0.0
     terms = []
-    for n in range(1, hps.M + 1):
-        log_q += LogComplex.from_difference(z, spec.b[n - 1]).log_mag
+    for n, p in enumerate((spec.a0, *spec.b[:M])):
+        log_q += LogComplex.from_difference(z, p).log_mag
         f = prefixes[min(n, len(prefixes) - 1)]
         if max(log_q, log_q + f.log_mag) > _LOG_MAX:
             raise PreconditionFailure("the products P_n(z), Q_n(z) overflow",
                                       field="z")
-        terms.append((f, log_q, hps.floor(n), hps.term_scale(n)))
+        terms.append((f, log_q))
     return terms
 
 
@@ -372,7 +358,8 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     rect = x0, x1, y0, y1 = tuple(float(t) for t in wrect)
     if not (x0 < x1 and y0 < y1):
         raise PreconditionFailure("empty w-rectangle", field="wrect")
-    terms = _scan_terms(hps, z)
+    terms = [(f, log_q, hps.floor(n), hps.term_scale(n)) for n, (f, log_q)
+             in enumerate(_scan_terms(hps.spec, hps.M, z)[1:], 1)]
     vals = np.zeros((res, res))
     rows = max(1, BAND_CELLS // res)
     fbuf = np.empty((rows, res))

@@ -19,8 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cantor import (HALVING_DENOM, UNDERFLOW_LOG, CantorSpec, _check_depth,
                      _last_violation, _seg_distance, check_point,
                      sum_gap_lengths)
@@ -33,7 +31,6 @@ __all__ = [
     "BranchTag",
     "TailBound",
     "eval_partial_product",
-    "eval_partial_product_many",
     "tail_bound",
     "eval_f",
     "sqrt_branch",
@@ -138,72 +135,6 @@ def _factor_power(spec: CantorSpec, N: int, z: complex,
 def eval_partial_product(spec: CantorSpec, N: int, z: complex) -> LogComplex:
     """Truncation f_N(z) with N gap factors, as a log-polar value."""
     return _factor_power(spec, N, check_point(z, "z"), 1.0)
-
-
-def _cquot(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) elementwise, as CPython divides complex
-    numbers (Smith's method): numpy's complex division differs at
-    subnormal scale."""
-    by_re = np.abs(br) >= np.abs(bi)
-    with np.errstate(all="ignore"):
-        t = np.where(by_re, bi / br, br / bi)
-        d = np.where(by_re, br + bi * t, br * t + bi)
-        re = np.where(by_re, ar + ai * t, ar * t + ai) / d
-        im = np.where(by_re, ai - ar * t, ai * t - ar) / d
-    return re, im
-
-
-def _wrap_angles(theta):
-    """wrap_angle elementwise."""
-    t = np.fmod(theta, 2.0 * math.pi)
-    t = np.where(t > math.pi, t - 2.0 * math.pi,
-                 np.where(t <= -math.pi, t + 2.0 * math.pi, t))
-    return np.where((-math.pi < theta) & (theta <= math.pi), theta, t)
-
-
-def eval_partial_product_many(spec: CantorSpec, N: int, zs):
-    """f_N at every point of zs, as float arrays (log_mag, arg).
-
-    The same represented object as eval_partial_product, point by point:
-    the root factor takes the +pi convention on the real axis, far gap
-    factors the log1p_complex formula, and the factor logs are added in
-    index order before the angle is wrapped.  Points within 9 lengths of
-    a materialized gap (the scalar near-gap branch starts at 8, the
-    margin keeps a last-bit difference in the distance from splitting the
-    two), exact zeros and poles, and points whose vector result is not
-    finite go through the scalar path one at a time, which raises PoleHit
-    and returns (-inf, 0) at zeros.  Values agree with the scalar path to
-    a few ulps of the factor logs: numpy's log, log1p and atan2 are not
-    libm's.
-    """
-    _check_depth(spec, N)
-    z = np.asarray(zs, dtype=complex)
-    shape = z.shape
-    z = z.ravel()
-    x, y = z.real, z.imag
-    with np.errstate(all="ignore"):
-        if not np.isfinite(np.hypot(x, y)).all():
-            raise PreconditionFailure(
-                "zs needs points whose moduli are finite doubles", field="zs")
-        rr, ri = _cquot(x - spec.b0, y, x - spec.a0, y)
-        # the scalar sum starts from 0.0, which turns -0.0 into 0.0
-        re = 0.0 + np.log(np.hypot(rr, ri))
-        im = 0.0 + np.where((ri == 0.0) & (rr < 0.0), math.pi,
-                            np.arctan2(ri, rr))
-        by_scalar = (y == 0.0) & ((x == spec.a0) | (x == spec.b0))
-        # gaps past n_pos are unit factors
-        for center, length, b in zip(spec.centers[:min(N, spec.n_pos)],
-                                     spec.lengths, spec.b):
-            by_scalar |= np.hypot(x - center, y) <= 9.0 * length
-            ur, ui = _cquot(length, 0.0, x - b, y)
-            re += 0.5 * np.log1p(2.0 * ur + ur * ur + ui * ui)
-            im += np.arctan2(ui, 1.0 + ur)
-    by_scalar |= ~(np.isfinite(re) & np.isfinite(im))
-    arg = _wrap_angles(np.where(by_scalar, 0.0, im))
-    for i in np.flatnonzero(by_scalar):
-        v = eval_partial_product(spec, N, complex(z[i]))
-        re[i], arg[i] = v.log_mag, v.arg
-    return re.reshape(shape), arg.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -396,10 +327,12 @@ def sqrt_branch(spec: CantorSpec, N: int, z: complex, tag: BranchTag) -> LogComp
 
 @dataclass(frozen=True)
 class LaurentC1:
-    """First moment of 1 - f_N at infinity, two independent routes."""
+    """First moment of 1 - f_N at infinity by two routes: the closed form,
+    and a trapezoid contour on `nodes` nodes of |z| = radius within err."""
 
     formula: float
     contour: float
+    err: float
     radius: float
     nodes: int
 
@@ -408,43 +341,78 @@ class LaurentC1:
         return abs(self.formula - self.contour)
 
 
-def laurent_c1(spec: CantorSpec, N: int | None = None, nodes: int = 4096,
-               tol: float = 1e-8) -> LaurentC1:
-    """z^-1 coefficient of f_N at infinity.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff."""
+    ku = k * 2.0 ** -53
+    return ku / (1.0 - ku)
 
-    The closed form is gap-length bookkeeping; the cross-check integrates
-    f_N - 1 over the circle of radius 2(|a0|+|b0|)+2 with the trapezoid
-    rule on `nodes` >= 1 nodes, evaluated in one eval_partial_product_many
-    call and summed in node order.  The two must agree within tol or
-    QuadratureFailure is raised.
+
+def _exp_or_inf(x: float) -> float:
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def laurent_c1(spec: CantorSpec, N: int | None = None,
+               tol: float = 1e-8) -> LaurentC1:
+    """z^-1 coefficient of f_N at infinity by two routes: gap-length
+    bookkeeping, and a trapezoid contour within err of it on |z| = R =
+    2(|a0| + |b0|) + 2 (eval_partial_product at the n nodes R e^{i t_k},
+    the terms (f_k - 1) e^{i t_k} added in node order, scaled by R/n).
+
+    err sums three bounds.  Aliasing: f_N = prod (1 + u_k), |u_k| <=
+    l_k/(|z| - rho) with rho = max(|a0|, |b0|), l_0 the root length and
+    l_k the gap lengths, so r |f_N - 1| <= M(r) = r (prod (1 + l_k/(r -
+    rho)) - 1) on |z| = r, and by Cauchy's estimate the aliased
+    coefficients add up to at most M(r) q/(1 - q), q = (r/R)^n, for any
+    rho < r < R; r = rho + (R - rho)/(n + 1) is taken.  The node sum:
+    gamma_{n+1} sum|term| R/n (Higham 2002, ch. 4).  The node values:
+    gamma_{8(m+2)} (1 + L) (R + M(R)), for m factor logs each within a
+    few roundoffs of 1 + its modulus, L = -sum log(1 - l_k/(R - rho))
+    bounding the sum of the moduli.
+
+    n is the least power of two up to 4096 whose err, with M(R) for
+    sum|term| R/n, is at most tol/2.  QuadratureFailure is raised where
+    there is none, where R is not finite or rounds onto rho + root length,
+    and where the contour is not finite or misses the formula by > tol.
     """
-    n = spec.max_index if N is None else N
-    if nodes < 1:
-        raise PreconditionFailure(f"need at least one node, got {nodes}",
-                                  field="nodes")
-    formula = sum_gap_lengths(spec, n) - spec.root_length
+    n_gaps = spec.max_index if N is None else N
+    formula = sum_gap_lengths(spec, n_gaps) - spec.root_length
+    ells = [spec.root_length, *spec.lengths[:min(n_gaps, spec.n_pos)]]
+    rho = max(abs(spec.a0), abs(spec.b0))
     R = 2.0 * (abs(spec.a0) + abs(spec.b0)) + 2.0
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    zs = np.empty(nodes, dtype=complex)
-    zs.real = R * np.cos(theta)
-    zs.imag = R * np.sin(theta)
-    log_mag, arg = eval_partial_product_many(spec, n, zs)
-    with np.errstate(over="ignore"):
-        mag = np.exp(log_mag)
-    fr = mag * np.cos(arg) - 1.0
-    fi = mag * np.sin(arg)
-    # (f - 1) * z as CPython multiplies, added from 0.0 one node after
-    # the other (np.sum would add pairwise)
-    terms = np.zeros((2, nodes + 1))
-    terms[0, 1:] = fr * zs.real - fi * zs.imag
-    terms[1, 1:] = fr * zs.imag + fi * zs.real
-    total = np.add.accumulate(terms, axis=1)[:, -1]
-    acc = complex(total[0], total[1])
-    acc /= nodes
-    if abs(acc.imag) > tol or abs(acc.real - formula) > tol:
+    if not (math.isfinite(R) and R - rho > spec.root_length):
+        raise QuadratureFailure("R does not clear the root", field="spec")
+
+    def log_m(r):
+        s = math.fsum(math.log1p(l / (r - rho)) for l in ells)
+        return math.log(r) + s + math.log(-math.expm1(-s)) if s \
+            else -math.inf
+
+    m_R = _exp_or_inf(log_m(R))
+    L = -math.fsum(math.log1p(-l / (R - rho)) for l in ells)
+    ev = _gamma(8 * (len(ells) + 2)) * (1.0 + L) * (R + m_R)
+    for n in (1 << k for k in range(13)):
+        r = rho + (R - rho) / (n + 1)
+        lq = n * math.log(r / R)
+        alias = _exp_or_inf(log_m(r) + lq - math.log1p(-math.exp(lq)))
+        if alias + _gamma(n + 1) * m_R + ev <= 0.5 * tol:
+            break
+    else:
+        raise QuadratureFailure(f"no rule of up to {n} nodes certifies "
+                                f"tol/2 = {0.5 * tol}", field="tol")
+    acc, size = 0j, 0.0
+    for k in range(n):
+        t = 2.0 * math.pi * k / n
+        term = eval_partial_product(spec, n_gaps,
+                                    cmath.rect(R, t)).to_complex() - 1.0
+        acc += term * cmath.rect(1.0, t)
+        size += abs(term)
+    contour = acc * (R / n)
+    err = alias + _gamma(n + 1) * size * (R / n) + ev
+    if not cmath.isfinite(contour) or abs(contour - formula) > tol:
         raise QuadratureFailure(
-            f"contour c1 {acc} vs closed form {formula} beyond tol {tol}")
-    return LaurentC1(formula, acc.real, R, nodes)
+            f"contour c1 {contour} vs closed form {formula} beyond tol "
+            f"{tol}", field="tol")
+    return LaurentC1(formula, contour.real, err, R, n)
 
 
 def certify_en_point(spec: CantorSpec, x: float, N: int) -> bool:

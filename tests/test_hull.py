@@ -48,13 +48,47 @@ def test_quadratic_scheme():
 
 
 def test_v_n_vanishing_on_graph():
-    # exact cancellation gives -inf; a float graph point only reaches
-    # the rounding floor of the polynomial evaluation
+    # the factored form is -inf exactly at the graph point the scan takes
     z = 2.0 + 0.0j
     assert v_n(SPECF, 0, z, 0.5) == float("-inf")
     w = eval_partial_product(SPECF, 3, z).to_complex()
-    assert v_n(SPECF, 3, z, w) < -30.0
+    assert v_n(SPECF, 3, z, w) == float("-inf")
     assert v_n(SPECF, 3, z, w + 1.0) > 0.0
+
+
+def _mp_v_n(spec, n, z, w):
+    """log|w Q_n(z) - P_n(z)| at 60 digits from the float gap ends."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        P, Q = z - spec.b0, z - spec.a0
+        for a, b in zip(spec.a[:n], spec.b[:n]):
+            P *= z - a
+            Q *= z - b
+        return float(mpmath.log(abs(w * Q - P)))
+
+
+@pytest.mark.parametrize("n, z, w", [
+    (5, 0.3 + 0.2j, -0.4 + 0.1j), (12, 2.0 + 1.0j, 1e-3),
+    # a huge w: w Q_n overflowed and was refused as w
+    (3, 2.0, 1.2e308 + 1.2e308j),
+    # a pole of f_n, where Q_n = 0: the value is log|P_n|
+    (3, SPECF.gap(1).b, 0.7), (0, 0.0, 0.3),
+    # |f_8(z)| past the largest double
+    (8, complex(SPECF.gap(1).b, 1e-320), 0.5),
+    (8, complex(SPECF.gap(1).b, 1e-320), 1e300)])
+def test_v_n_matches_mpmath(n, z, w):
+    assert v_n(SPECF, n, z, w) == pytest.approx(_mp_v_n(SPECF, n, z, w),
+                                                rel=1e-15, abs=1e-12)
+
+
+def test_v_n_refuses_an_overflowing_p_n_at_a_pole():
+    spec = build_cantor_spec(-4e307, 4e307, RULEF, N=4)
+    assert v_n(spec, 1, spec.b[0], 0.0) == \
+        pytest.approx(_mp_v_n(spec, 1, spec.b[0], 0.0), rel=1e-15)
+    with pytest.raises(PreconditionFailure) as e:
+        v_n(spec, 2, spec.b[0], 0.0)
+    assert e.value.field == "z"
 
 
 def eval_v(hps, z, w):
@@ -428,14 +462,15 @@ _SET_Z = complex((lambda lo, hi: lo + (hi - lo) / 3.0)(
 @pytest.mark.parametrize("z", _SCAN_Z + [_SET_Z,
                                          complex(SPECF.gap(1).b, 1e-300)])
 def test_scan_terms_are_prefixes_of_one_factor_log_sum(z):
-    hps = make_hull_spec(SPECF, 8)
-    terms = _scan_terms(hps, z)
-    log_q = LogComplex.from_difference(z, SPECF.a0).log_mag
-    for n, (fn, lq, floor, scale) in enumerate(terms, 1):
-        log_q += LogComplex.from_difference(z, SPECF.b[n - 1]).log_mag
+    terms = _scan_terms(SPECF, 8, z)
+    assert len(terms) == 9
+    log_q = 0.0
+    for n, (fn, lq) in enumerate(terms):
+        log_q += LogComplex.from_difference(
+            z, SPECF.b[n - 1] if n else SPECF.a0).log_mag
         want = eval_partial_product(SPECF, n, z)
         assert repr((fn.log_mag, fn.arg)) == repr((want.log_mag, want.arg))
-        assert (lq, floor, scale) == (log_q, hps.floor(n), hps.term_scale(n))
+        assert lq == log_q
 
 
 @settings(max_examples=200, deadline=None)

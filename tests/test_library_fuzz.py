@@ -45,7 +45,6 @@ WRECT = (-1.5, 1.5, -1.5, 1.5)
 # (the field that names the drawn point, the call at that point)
 POINT_CALLS = [
     ("z", lambda z: pr.eval_partial_product(SPEC, 16, z)),
-    ("zs", lambda z: pr.eval_partial_product_many(SPEC, 16, [2.0, z])),
     ("region", lambda z: pr.tail_bound(SPEC, 4, z)),
     ("region", lambda z: pr.tail_bound(SPEC, 4, (z, 0.125))),
     ("z", lambda z: pr.eval_f(SPEC, z)),
@@ -73,7 +72,6 @@ WIDE_MODEL = pt.leja_points(pt.CompactUnion((pt.interval(-1e308, 5e307),)),
                             n=8)
 FAR_CALLS = [
     ("z", lambda z: pr.eval_partial_product(WIDE, 4, z)),
-    ("zs", lambda z: pr.eval_partial_product_many(WIDE, 4, [z])),
     ("region", lambda z: pr.tail_bound(WIDE, 0, z)),
     ("z", lambda z: pr.eval_f(WIDE, z)),
     ("z", lambda z: pr.sqrt_branch(WIDE, 4, z, pr.BranchTag.D_PLUS)),

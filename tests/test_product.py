@@ -1,23 +1,22 @@
-import cmath
 import math
 import sys
+import warnings
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finehull import acceptance
-from finehull.cantor import (CRule, build_cantor_spec, cantor_length,
-                             sum_gap_lengths)
+from finehull.cantor import (CantorSpec, CRule, build_cantor_spec,
+                             cantor_length)
 from finehull.errors import (DomainViolation, NoConvergence, NotInEN,
                              PoleHit, PreconditionFailure, QuadratureFailure,
                              RegionViolatesEN)
 from finehull.logspace import LogComplex
 from finehull.product import (BranchTag, TailBound, _factor_logs,
                               _gap_factor_log, certify_en_point, eval_f,
-                              eval_partial_product, eval_partial_product_many,
-                              fine_boundary_value, laurent_c1, sqrt_branch,
-                              tail_bound, tail_product_minus_one)
+                              eval_partial_product, fine_boundary_value,
+                              laurent_c1, sqrt_branch, tail_bound,
+                              tail_product_minus_one)
 
 RULE5 = CRule("affine", slope=5.0, offset=0.0)
 RULEF = CRule("factorial", shift=2)
@@ -48,8 +47,6 @@ def test_quotients_complex_division_cannot_form_keep_their_log(z):
     # f_N(z) is 1 up to a relative 1/|z|
     val = eval_partial_product(SPEC5, 16, z)
     assert abs(val.log_mag) <= 1e-307 and abs(val.arg) <= 1e-307
-    log_mag, arg = eval_partial_product_many(SPEC5, 16, [z])
-    assert (log_mag[0], arg[0]) == (val.log_mag, val.arg)
 
 
 def test_underflowed_quotients_keep_their_log():
@@ -60,8 +57,6 @@ def test_underflowed_quotients_keep_their_log():
         complex(math.log(5e-324) - math.log(2.0), 0.5 * math.pi)
     val = eval_partial_product(spec, 2, z)
     assert val.log_mag == pytest.approx(-745.13, abs=0.01)
-    log_mag, arg = eval_partial_product_many(spec, 2, [z])
-    assert (log_mag[0], arg[0]) == (val.log_mag, val.arg)
     # (z - b0)/(z - a0) at a subnormal z: the modulus of the quotient
     # overflows although both of its parts are finite doubles
     z = complex(3.593816677036085e-309, 3.593816677036085e-309)
@@ -69,8 +64,6 @@ def test_underflowed_quotients_keep_their_log():
     val = eval_partial_product(spec, 0, z)
     assert val.log_mag == pytest.approx(want, rel=1e-15)
     assert val.arg == pytest.approx(0.75 * math.pi, rel=1e-15)
-    log_mag, arg = eval_partial_product_many(spec, 0, [z])
-    assert (log_mag[0], arg[0]) == (val.log_mag, val.arg)
     # the near-gap branch, on a gap wide enough to underflow its quotient
     assert _gap_factor_log(1, 0.0, 8.0, -4.0, 4.0, complex(-4.0, 5e-324)) == \
         complex(math.log(5e-324) - math.log(8.0), -0.5 * math.pi)
@@ -227,122 +220,9 @@ def test_fine_boundary_value_rejects_off_set_points():
         fine_boundary_value(SPEC5, 2.0, BranchTag.H_PLUS)
 
 
-# -- the vector gap product against the scalar one ------------------------
-
-EPS = sys.float_info.epsilon
-TINY = sys.float_info.min                   # below it: subnormal
-# the three acceptance specs; SPEC5 has zero-length gaps from j = 13 on,
-# the factorial spec from j = 5 on
-VSPECS = [SPEC5, SPECF, acceptance._spec_slow()]
-
-
-def _gaps(spec):
-    return [spec.gap(j) for j in range(1, spec.max_index + 1)]
-
-
-def _points(spec):
-    """Points that exercise every branch of the gap product."""
-    R = 2.0 * (abs(spec.a0) + abs(spec.b0)) + 2.0
-    gaps = st.sampled_from(_gaps(spec))
-    sub = st.floats(-TINY, TINY)
-    unit = st.floats(-9.0, 9.0)
-    circle = st.floats(0.0, 2.0 * math.pi).map(lambda t: cmath.rect(R, t))
-    strip = st.builds(lambda x, y, s: complex(x, s * y),
-                      st.floats(-3.0, 3.0), st.floats(0.01, 3.0),
-                      st.sampled_from([-1.0, 1.0]))
-    near = st.builds(lambda g, s, t: complex(g.center + s * g.length,
-                                             t * g.length), gaps, unit, unit)
-    in_gap = st.builds(lambda g, s, y: complex(g.center + s * g.length, y),
-                       gaps, st.floats(-0.5, 0.5),
-                       st.sampled_from([0.0, -0.0]))
-    on_root = st.builds(complex, st.floats(spec.a0, spec.b0),
-                        st.sampled_from([0.0, -0.0]))
-    ends = st.builds(lambda g, end: complex(getattr(g, end)), gaps,
-                     st.sampled_from(["a", "b"]))
-    bases = [spec.a0, spec.b0] + [v for g in _gaps(spec)
-                                  for v in (g.a, g.b, g.center)]
-    offset = st.builds(lambda b, dx, dy: complex(b + dx, dy),
-                       st.sampled_from(bases), sub, sub)
-    return st.one_of(circle, strip, near, in_gap, on_root, ends, offset)
-
-
-@st.composite
-def _batches(draw):
-    spec = draw(st.sampled_from(VSPECS))
-    N = draw(st.integers(0, spec.max_index))
-    return spec, N, draw(st.lists(_points(spec), min_size=1, max_size=24))
-
-
-def _scalar_near(spec, N, z):
-    """The scalar path takes its near-gap branch at z."""
-    return any(g.length > 0.0 and abs(z - g.center) <= 8.0 * g.length
-               for g in _gaps(spec)[:N])
-
-
-def _angle_gap(a, b):
-    return abs(math.remainder(a - b, 2.0 * math.pi))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_batches())
-# a subnormal point whose root quotient overflows in modulus
-@example((SPEC5, 16, [complex(3.59e-309, 3.59e-309)]))
-def test_vector_product_matches_scalar(batch):
-    spec, N, pts = batch
-    want, poles = [], []
-    for z in pts:
-        try:
-            want.append(eval_partial_product(spec, N, z))
-        except PoleHit as e:
-            poles.append((z, str(e)))
-    if poles:
-        # the first pole of the batch raises the scalar path's PoleHit
-        with pytest.raises(PoleHit) as e:
-            eval_partial_product_many(spec, N, pts)
-        assert str(e.value) == poles[0][1]
-        pole_pts = {z for z, _ in poles}
-        pts = [z for z in pts if z not in pole_pts]
-        if not pts:
-            return
-    log_mag, arg = eval_partial_product_many(spec, N, pts)
-    assert log_mag.shape == arg.shape == (len(pts),)
-    for z, w, lm, a in zip(pts, want, log_mag.tolist(), arg.tolist()):
-        if w.is_zero or _scalar_near(spec, N, z) or \
-                not math.isfinite(w.log_mag):
-            # routed through the scalar path: the same bits, zero signs too
-            assert repr((lm, a)) == repr((w.log_mag, w.arg)), z
-            continue
-        # otherwise within 4 (N + 2) ulps of the factor-log magnitudes:
-        # numpy's log, log1p and atan2 may differ from libm's last bits
-        logs = _factor_logs(spec, N, z)
-        budget = 4.0 * (N + 2) * EPS
-        assert abs(lm - w.log_mag) <= \
-            budget * sum(abs(l.real) for l in logs) + 5e-324, z
-        assert _angle_gap(a, w.arg) <= \
-            budget * (sum(abs(l.imag) for l in logs) + math.pi), z
-        assert -math.pi < a <= math.pi
-
-
-def test_vector_product_keeps_conventions_and_shape():
-    g = SPEC5.gap(1)
-    pts = np.array([[0.3, g.center], [g.a, complex(0.3, -0.0)]])
-    log_mag, arg = eval_partial_product_many(SPEC5, 16, pts)
-    assert log_mag.shape == arg.shape == (2, 2)
-    assert arg[0, 0] == arg[1, 1] == math.pi    # root interval: +pi
-    assert arg[0, 1] == 0.0                     # +pi, then -pi in gap 1
-    assert (log_mag[1, 0], arg[1, 0]) == (-math.inf, 0.0)   # zero at a_1
-    # subnormal distance to a0: Python divides it, numpy's complex
-    # division gives inf + nan j; the value is the scalar one
-    a = complex(0.0, 6.0967e-314)
-    log_mag, arg = eval_partial_product_many(SPEC5, 4, [a])
-    v = eval_partial_product(SPEC5, 4, a)
-    assert (log_mag[0], arg[0]) == (v.log_mag, v.arg)
-
-
 @pytest.mark.parametrize("N", [-1, 17])
 def test_depth_outside_the_materialization_is_refused(N):
     calls = [lambda: eval_partial_product(SPEC5, N, 2.0),
-             lambda: eval_partial_product_many(SPEC5, N, [2.0]),
              lambda: sqrt_branch(SPEC5, N, 2.0, BranchTag.D_PLUS),
              lambda: tail_bound(SPEC5, N, 2.0),
              lambda: laurent_c1(SPEC5, N)]
@@ -352,42 +232,42 @@ def test_depth_outside_the_materialization_is_refused(N):
         assert e.value.field == "N"
 
 
-@pytest.mark.parametrize("nodes", [0, -4])
-def test_laurent_needs_a_node(nodes):
-    with pytest.raises(PreconditionFailure) as e:
-        laurent_c1(SPEC5, 2, nodes=nodes)
-    assert e.value.field == "nodes"
+def _mp_laurent(spec, n, nodes, R):
+    """(trapezoid sum on `nodes` nodes of |z| = R, c1) at 50 digits: f_n
+    from the spec's float poles and gap lengths, c1 the gap lengths less
+    the root length."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        gaps = list(zip(spec.lengths[:n], spec.b[:n]))
+        acc = mpmath.mpc(0)
+        for k in range(nodes):
+            e = mpmath.expjpi(mpmath.mpf(2 * k) / nodes)
+            z = R * e
+            f = (z - spec.b0) / (z - spec.a0)
+            for length, b in gaps:
+                f *= 1 + length / (z - b)
+            acc += (f - 1) * e
+        c1 = mpmath.fsum(spec.lengths[:n]) - (mpmath.mpf(spec.b0) - spec.a0)
+        return acc * R / nodes, c1
 
 
-def _scalar_laurent(spec, n, nodes, tol):
-    """laurent_c1 as one scalar eval_partial_product per node."""
-    formula = sum_gap_lengths(spec, n) - spec.root_length
-    R = 2.0 * (abs(spec.a0) + abs(spec.b0)) + 2.0
-    acc = 0.0 + 0.0j
-    for k in range(nodes):
-        zk = cmath.rect(R, 2.0 * math.pi * k / nodes)
-        fk = eval_partial_product(spec, n, zk).to_complex()
-        acc += (fk - 1.0) * zk
-    acc /= nodes
-    ok = not (abs(acc.imag) > tol or abs(acc.real - formula) > tol)
-    return formula, acc.real, ok
+@pytest.mark.parametrize("spec, n", [
+    *[(SPEC5, n) for n in range(17)], (SPECF, 16),
+    (acceptance._spec_slow(), 32)])
+def test_laurent_contour_is_within_err_of_mpmath(spec, n):
+    lc = laurent_c1(spec, n)
+    assert lc.radius == 4.0 and lc.err <= 0.5e-8
+    assert lc.nodes & (lc.nodes - 1) == 0 and lc.nodes <= 4096
+    trap, c1 = _mp_laurent(spec, n, lc.nodes, lc.radius)
+    assert abs(lc.contour - c1) <= lc.err
+    assert abs(trap - c1) <= lc.err         # the aliasing alone
+    assert lc.spread <= lc.err
 
 
-@pytest.mark.parametrize("spec, n, nodes, tol", [
-    *[(SPEC5, n, 4096, 1e-8) for n in range(9)],
-    (SPEC5, 16, 4096, 1e-8), (SPECF, 4, 4096, 1e-8),
-    (SPECF, 16, 1000, 1e-8), (acceptance._spec_slow(), 32, 4096, 1e-8),
-    (SPEC5, 3, 7, 1e-8), (SPEC5, 3, 1, 1e-8), (SPEC5, 3, 4096, 1e-18)])
-def test_laurent_matches_the_scalar_loop(spec, n, nodes, tol):
-    formula, contour, ok = _scalar_laurent(spec, n, nodes, tol)
-    try:
-        lc = laurent_c1(spec, n, nodes=nodes, tol=tol)
-    except QuadratureFailure:
-        assert not ok
-        return
-    assert ok
-    assert lc.formula == formula
-    assert abs(lc.contour - contour) <= 1e-13
+def test_laurent_refuses_a_tol_below_its_rounding():
+    with pytest.raises(QuadratureFailure) as e:
+        laurent_c1(SPEC5, 3, tol=1e-18)
+    assert e.value.field == "tol"
 
 
 def test_laurent_reruns_are_equal():
@@ -685,5 +565,20 @@ def test_root_quotient_past_the_largest_double_matches_mpmath(z):
     for v in (eval_partial_product(WIDE, 4, z), eval_f(WIDE, z)[0]):
         assert abs(v.log_mag - log_mag) <= 4 * math.ulp(log_mag)
         assert abs(v.arg - arg) <= 4 * math.ulp(max(abs(arg), 1e-300))
-    many = eval_partial_product_many(WIDE, 4, [z])
-    assert (many[0][0], many[1][0]) == (v.log_mag, v.arg)
+
+
+def test_laurent_on_a_wide_spec_refuses_without_a_warning():
+    # the old vector sum overflowed here and let a NaN contour pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure) as e:
+            laurent_c1(WIDE, 4)
+        assert e.value.field == "tol"
+        # a radius past the largest double (only a spec built by hand),
+        # and one whose margin 2 over the root is lost in rounding
+        huge = CantorSpec(-1e308, 1e308, RULE5, "bisect", 0, (), (),
+                          ((-1e308, 1e308),))
+        for spec in (huge, build_cantor_spec(0.0, 1e300, RULE5, N=3)):
+            with pytest.raises(QuadratureFailure) as e:
+                laurent_c1(spec, tol=1e300)
+            assert e.value.field == "spec"
