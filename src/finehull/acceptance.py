@@ -99,6 +99,7 @@ def _band_thirds(depth: int, band: tuple[float, float]) -> list[float]:
 
 
 def _c01_capacity_oracles(art: _Artifacts):
+    # the full-turn arc is the unit circle for cap_upper
     cases = [
         ("unit_interval", pt.CompactUnion((pt.interval(0.0, 1.0),)),
          0.25, 0.05),
@@ -109,24 +110,30 @@ def _c01_capacity_oracles(art: _Artifacts):
     ]
     rows = []
     ok = True
+    upper_ok = True
     in_budget = True
     for name, sets, exact, tol in cases:
         t0 = time.perf_counter()
         model = pt.leja_points(sets, n=64)
         dt = time.perf_counter() - t0
         rel = abs(model.cap_estimate - exact) / exact
+        cap_upper = model.cap_upper
         ok = ok and rel < tol
+        upper_ok = upper_ok and exact <= cap_upper
         in_budget = in_budget and dt < 5.0
-        rows.append((name, len(model.points), model.cap_estimate, exact,
-                     rel, tol))
+        rows.append((name, len(model.points), model.cap_estimate, cap_upper,
+                     exact, rel, tol))
     art.csv("criterion01_capacity.csv",
-            ["set", "n", "cap_estimate", "exact", "rel_err", "tol"], rows)
+            ["set", "n", "cap_estimate", "cap_upper", "exact", "rel_err",
+             "tol"], rows)
     detail = ("greedy capacity estimates "
-              + ", ".join(f"{r[0]}={r[2]:.4f} (rel {r[4]:.3f})"
-                          for r in rows)
+              + ", ".join(f"{r[0]}={r[2]:.4f} (rel {r[5]:.3f}, "
+                          f"upper {r[3]:.4f})" for r in rows)
+              + ("; exact <= cap_upper" if upper_ok
+                 else "; EXACT ABOVE cap_upper")
               + ("; runtime under budget" if in_budget
                  else "; RUNTIME OVER BUDGET"))
-    return ok and in_budget, detail
+    return ok and upper_ok and in_budget, detail
 
 
 def _c02_union_bound_chain(art: _Artifacts):

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GapOverflow, PlacementFailure, PreconditionFailure
+from .logspace import _gamma
 
 __all__ = [
     "CRule",
@@ -539,12 +540,11 @@ class ConditionSum:
         """Certified comparison of the full series against 1/2.
 
         Each verdict needs the float sum to clear 1/2 by more than the
-        rounding bound m = gamma_n total, gamma_n = n u/(1 - n u), u = 2^-53,
-        n = terms + 14 (4 roundings per term, 9 in the tail bound and the
-        final add, 1 in m); None means it cannot decide at this truncation.
+        rounding bound m = gamma_n total (logspace._gamma), n = terms + 14
+        (4 roundings per term, 9 in the tail bound and the final add, 1 in
+        m); None means it cannot decide at this truncation.
         """
-        nu = (self.terms + 14) * 2.0 ** -53
-        m = nu / (1.0 - nu) * self.total
+        m = _gamma(self.terms + 14) * self.total
         if self.partial - 0.5 >= m:
             return False
         if self.certified and 0.5 - self.total > m:

@@ -30,6 +30,14 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff: the
+    relative rounding bound of k floating-point operations (Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3)."""
+    ku = k * 2.0 ** -53
+    return ku / (1.0 - ku)
+
+
 def log1p_complex(u: complex) -> complex:
     """log(1+u) without cancellation for small |u|."""
     x, y = u.real, u.imag

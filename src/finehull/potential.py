@@ -16,7 +16,8 @@ import numpy as np
 from .cantor import CantorSpec, check_point, condition_sum, exp_cut
 from .errors import (BoundVacuous, ChainNotClosed, DegenerateSet,
                      EmptySample, PreconditionFailure, UnsupportedShape)
-from .product import certify_en_point
+from .logspace import _gamma
+from .product import _exp_or_inf, certify_en_point
 
 __all__ = [
     "Shape",
@@ -29,6 +30,7 @@ __all__ = [
     "UnionBound",
     "union_capacity_bound",
     "GreenModel",
+    "mesh_size",
     "leja_points",
     "green_eval",
     "fine_witness_u",
@@ -39,8 +41,16 @@ __all__ = [
 ]
 
 MESH_RESOLUTION = 1e-12
-# nodes x candidates of one Leja model: 2**26, over three times the
-# largest model in use (n = 256 on 5 shapes of 64*256 nodes)
+# Leja candidates per meshable shape of an n-node model, by kind, as
+# (a, b) for a*n + b, sized so that cap_upper's mesh-to-shape factor for a
+# degree-n polynomial stays small: a Chebyshev-Lobatto mesh of 4n
+# intervals costs 1/cos(pi/8) (1.0003 on the n-th root at n = 256), 8n
+# points on a circle 1/(1 - pi/8) (1.002).  Arcs have no certified factor
+# yet and keep 64n.
+MESH_PER_NODE = {"interval": (4, 1), "disk": (8, 0), "arc": (64, 0)}
+# nodes x candidates of one Leja model: 2**26, 36 times the largest model
+# the pipelines and the benchmark use (n = 256 on 3 intervals and 2 disks,
+# 7171 candidates); one interval takes n up to 4095, a disk 2896, an arc 1024
 LEJA_MAX_WORK = 1 << 26
 # when every imaginary offset of a Leja mesh block is at most FLAT_RATIO
 # times every real offset, complex abs returns |d.real|: the exact modulus
@@ -51,6 +61,7 @@ FLAT_RATIO = 2.0 ** -27
 # each costs two Green evaluations and a distance certificate (~0.3 s
 # for 4096 arc candidates at N = 1)
 MAX_SAMPLES = 4096
+_LOG2 = math.log(2.0)
 _LOG4 = math.log(4.0)
 
 
@@ -83,7 +94,8 @@ class Shape:
     def boundary_mesh(self, m: int) -> np.ndarray:
         """Deterministic closed-form mesh with m nodes on the boundary."""
         if self.kind == "interval":
-            # endpoint-clustered nodes resolve the equilibrium density
+            # endpoint-clustered nodes resolve the equilibrium density:
+            # the Chebyshev-Lobatto points of m - 1 intervals
             t = -np.cos(np.pi * np.arange(m) / (m - 1))
             return 0.5 * (self.a + self.b) + 0.5 * (self.b - self.a) * t + 0j
         if self.kind == "disk":
@@ -266,6 +278,113 @@ def union_capacity_bound(sets: CompactUnion) -> UnionBound:
     return _bound_from_invs(invs, sets.diameter_bound())
 
 
+def mesh_size(shape: Shape, n: int, mesh_per_shape: int | None = None) -> int:
+    """Leja candidates on one meshable shape of an n-node model:
+    mesh_per_shape when given, else MESH_PER_NODE's size for its kind."""
+    if mesh_per_shape is not None:
+        return mesh_per_shape
+    a, b = MESH_PER_NODE[shape.kind]
+    return a * n + b
+
+
+def _up(x: float) -> float:
+    """The next double above x: one rounding taken upward."""
+    return math.nextafter(x, math.inf)
+
+
+def _slack(shape: Shape) -> float:
+    """How far boundary_mesh's computed nodes, and a covering disk's float
+    center and radius, may lie from their exact values: each formula
+    rounds a few times and numpy's cos and exp are within a few ulps, far
+    below 2^-46 of the coordinates' scale (for an arc, of its angles')."""
+    if shape.kind == "interval":
+        scale = abs(shape.a) + abs(shape.b)
+    elif shape.kind == "disk":
+        scale = math.hypot(shape.center.real, shape.center.imag) + \
+            shape.radius
+    else:
+        scale = 1.0 + abs(shape.theta1) + abs(shape.theta2)
+    return _up(2.0 ** -46 * scale)
+
+
+def _log_mesh_factor(shape: Shape, n: int, m: int) -> float:
+    """Upper bound on log c, where max |p| over the shape is at most c
+    times max |p| over the exact nodes of boundary_mesh(m), for every
+    polynomial p of degree n.
+
+    An interval's mesh is the Chebyshev-Lobatto points of M = m - 1
+    intervals: c = 1/cos(pi n/(2M)) = 1/sin(pi (M - n)/(2M)) when M > n
+    (Ehlich and Zeller 1964).  A disk's mesh is m equispaced points on its
+    circle, so every point of the circle is within pi/m of one in angle,
+    Bernstein's |p'| <= n max |p| gives c = 1/(1 - pi n/m) when m > pi n,
+    and the maximum principle carries it to the disk.  A full-turn arc is
+    the unit circle with m - 1 distinct nodes; a partial arc has no factor
+    yet (UnsupportedShape, field shapes).  A mesh too coarse for its
+    factor is refused naming mesh.  The ratio, within 4 roundings of
+    exact, is moved toward the weaker factor by 2^-50 of itself, and the
+    log up by 2^-50 (1 + log c) for sin, log1p and log.
+    """
+    if shape.kind == "interval":
+        M = m - 1
+        if M <= n:
+            raise PreconditionFailure(
+                f"an interval mesh of {m} nodes bounds no polynomial of "
+                f"degree {n}: need m - 1 > n", field="mesh")
+        log_c = -math.log(math.sin(
+            0.5 * math.pi * (M - n) / M * (1.0 - 2.0 ** -50)))
+    else:
+        if shape.kind == "arc":
+            if shape.theta2 - shape.theta1 != 2.0 * math.pi:
+                raise UnsupportedShape(
+                    "a partial arc has no mesh-to-shape bound",
+                    field="shapes")
+            m -= 1              # the first and last nodes coincide
+        x = math.pi * n / m * (1.0 + 2.0 ** -50)
+        if not x < 1.0:
+            raise PreconditionFailure(
+                f"a circle mesh of {m} distinct nodes bounds no polynomial "
+                f"of degree {n}: need m > pi n", field="mesh")
+        log_c = -math.log1p(-x)
+    return _up(log_c + 2.0 ** -50 * (1.0 + log_c))
+
+
+def _cover(shape: Shape) -> tuple[complex, float]:
+    """A disk (center, radius) holding an unmeshed member: its covering
+    disk, whose radius is at least half a segment's exact length
+    exp(log_size) and a disk's exact radius, widened by _slack."""
+    c, r = shape.extent()
+    if shape.kind == "interval":
+        r = max(r, exp_cut(shape.log_size - _LOG2))
+    elif shape.kind == "disk":
+        r = max(r, exp_cut(shape.log_size))
+    return c, _up(_up(r) + _slack(shape))
+
+
+def _log_prod_upper(xs: np.ndarray, pad, nodes: np.ndarray) -> float:
+    """Upper bound on the maximum over i of sum_j log(|xs_i - nodes_j| +
+    pad_i); pad is positive, one value or one per xs_i.
+
+    The terms are added node by node.  Each computed term l_j lies within
+    4u + 2u|l_j| of its exact value, u = 2^-53 (the subtraction and abs,
+    the add of pad, libm's log), and the running sum adds at most
+    gamma_{n-1} sum|l_j| (Higham 2002, ch. 4); gamma_{n+4} (sum|l_j| + 8n)
+    covers both and the bound's own adds.
+    """
+    n = len(nodes)
+    acc = np.zeros(len(xs))
+    size = np.zeros(len(xs))
+    d = np.empty(len(xs))
+    with np.errstate(over="ignore"):
+        for p in nodes:
+            np.abs(xs - p, out=d)
+            np.add(d, pad, out=d)
+            np.log(d, out=d)
+            np.add(acc, d, out=acc)
+            np.abs(d, out=d)
+            np.add(size, d, out=size)
+        return _up(float(np.max(acc + _gamma(n + 4) * (size + 8.0 * n))))
+
+
 @dataclass(frozen=True)
 class GreenModel:
     """Discrete equilibrium model from a Leja sequence.
@@ -275,7 +394,8 @@ class GreenModel:
     recorded alongside for diagnostics.  node_tol is the largest |ghat|
     over the candidate mesh itself, the natural clamping scale; it is
     read off the greedy loop's running log-product, so no nodes x mesh
-    matrix is formed.
+    matrix is formed.  mesh_sizes holds the candidate count of each
+    meshable shape of the support, in order.
     """
 
     support: CompactUnion
@@ -283,27 +403,75 @@ class GreenModel:
     d_seq: tuple[float, ...]
     cap_estimate: float
     node_tol: float
+    mesh_sizes: tuple[int, ...]
 
     @property
     def log_cap_estimate(self) -> float:
         return math.log(self.cap_estimate)
 
+    def log_sup_bound(self) -> float:
+        """Upper bound on log max |p| over the whole support, p(z) =
+        prod (z - node) the monic node polynomial.
+
+        A meshed shape rebuilds its mesh and charges the largest
+        prod (|c - node| + delta) over its computed nodes c, delta =
+        _slack, times its mesh-to-shape factor (_log_mesh_factor).  An
+        unmeshed member charges prod (|c - node| + r) over a disk (c, r)
+        that holds it (_cover): a tiny segment counts as the disk of its
+        half width.  Rounding is charged as _log_prod_upper states.
+        Members carried only as tail_inv_log_caps have no place and are
+        refused (UnsupportedShape, field tail_inv_log_caps), as are partial
+        arcs and meshes too coarse for their factor.
+        """
+        if self.support.tail_inv_log_caps:
+            raise UnsupportedShape("a member without a place bounds no "
+                                   "polynomial", field="tail_inv_log_caps")
+        n = len(self.points)
+        sizes = iter(self.mesh_sizes)
+        bound = -math.inf
+        covers = []
+        for s in self.support.shapes:
+            if s.meshable:
+                m = next(sizes)
+                log_c = _log_mesh_factor(s, n, m)
+                bound = max(bound, _up(log_c + _log_prod_upper(
+                    s.boundary_mesh(m), _slack(s), self.points)))
+            else:
+                covers.append(_cover(s))
+        if covers:
+            centers, radii = zip(*covers)
+            bound = max(bound, _log_prod_upper(
+                np.array(centers), np.array(radii), self.points))
+        return bound
+
+    @property
+    def cap_upper(self) -> float:
+        """Certified upper bound on the support's capacity: cap(K) <=
+        (max_K |p|)^(1/n) for every monic p of degree n (Ransford,
+        Potential Theory in the Complex Plane, Thm 5.5.4), with max_K |p|
+        from log_sup_bound and each later step rounded up.  Computed on
+        each call, never by leja_points."""
+        x = _up(self.log_sup_bound() / len(self.points))
+        return _up(_up(_exp_or_inf(x)))
+
 
 class _MeshBlock:
-    """One shape's Leja candidates and its slice of the running
-    log-product, with the bounds that choose how |cand - p| is taken."""
+    """One shape's Leja candidates, its slices of the running log-product
+    and of the scratch buffers, and the bounds that choose how |cand - p|
+    is taken."""
 
-    def __init__(self, cands: np.ndarray, logprod: np.ndarray):
+    def __init__(self, cands: np.ndarray, logprod: np.ndarray,
+                 dist: np.ndarray, cbuf: np.ndarray):
         self.cands, self.logprod = cands, logprod
+        self.dist, self.cbuf = dist, cbuf
         self.reals = cands.real.copy()
         self.re_lo = float(self.reals.min())
         self.re_hi = float(self.reals.max())
         self.im_max = float(np.abs(cands.imag).max())
 
-    def add_log_dist(self, p: complex, dist: np.ndarray,
-                     cbuf: np.ndarray) -> None:
+    def add_log_dist(self, p: complex) -> None:
         """logprod += log|cand - p|, with |cand - p| in the bits of
-        complex abs; dist and cbuf are block-sized scratch buffers.
+        complex abs.
 
         When every imaginary offset is at most FLAT_RATIO times every real
         offset, the modulus is |cand.real - p.real|, taken in float
@@ -313,11 +481,12 @@ class _MeshBlock:
         offset from above.
         """
         x = p.real
+        dist = self.dist
         gap = self.re_lo - x if x < self.re_lo else \
             x - self.re_hi if x > self.re_hi else 0.0
         if self.im_max + abs(p.imag) > gap * FLAT_RATIO:
-            np.subtract(self.cands, p, out=cbuf)
-            np.abs(cbuf, out=dist)
+            np.subtract(self.cands, p, out=self.cbuf)
+            np.abs(self.cbuf, out=dist)
         else:
             np.subtract(self.reals, x, out=dist)
             np.abs(dist, out=dist)
@@ -329,13 +498,16 @@ def leja_points(sets: CompactUnion, n: int = 64,
                 mesh_per_shape: int | None = None) -> GreenModel:
     """Greedy max-product nodes on the union boundary.
 
-    The candidate mesh has mesh_per_shape nodes (at least 2; default
-    64*n) per meshable shape; shapes below MESH_RESOLUTION are excluded
-    (they are charged analytically in bounds, not sampled).  The work is
-    n times the candidate count, capped at LEJA_MAX_WORK; memory is
-    O(|mesh|), since node_tol is read off the greedy loop's running
-    log-product.  Deterministic: ties resolve to the lowest candidate
-    index.
+    Each meshable shape gets mesh_size(shape, n, mesh_per_shape)
+    candidates: mesh_per_shape (at least 2) when given, else 4n + 1
+    Chebyshev-Lobatto nodes on an interval, 8n on a disk and 64n on an
+    arc (MESH_PER_NODE), sizes at which cap_upper's mesh-to-shape factors
+    stay small.  Shapes below MESH_RESOLUTION are excluded (they are
+    charged analytically in bounds and in cap_upper, not sampled).  The
+    work is n times the total candidate count, capped at LEJA_MAX_WORK;
+    memory is O(|mesh|), since node_tol is read off the greedy loop's
+    running log-product.  Deterministic: ties resolve to the lowest
+    candidate index.
 
     Each node adds log|cand - p| one shape's block at a time, so a
     block's operands stay in cache between the passes.  A block whose
@@ -349,23 +521,28 @@ def leja_points(sets: CompactUnion, n: int = 64,
     if mesh_per_shape is not None and mesh_per_shape < 2:
         raise PreconditionFailure("need mesh >= 2 nodes per shape",
                                   field="mesh")
-    m = 64 * n if mesh_per_shape is None else mesh_per_shape
     shapes = [s for s in sets.shapes if s.meshable]
     if not shapes:
         raise DegenerateSet("no meshable shapes in the union",
                             field="shapes")
-    if n * m * len(shapes) > LEJA_MAX_WORK:
+    sizes = [mesh_size(s, n, mesh_per_shape) for s in shapes]
+    if n * sum(sizes) > LEJA_MAX_WORK:
         raise PreconditionFailure(
-            f"n={n} nodes over {m * len(shapes)} candidates exceeds the "
+            f"n={n} nodes over {sum(sizes)} candidates exceeds the "
             f"work cap {LEJA_MAX_WORK}", field="n")
-    cands = np.concatenate([s.boundary_mesh(m) for s in shapes])
+    cands = np.concatenate([s.boundary_mesh(m)
+                            for s, m in zip(shapes, sizes)])
     # 0.0 + log|d| == log|d| (log never returns -0.0), so the first node
     # adds into zeros like every later one
     logprod = np.zeros(len(cands))
-    blocks = [_MeshBlock(cands[lo:lo + m], logprod[lo:lo + m])
-              for lo in range(0, len(cands), m)]
-    cbuf = np.empty(m, dtype=complex)
-    dist = np.empty(m)
+    cbuf = np.empty(max(sizes), dtype=complex)
+    dist = np.empty(max(sizes))
+    blocks = []
+    lo = 0
+    for m in sizes:
+        blocks.append(_MeshBlock(cands[lo:lo + m], logprod[lo:lo + m],
+                                 dist[:m], cbuf[:m]))
+        lo += m
 
     idx = int(np.argmax(np.abs(cands)))
     pts = [cands[idx]]
@@ -373,13 +550,13 @@ def leja_points(sets: CompactUnion, n: int = 64,
     d_seq: list[float] = []
     with np.errstate(divide="ignore"):
         for b in blocks:
-            b.add_log_dist(pts[0], dist, cbuf)
+            b.add_log_dist(pts[0])
         for k in range(1, n):
             idx = int(logprod.argmax())
             pts.append(cands[idx])
             pair_log += float(logprod[idx])
             for b in blocks:
-                b.add_log_dist(cands[idx], dist, cbuf)
+                b.add_log_dist(cands[idx])
             d_seq.append(math.exp(2.0 * pair_log / (k * (k + 1))))
     gain_next = float(np.max(logprod))
     if gain_next == -math.inf:
@@ -392,7 +569,8 @@ def leja_points(sets: CompactUnion, n: int = 64,
     raw = logprod / n - math.log(cap_est)
     raw = raw[np.isfinite(raw)]
     node_tol = float(np.max(np.abs(raw))) if raw.size else 0.0
-    return GreenModel(sets, np.array(pts), tuple(d_seq), cap_est, node_tol)
+    return GreenModel(sets, np.array(pts), tuple(d_seq), cap_est, node_tol,
+                      tuple(sizes))
 
 
 def green_eval(model: GreenModel, z: complex) -> float:

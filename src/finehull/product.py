@@ -24,8 +24,8 @@ from .cantor import (HALVING_DENOM, UNDERFLOW_LOG, CantorSpec, _check_depth,
                      sum_gap_lengths)
 from .errors import (DomainViolation, NoConvergence, NotInEN, PoleHit,
                      PreconditionFailure, QuadratureFailure, RegionViolatesEN)
-from .logspace import (LogComplex, _sum_logs, log1p_complex, logsum,
-                       wrap_angle)
+from .logspace import (LogComplex, _gamma, _sum_logs, log1p_complex,
+                       logsum, wrap_angle)
 
 __all__ = [
     "BranchTag",
@@ -339,12 +339,6 @@ class LaurentC1:
     @property
     def spread(self) -> float:
         return abs(self.formula - self.contour)
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff."""
-    ku = k * 2.0 ** -53
-    return ku / (1.0 - ku)
 
 
 def _exp_or_inf(x: float) -> float:

@@ -669,3 +669,20 @@ def test_condition_sum_is_undecided_inside_its_rounding_margin():
         nu = (cs.terms + 14) * 2.0 ** -53
         assert abs(exact - mpmath.mpf(cs.total)) <= nu / (1 - nu) * cs.total
     assert cs.satisfied is None
+
+
+@pytest.mark.parametrize("J", [64, 10000])
+@pytest.mark.parametrize("slope, offset", [
+    (5.0, 0.0), (0.05, 1.0), (1.0, 0.0), (40.0, 0.25), (0.5, 3.0),
+    (2.5995988732937243, 1.0), (0.002, 1.0), (math.pi ** 2 / 3.0, 0.0)])
+def test_condition_sum_brackets_the_affine_closed_form(slope, offset, J):
+    # sum_j 1/(j (s j + o)) = (psi(1 + o/s) + gamma)/o for o > 0, and
+    # pi^2/(6 s) for o = 0: the partial sum is below it, partial + tail
+    # bound above it
+    mpmath = pytest.importorskip("mpmath")
+    cs = condition_sum(CRule("affine", slope=slope, offset=offset), J=J)
+    with mpmath.workdps(50):
+        s, o = mpmath.mpf(slope), mpmath.mpf(offset)
+        exact = (mpmath.digamma(1 + o / s) + mpmath.euler) / o if offset \
+            else mpmath.pi ** 2 / (6 * s)
+        assert mpmath.mpf(cs.partial) <= exact <= mpmath.mpf(cs.total)

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from finehull import potential
 from finehull.blaschke import build_blaschke_spec, disk_fine_sets
 from finehull.cantor import CRule, build_cantor_spec
-from finehull.errors import DegenerateSet, PreconditionFailure
+from finehull.errors import (DegenerateSet, PreconditionFailure,
+                             UnsupportedShape)
 from finehull.potential import (FLAT_RATIO, LEJA_MAX_WORK, CompactUnion,
                                 arc, cantor_fine_sets, disk, exact_capacity,
                                 fine_witness_u, green_eval, interval,
-                                leja_points, sample_E, union_capacity_bound)
+                                leja_points, mesh_size, sample_E,
+                                union_capacity_bound)
 
 SPEC5 = build_cantor_spec(0.0, 1.0, CRule("affine", slope=5.0, offset=0.0),
                           N=16)
@@ -119,10 +121,16 @@ def test_fine_witness_nonnegative(x, y):
     assert fine_witness_u(_MODEL_F, _MODEL_J, complex(x, y)) >= 0.0
 
 
-def _dense_leja(sets, n, m):
+def _candidates(sets, n, mesh=None):
+    """The Leja candidates of every meshable shape, each of the size
+    leja_points gives it."""
+    return np.concatenate([s.boundary_mesh(mesh_size(s, n, mesh))
+                           for s in sets.shapes if s.meshable])
+
+
+def _dense_leja(sets, n, mesh=None):
     """Leja model with node_tol from the full nodes x mesh matrix."""
-    cands = np.concatenate([s.boundary_mesh(m) for s in sets.shapes
-                            if s.meshable])
+    cands = _candidates(sets, n, mesh)
     idx = int(np.argmax(np.abs(cands)))
     pts = [cands[idx]]
     with np.errstate(divide="ignore"):
@@ -156,8 +164,7 @@ _SPECF = build_cantor_spec(0.0, 1.0, CRule("factorial", shift=2), N=16)
 def test_leja_running_node_tol_matches_dense_matrix(spec, which, n, mesh):
     sets = getattr(cantor_fine_sets(spec, 2), which)
     model = leja_points(sets, n=n, mesh_per_shape=mesh)
-    points, d_seq, cap_est, node_tol = _dense_leja(
-        sets, n, 64 * n if mesh is None else mesh)
+    points, d_seq, cap_est, node_tol = _dense_leja(sets, n, mesh)
     assert model.node_tol == node_tol
     assert model.cap_estimate == cap_est
     assert model.d_seq == d_seq
@@ -167,10 +174,9 @@ def test_leja_running_node_tol_matches_dense_matrix(spec, which, n, mesh):
 def _complex_leja(sets, n):
     """Leja model with every distance in complex arithmetic and node_tol
     from the running log-product."""
-    cands = np.concatenate([s.boundary_mesh(64 * n) for s in sets.shapes
-                            if s.meshable])
-    if not cands.size:
+    if not any(s.meshable for s in sets.shapes):
         raise DegenerateSet("no meshable shapes in the union")
+    cands = _candidates(sets, n)
     idx = int(np.argmax(np.abs(cands)))
     pts = [cands[idx]]
     with np.errstate(divide="ignore"):
@@ -270,11 +276,156 @@ def test_leja_memory_scales_with_the_mesh():
 
 def test_green_eval_far_from_a_wide_union():
     # |z - node| passes the largest double for the node at -1e308
+    mpmath = pytest.importorskip("mpmath")
     model = leja_points(CompactUnion((interval(-1e308, 5e307),)), n=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = green_eval(model, 1.7e308)
-    assert g == pytest.approx(1.3816752804910948, rel=1e-12)
+    with mpmath.workdps(30):
+        want = mpmath.fsum(mpmath.log(abs(mpmath.mpf(1.7e308) -
+                                          mpmath.mpc(p)))
+                           for p in model.points) / len(model.points) - \
+            mpmath.log(model.cap_estimate)
+    assert g == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_mesh_sizes_per_kind(n):
+    # 4n Chebyshev-Lobatto intervals, 8n points on a circle, and 64n on
+    # an arc, which has no certified mesh-to-shape factor yet; an
+    # unmeshable shape takes no candidates
+    shapes = (interval(0.0, 1.0), disk(3.0, 0.5), disk(5.0, 1e-13),
+              arc(0.0, 1.0))
+    model = leja_points(CompactUnion(shapes), n=n)
+    assert model.mesh_sizes == (4 * n + 1, 8 * n, 64 * n)
+    assert [mesh_size(s, n) for s in shapes] == \
+        [4 * n + 1, 8 * n, 8 * n, 64 * n]
+    override = leja_points(CompactUnion(shapes), n=n, mesh_per_shape=40)
+    assert override.mesh_sizes == (40, 40, 40)
+
+
+def _two_intervals(alpha, beta):
+    return CompactUnion((interval(-beta, -alpha), interval(alpha, beta)))
+
+
+# (union, exact capacity at 50 digits, or a lower bound of it)
+_CAP_CASES = {
+    "unit_interval": (CompactUnion((interval(0.0, 1.0),)),
+                      lambda mp: mp.mpf(1) / 4),
+    "far_interval": (CompactUnion((interval(-3.5, 1e3),)),
+                     lambda mp: (mp.mpf(1e3) + mp.mpf(3.5)) / 4),
+    "small_interval": (CompactUnion((interval(0.1, 0.1 + 1e-9),)),
+                       lambda mp: (mp.mpf(0.1 + 1e-9) - mp.mpf(0.1)) / 4),
+    "disk": (CompactUnion((disk(0.3 - 0.2j, 0.5),)),
+             lambda mp: mp.mpf(0.5)),
+    "small_disk": (CompactUnion((disk(2.0j, 1e-10),)),
+                   lambda mp: mp.mpf(1e-10)),
+    "unit_circle": (CompactUnion((arc(0.0, 2.0 * math.pi),)),
+                    lambda mp: mp.mpf(1)),
+    # cap([-b, -a] u [a, b]) = sqrt(b^2 - a^2)/2, through z -> z^2
+    "two_intervals": (_two_intervals(0.5, 1.0),
+                      lambda mp: mp.sqrt(mp.mpf(1) - mp.mpf(0.25)) / 2),
+    "two_near_intervals": (_two_intervals(1e-3, 2.0),
+                           lambda mp: mp.sqrt(4 - mp.mpf(1e-3) ** 2) / 2),
+    # unmeshed members only add capacity: cap([0, 1]) = 1/4 bounds it
+    "unmeshed_members": (CompactUnion((interval(0.0, 1.0),
+                                       disk(2.0, 1e-13),
+                                       interval(-1.0, -1.0 + 1e-14))),
+                         lambda mp: mp.mpf(1) / 4),
+    "cantor_JN2": (cantor_fine_sets(SPEC5, 2).JN, lambda mp: mp.mpf(1) / 4),
+}
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256])
+@pytest.mark.parametrize("name", sorted(_CAP_CASES))
+def test_cap_upper_bounds_the_exact_capacity(name, n):
+    mpmath = pytest.importorskip("mpmath")
+    sets, exact = _CAP_CASES[name]
+    model = leja_points(sets, n=n)
+    cap_upper = model.cap_upper
+    with mpmath.workdps(50):
+        assert mpmath.mpf(cap_upper) >= exact(mpmath)
+    # the mesh maximum is part of the bound
+    assert model.cap_estimate <= cap_upper
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("shape, factor", [
+    (interval(0.0, 1.0), 1.0 / math.cos(math.pi / 8.0)),
+    (disk(0.3 - 0.2j, 0.5), 1.0 / (1.0 - math.pi / 8.0)),
+])
+def test_cap_upper_costs_the_mesh_to_shape_factor(shape, factor, n):
+    # the n-th root of the factor, and rounding far below it
+    model = leja_points(CompactUnion((shape,)), n=n)
+    assert model.cap_upper <= model.cap_estimate * factor ** (1.0 / n) * \
+        (1.0 + 1e-9)
+
+
+def _log_abs_p(mpmath, points, z):
+    return mpmath.fsum(mpmath.log(abs(mpmath.mpc(z) - mpmath.mpc(p)))
+                       for p in points)
+
+
+def test_log_sup_bound_holds_on_every_member():
+    # |p| at 50 digits on a dense sample of each member, unmeshed ones
+    # (a tiny disk and a tiny segment) included, never passes the bound
+    mpmath = pytest.importorskip("mpmath")
+    shapes = (interval(0.0, 1.0), disk(2.0 + 1.0j, 0.25),
+              arc(0.0, 2.0 * math.pi), disk(-1.5, 1e-13),
+              interval(3.0, 3.0 + 1e-14))
+    model = leja_points(CompactUnion(shapes), n=24)
+    bound = model.log_sup_bound()
+    t = np.linspace(0.0, 1.0, 997)
+    ang = 2.0 * np.pi * t
+    samples = [*t, *(2.0 + 1.0j + 0.25 * np.exp(1j * ang)),
+               *np.exp(1j * ang), *(-1.5 + 1e-13 * np.exp(1j * ang[::50])),
+               3.0, 3.0 + 1e-14, 3.0 + 5e-15]
+    with mpmath.workdps(50):
+        worst = max(_log_abs_p(mpmath, model.points, z) for z in samples)
+        assert worst <= bound
+    assert bound - float(worst) < 0.3
+
+
+@pytest.mark.parametrize("shape, m", [
+    (interval(0.0, 1.0), 10), (disk(2.0 + 1.0j, 0.25), 33),
+    (arc(0.0, 2.0 * math.pi), 34)], ids=["interval", "disk", "circle"])
+def test_log_sup_bound_covers_the_shape_between_mesh_nodes(shape, m):
+    # on these coarse meshes |p| between the nodes passes its mesh maximum,
+    # and the mesh-to-shape factor carries the bound past it
+    mpmath = pytest.importorskip("mpmath")
+    model = leja_points(CompactUnion((shape,)), n=8, mesh_per_shape=m)
+    t = np.linspace(0.0, 1.0, 4001)
+    if shape.kind == "interval":
+        samples = shape.a + (shape.b - shape.a) * t
+    else:
+        c, r = (shape.center, shape.radius) if shape.kind == "disk" \
+            else (0.0, 1.0)
+        samples = c + r * np.exp(2j * np.pi * t)
+    with mpmath.workdps(50):
+        worst = max(_log_abs_p(mpmath, model.points, z) for z in samples)
+        at_mesh = max(_log_abs_p(mpmath, model.points, z)
+                      for z in shape.boundary_mesh(m))
+        assert worst > at_mesh + 1e-3
+        assert worst <= model.log_sup_bound()
+
+
+def test_cap_upper_refusals():
+    with pytest.raises(UnsupportedShape) as exc:
+        leja_points(CompactUnion((arc(0.0, 1.0),)), n=8).cap_upper
+    assert exc.value.field == "shapes"
+    with pytest.raises(UnsupportedShape) as exc:
+        leja_points(CompactUnion((interval(0.0, 1.0),),
+                                 tail_inv_log_caps=(50.0,)), n=8).cap_upper
+    assert exc.value.field == "tail_inv_log_caps"
+    # an interval mesh needs m - 1 > n, a circle mesh m > pi n
+    for shape, coarse, fine in ((interval(0.0, 1.0), 9, 10),
+                                (disk(0.0, 1.0), 25, 26),
+                                (arc(0.0, 2.0 * math.pi), 26, 27)):
+        sets = CompactUnion((shape,))
+        with pytest.raises(PreconditionFailure) as exc:
+            leja_points(sets, n=8, mesh_per_shape=coarse).cap_upper
+        assert exc.value.field == "mesh"
+        assert leja_points(sets, n=8, mesh_per_shape=fine).cap_upper > 0.0
 
 
 def _scanned_candidates(spec, N):
