@@ -4,9 +4,12 @@ Zeros accumulate on a prescribed arc with moduli tied to the distance
 condition |a_j - 1/conj(a_j)| = e^{-j c_j}; arguments sweep the arc
 dyadically so density comes with an explicit mesh bound.  Evaluation
 switches between the two algebraic forms of each factor at the unit
-circle to avoid cancellation, and tail bounds share the gap-product
-machinery: the horizon walk of the distance conditions, then a geometric
-majorant certified from the rule.
+circle to avoid cancellation.  The tail bound is the gap product's:
+product._tail_walk checks the distance conditions over the materialized
+and would-be zeros out to the horizon and sums their deviation bounds
+q_j in log space, and BlaschkeSpec._tail_terms adds the q_l of the
+extras and a geometric majorant past the horizon, certified from the
+rule.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .logspace import LogComplex, _sum_logs, wrap_angle
 from .potential import (CompactUnion, FineSets, arc, exact_capacity,
                         _bound_from_invs, _certified_tail, _check_samples,
                         _pole_disks, _witness_sample, UnionBound)
+from .product import _tail_walk
 
 __all__ = [
     "van_der_corput",
@@ -73,20 +77,22 @@ def radius_from_condition(j: int, c_rule: CRule) -> float:
     r = (-t + sqrt(t^2 + 4))/2 for t = e^{-j c_j}; rounds to 1.0 once
     1 - r = t/2 (1 + O(t)) falls below resolution.
     """
-    log_t = -c_rule.jcj(j)
-    if log_t < -700.0:
-        return 1.0
-    t = math.exp(log_t)
-    return (-t + math.sqrt(t * t + 4.0)) / 2.0
+    return _radius(-c_rule.jcj(j))[0]
 
 
 def log_one_minus_radius(j: int, c_rule: CRule) -> float:
     """log(1 - r) evaluated stably: 1 - r = 2t / (2 + t + sqrt(t^2+4))."""
-    log_t = -c_rule.jcj(j)
+    return _radius(-c_rule.jcj(j))[1]
+
+
+def _radius(log_t: float) -> tuple[float, float]:
+    """r and log(1 - r) for t = e^{log_t}, as the two functions above
+    form them."""
     if log_t < -700.0:
-        return log_t - _LN2   # 1 - r = t/2 to first order
+        return 1.0, log_t - _LN2   # 1 - r = t/2 to first order
     t = math.exp(log_t)
-    return math.log(2.0 * t / (2.0 + t + math.sqrt(t * t + 4.0)))
+    root = math.sqrt(t * t + 4.0)
+    return (-t + root) / 2.0, math.log(2.0 * t / (2.0 + t + root))
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,46 @@ class BlaschkeSpec(_IndexWalk):
         """The poles b_j = 1/conj(a_j) of the arc zeros, b[j-1] = b_j."""
         return [z.pole for z in self.zeros]
 
+    _refusal = NotInEN
+
+    def _tail_terms(self, N: int, c: complex, rad: float):
+        """The Blaschke product's tail at c (rad is 0.0): the walk poles
+        with the disk term q_j, and the fixed terms, 3 p_{H+1} /
+        HALVING_DENOM past the horizon H and the q_l of extras[N:].
+        Under the distance conditions q_j <= 3 e^{-j c_j / 2}, and the
+        halving certificate makes that geometric with ratio at most
+        2^{-1/2}.  An explicit rule has no zero past its prefix.
+        """
+        rule = self.c_rule
+        explicit = rule.max_defined_index is not None
+        if not explicit and rule.halving_tail(self.max_index + 1) is None:
+            raise PreconditionFailure(
+                "rule does not certify a geometric tail", field="c_rule")
+        poles = self.walk_poles
+        if poles is None:
+            raise NotInEN(f"distance conditions not certified past N={N}")
+        fixed = [] if explicit else [rule.halving_tail(len(poles) + 1) +
+                                     math.log(3.0 / HALVING_DENOM)]
+        for zero in self.extras[N:]:
+            d = abs(zero.pole - c)
+            if d == 0.0:
+                raise PoleHit(f"z hits pole 1/conj(a_{zero.index})")
+            fixed.append(_log_q(*_q_logs(zero.log_condition, zero.r,
+                                         zero.log_one_minus_r), math.log(d)))
+        parts = self._walk_q_logs
+        return poles, self.walk_jcj, fixed, \
+            lambda i, log_d: _log_q(*parts[i], log_d)
+
+    @cached_property
+    def _walk_q_logs(self) -> list[tuple[float, float]]:
+        """_q_logs of each zero along walk_poles, r and log(1 - r) formed
+        as _arc_zero forms them: the disk term at walk index i is _log_q
+        of entry i and log d."""
+        return [_q_logs(-jcj, *_radius(-jcj)) for jcj in self.walk_jcj]
+
     def _would_be_poles(self, H: int) -> list[complex]:
-        """e^{i theta_j} / r_j of the would-be arc zeros max_index+1 .. H,
-        with theta_j and r_j as _arc_zero takes them."""
-        a, span = self.alpha, self.beta - self.alpha
-        return [cmath.exp(1j * (a + span * van_der_corput(j))) /
-                radius_from_condition(j, self.c_rule)
+        """The poles of the would-be arc zeros max_index+1 .. H."""
+        return [_arc_zero(self.alpha, self.beta, self.c_rule, j).pole
                 for j in range(self.max_index + 1, H + 1)]
 
 
@@ -180,8 +220,8 @@ def _arc_zero(alpha: float, beta: float, c_rule: CRule,
     """Arc zero j of the placement rule: dyadic argument, modulus from
     the distance condition."""
     theta = alpha + (beta - alpha) * van_der_corput(j)
-    return BlaschkeZero(j, theta, radius_from_condition(j, c_rule),
-                        log_one_minus_radius(j, c_rule), -c_rule.jcj(j))
+    log_t = -c_rule.jcj(j)
+    return BlaschkeZero(j, theta, *_radius(log_t), log_t)
 
 
 def extra_zeros(alpha: float, beta: float, count: int) -> tuple[
@@ -237,52 +277,37 @@ def eval_blaschke(spec: BlaschkeSpec, N: int, z: complex) -> LogComplex:
                       spec.zeros[:N] + spec.extras[:N]], z_l.log_mag, z_l.arg)
 
 
-def _log_q(zero: BlaschkeZero, z: complex) -> float:
-    """log of the per-factor deviation bound q_j.
+def _q_logs(log_condition: float, r: float,
+            log_one_minus_r: float) -> tuple[float, float]:
+    """log(|a - 1/conj(a)|/|a|) and log((1 - |a|)/|a|) for a zero a of
+    modulus r: the two parts of _log_q that do not depend on z."""
+    log_r = math.log(r)
+    return log_condition - log_r, log_one_minus_r - log_r
+
+
+def _log_q(log_c: float, log_o: float, log_d: float) -> float:
+    """log of the per-factor deviation bound
 
     q_j = (1/|a_j|) |a_j - 1/conj(a_j)| / |1/conj(a_j) - z|
-        + (1 - |a_j|)/|a_j|.
+        + (1 - |a_j|)/|a_j| = e^{log_c - log_d} + e^{log_o}
+
+    for (log_c, log_o) = _q_logs of the zero a_j, d = |1/conj(a_j) - z|.
     """
-    d = abs(zero.pole - z)
-    if d == 0.0:
-        raise PoleHit(f"z hits pole 1/conj(a_{zero.index})")
-    log_r = math.log(zero.r)
-    t1 = zero.log_condition - log_r - math.log(d)
-    t2 = zero.log_one_minus_r - log_r
-    hi, lo = max(t1, t2), min(t1, t2)
-    if hi == float("-inf"):
-        return hi
+    t1 = log_c - log_d
+    hi, lo = (t1, log_o) if t1 > log_o else (log_o, t1)
     return hi + math.log1p(math.exp(lo - hi)) if lo - hi > -700.0 else hi
 
 
 def blaschke_tail_bound(spec: BlaschkeSpec, N: int, z: complex) -> float:
     """Certified bound on |B/B_N - 1| under the disk distance conditions.
 
-    The conditions |1/conj(a_j) - z| >= e^{-j c_j / 2}, j > N, are checked
-    over spec.walk_poles, materialized and would-be zeros (NotInEN
-    where one fails or the walk is uncertified); materialized factors
-    beyond N add their q_j, the rest a halving majorant.
+    product._tail_walk checks |1/conj(a_j) - z| >= e^{-j c_j / 2}, j > N,
+    over spec.walk_poles, materialized and would-be zeros (NotInEN where
+    one fails or the walk is uncertified), and adds their q_j, the q_l of
+    extras[N:] and a halving majorant past the horizon.  A rule that does
+    not certify halving is refused first (field c_rule).
     """
-    z = check_point(z, "z")
-    _check_depth(spec, N)
-    last = _last_violation(spec, z)
-    if last is None or last > N:
-        raise NotInEN(f"distance conditions not certified past N={N}")
-    s = 0.0
-    for zero in spec.zeros[N:] + spec.extras[N:]:
-        lq = _log_q(zero, z)
-        s += math.exp(lq) if lq > -745.0 else 0.0
-    if spec.c_rule.max_defined_index is None:
-        # under the distance conditions q_j <= 3 e^{-j c_j / 2} for every
-        # index, and the halving certificate makes that geometric with
-        # ratio at most 2^{-1/2}
-        log_p_next = spec.c_rule.halving_tail(spec.max_index + 1)
-        if log_p_next is None:
-            raise PreconditionFailure(
-                "rule does not certify a geometric tail", field="c_rule")
-        if log_p_next > -700.0:
-            s += 3.0 * math.exp(log_p_next) / HALVING_DENOM
-    return math.expm1(s)
+    return _tail_walk(spec, N, check_point(z, "z"), 0.0, math.inf).bound
 
 
 def _fn_disk_bound(spec: BlaschkeSpec, N: int) -> UnionBound:

@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GapOverflow, PlacementFailure, PreconditionFailure
+from .errors import (GapOverflow, PlacementFailure, PreconditionFailure,
+                     RegionViolatesEN)
 from .logspace import _gamma
 
 __all__ = [
@@ -233,7 +234,13 @@ class CRule:
 class _IndexWalk:
     """The would-be pole walk of either spec family.  A family supplies
     c_rule, max_index, its materialized poles b (b[j-1] = b_j) and
-    _would_be_poles(H), the poles max_index+1 .. H of its placement rule."""
+    _would_be_poles(H), the poles max_index+1 .. H of its placement rule.
+
+    For product._tail_walk it also supplies _tail_terms(N, c, rad), which
+    returns the poles and jcj to walk, the fixed log terms and the
+    per-pole term, a function of the walk index and log d (None for the
+    gap term -jcj - log d, kept inline), and _refusal, the error kind a
+    failed distance condition raises."""
 
     @cached_property
     def horizon(self) -> int | None:
@@ -318,6 +325,36 @@ class CantorSpec(_IndexWalk):
     def b(self) -> list[float]:
         """The poles b_j; a -0.0 center with half width 0.0 gives +0.0."""
         return [c + h for c, h in zip(self.centers, self.half_widths)]
+
+    _refusal = RegionViolatesEN
+
+    def _tail_terms(self, N: int, c: complex, rad: float):
+        """The gap product's tail over the disk of center c and radius rad.
+
+        Off the root interval the unmaterialized tail is a geometric
+        series under the halving criterion, |u_n| <= length_n / droot.
+        Inside or near it the placement rule fixes every later gap, so
+        the would-be poles out to the underflow horizon join the walk,
+        and past it each term stays below p_n.  An explicit rule is a
+        finite construction: nothing beyond its prefix.
+        """
+        rule = self.c_rule
+        if rule.max_defined_index is not None:
+            return self.b, self.jcj, [], None
+        log_p_next = rule.halving_tail(self.max_index + 1)
+        if log_p_next is None:
+            raise RegionViolatesEN("rule tail does not certify halving",
+                                   field="spec")
+        droot = max(_seg_distance(c, self.a0, self.b0) - rad, 0.0)
+        if droot > 0.0 and log_p_next <= math.log(droot):
+            return self.b, self.jcj, [-rule.jcj(self.max_index + 1) -
+                                      math.log(droot) + _LN2], None
+        poles = self.walk_poles
+        if poles is None:
+            raise RegionViolatesEN("rule keeps thresholds representable "
+                                   "past the index budget", field="spec")
+        return poles, self.walk_jcj, [rule.halving_tail(len(poles) + 1) +
+                                      math.log(1.0 / HALVING_DENOM)], None
 
     def _would_be_poles(self, H: int) -> list[float] | None:
         """b_j, formed as b forms it, of the gaps max_index+1 .. H that

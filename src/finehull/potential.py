@@ -480,6 +480,7 @@ class _MeshBlock:
         it lies right, and fl(im_max + |p.imag|) bounds every imaginary
         offset from above.
         """
+        p = complex(p)      # numpy scalar arithmetic warns on overflow
         x = p.real
         dist = self.dist
         gap = self.re_lo - x if x < self.re_lo else \

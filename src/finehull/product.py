@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cantor import (HALVING_DENOM, UNDERFLOW_LOG, CantorSpec, _check_depth,
+from .cantor import (UNDERFLOW_LOG, CantorSpec, _check_depth,
                      _last_violation, _seg_distance, check_point,
                      sum_gap_lengths)
 from .errors import (DomainViolation, NoConvergence, NotInEN, PoleHit,
@@ -147,8 +147,6 @@ class TailBound:
     @property
     def log_bound(self) -> float:
         s = self.log_sum
-        if s == float("-inf"):
-            return s
         if s < -1.0:
             # log(expm1(e^s)) = s + log1p(corrections), corrections <= e^s
             return s + math.log1p(math.exp(s))
@@ -157,8 +155,6 @@ class TailBound:
     @property
     def bound(self) -> float:
         lb = self.log_bound
-        if lb == float("-inf"):
-            return 0.0
         return math.exp(lb) if lb < 700.0 else float("inf")
 
 
@@ -168,18 +164,10 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     Materialized gaps beyond N contribute their actual distance ratios.
     Off the root interval the unmaterialized tail is a geometric series
     under the halving criterion; inside it the would-be gaps are checked
-    directly out to the underflow horizon.  Raises RegionViolatesEN when
-    the controlling distance conditions fail, so the bound never
-    silently turns vacuous.
-
-    The walk over poles past N stops at the first j with j c_j / 2 >
-    UNDERFLOW_LOG - min(m, 0), m the largest log term so far (tail term
-    included).  The stop is exact, there and at every later j (j c_j
-    increases): an accepted term has log_u <= -j c_j / 2, so
-    exp(log_u - lead) rounds to 0.0, and no pole at a positive distance
-    fails a threshold e^{-j c_j / 2} below the least subnormal.  Only a
-    touched pole, which needs |Im c| <= rad, can still refuse.  terms
-    counts every pole past N.
+    directly out to the underflow horizon (CantorSpec._tail_terms).
+    Raises RegionViolatesEN when the controlling distance conditions
+    fail, so the bound never silently turns vacuous.  terms counts every
+    pole past N and the tail term.
 
     eval_f runs the same walk through _tail_walk with a give-up level,
     so a depth that cannot meet its tol stops at its first large term.
@@ -189,83 +177,77 @@ def tail_bound(spec: CantorSpec, N: int, region) -> TailBound:
     return _tail_walk(spec, N, check_point(c, "region"), rad, math.inf)
 
 
-def _tail_walk(spec: CantorSpec, N: int, c: complex, rad: float,
+def _tail_walk(spec, N: int, c: complex, rad: float,
                give_up: float) -> TailBound | None:
-    """tail_bound over the disk of center c (a checked point) and radius
-    rad, or None as soon as the largest log term so far (the tail term,
-    then every accepted pole term) exceeds give_up.
+    """The tail bound of either spec family over the disk of center c (a
+    checked point) and radius rad, from spec._tail_terms: the sum of the
+    per-pole terms past N and the fixed terms.  None as soon as the
+    largest log term so far (a fixed term, then every accepted pole
+    term) exceeds give_up.
 
-    The returned bound is at least exp(lead) with lead that largest term:
-    the sum of exp(l - lead) holds exp(0.0) = 1, so its log is >= 0, and
+    The distance condition is _last_violation's: a pole refuses with
+    spec._refusal when d = |c - b_j| - rad <= 0 or log d < -j c_j / 2.
+
+    The walk stops at the first j with j c_j / 2 > UNDERFLOW_LOG -
+    min(m, 0), m the largest log term so far.  The stop is exact, there
+    and at every later j (j c_j increases): an accepted term is at most
+    -j c_j / 2, so exp(term - m) rounds to 0.0, and no pole at a
+    positive distance fails a threshold e^{-j c_j / 2} below the least
+    subnormal.  The gap term -j c_j - log d is at most -j c_j / 2 by the
+    condition itself.  So is the disk term log q_j once r rounds to 1.0,
+    as it does from j c_j > 700 on: q_j is then e^{-j c_j}/d + 1 - r
+    with 1 - r = e^{-j c_j}/2, and _log_q either drops the second part
+    (more than 700 below the first) or adds at most log 2 to a larger
+    part below 700 - j c_j.  Only a touched pole can still refuse, and a
+    gap pole, being real, only when |Im c| <= rad.
+
+    The returned bound is at least exp(m), m then the largest term: the
+    sum of exp(l - m) holds exp(0.0) = 1, so its log is >= 0, and
     log1p and expm1 only raise the value.  A walk that gives up at
     give_up = log(tol) + margin would so have ended in a bound above tol.
     """
     _check_depth(spec, N)
-    rule = spec.c_rule
-    M = spec.max_index
-    poles, jcjs = spec.b, spec.jcj
-    tail = None
-    # an explicit rule is a finite construction: nothing beyond its prefix
-    if rule.max_defined_index is None:
-        log_p_next = rule.halving_tail(M + 1)
-        if log_p_next is None:
-            raise RegionViolatesEN("rule tail does not certify halving",
-                                   field="spec")
-        droot = max(_seg_distance(c, spec.a0, spec.b0) - rad, 0.0)
-        if droot > 0.0 and log_p_next <= math.log(droot):
-            # off the root interval: |u_n| <= length_n / droot, halving sum
-            tail = -rule.jcj(M + 1) - math.log(droot) + math.log(2.0)
-        else:
-            # inside or near the root: the placement rule fixes every
-            # later gap, so the would-be poles out to the underflow
-            # horizon join the check; past it each term stays below p_n
-            poles = spec.walk_poles
-            if poles is None:
-                raise RegionViolatesEN(
-                    "rule keeps thresholds representable past the "
-                    "index budget", field="spec")
-            jcjs = spec.walk_jcj
-            tail = rule.halving_tail(len(poles) + 1) + \
-                math.log(1.0 / HALVING_DENOM)
+    poles, jcjs, fixed, term = spec._tail_terms(N, c, rad)
     logs = []
-    m = -math.inf if tail is None else tail
+    m = max(fixed, default=-math.inf)
     if m > give_up:
         return None
     cut = UNDERFLOW_LOG - min(m, 0.0)
     for i in range(N, len(poles)):
         jcj = jcjs[i]
         if 0.5 * jcj > cut:
-            for k, b in enumerate(poles[i:], i) if abs(c.imag) <= rad else ():
+            # the inline gap term's poles are real
+            touchable = term is not None or abs(c.imag) <= rad
+            for k, b in enumerate(poles[i:], i) if touchable else ():
                 try:
                     d = abs(c - b) - rad
                 except OverflowError:   # farther than the largest double
                     continue
                 if d <= 0.0:
-                    raise RegionViolatesEN(f"region touches pole b_{k + 1}")
+                    raise spec._refusal(f"region touches pole b_{k + 1}")
             break
         try:
             d = abs(c - poles[i]) - rad
         except OverflowError:   # a far pole: its term is exactly 0.0
             d = math.inf
         if d <= 0.0:
-            raise RegionViolatesEN(f"region touches pole b_{i + 1}")
-        log_u = -jcj - math.log(d)
-        if log_u > -0.5 * jcj:
-            raise RegionViolatesEN(f"distance condition fails at gap {i + 1}")
+            raise spec._refusal(f"region touches pole b_{i + 1}")
+        log_d = math.log(d)
+        if log_d < -0.5 * jcj:
+            raise spec._refusal(f"distance condition fails at gap {i + 1}")
+        log_u = -jcj - log_d if term is None else term(i, log_d)
         logs.append(log_u)
         if log_u > m:
             m = log_u
             if m > give_up:
                 return None
             cut = UNDERFLOW_LOG - min(m, 0.0)
-    if tail is not None:
-        logs.append(tail)
-    terms = len(poles) - N + (tail is not None)
-    lead = max(logs, default=-math.inf)
-    if lead == -math.inf:   # no term, or every term exactly 0.0
-        return TailBound(lead, terms)
-    s = sum(math.exp(l - lead) for l in logs)
-    return TailBound(lead + math.log(s), terms)
+    logs += fixed
+    terms = len(poles) - N + len(fixed)
+    if m == -math.inf:   # no term, or every term exactly 0.0
+        return TailBound(m, terms)
+    s = sum(math.exp(l - m) for l in logs)
+    return TailBound(m + math.log(s), terms)
 
 
 def eval_f(spec: CantorSpec, z: complex, tol: float = 1e-12):

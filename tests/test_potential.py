@@ -289,6 +289,18 @@ def test_green_eval_far_from_a_wide_union():
     assert g == pytest.approx(float(want), rel=1e-12)
 
 
+def test_leja_on_a_union_at_the_edge_of_the_doubles():
+    # im_max + |Im node| passes the largest double: as numpy scalars
+    # that sum warned of overflow
+    sets = CompactUnion((disk(complex(-1.2e308, -1.2e308), 1e300),
+                         disk(complex(-1.19e308, -1.2e308), 1e300)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = leja_points(sets, n=8)
+    assert len(model.points) == 8
+    assert all(np.isfinite(model.points))
+
+
 @pytest.mark.parametrize("n", [2, 16, 64])
 def test_mesh_sizes_per_kind(n):
     # 4n Chebyshev-Lobatto intervals, 8n points on a circle, and 64n on
