@@ -32,8 +32,6 @@ from .product import _tail_walk
 
 __all__ = [
     "van_der_corput",
-    "radius_from_condition",
-    "log_one_minus_radius",
     "BlaschkeZero",
     "BlaschkeSpec",
     "build_blaschke_spec",
@@ -71,23 +69,13 @@ def van_der_corput(j: int) -> float:
     return num / den
 
 
-def radius_from_condition(j: int, c_rule: CRule) -> float:
-    """The r in (0,1] with (1 - r^2)/r = e^{-j c_j}.
-
-    r = (-t + sqrt(t^2 + 4))/2 for t = e^{-j c_j}; rounds to 1.0 once
-    1 - r = t/2 (1 + O(t)) falls below resolution.
-    """
-    return _radius(-c_rule.jcj(j))[0]
-
-
-def log_one_minus_radius(j: int, c_rule: CRule) -> float:
-    """log(1 - r) evaluated stably: 1 - r = 2t / (2 + t + sqrt(t^2+4))."""
-    return _radius(-c_rule.jcj(j))[1]
-
-
 def _radius(log_t: float) -> tuple[float, float]:
-    """r and log(1 - r) for t = e^{log_t}, as the two functions above
-    form them."""
+    """The r in (0,1] with (1 - r^2)/r = t, t = e^{log_t}, and log(1 - r).
+
+    r = (-t + sqrt(t^2 + 4))/2 rounds to 1.0 once 1 - r = t/2 (1 + O(t))
+    falls below resolution; log(1 - r) is taken stably from 1 - r =
+    2t / (2 + t + sqrt(t^2 + 4)).
+    """
     if log_t < -700.0:
         return 1.0, log_t - _LN2   # 1 - r = t/2 to first order
     t = math.exp(log_t)

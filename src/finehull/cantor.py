@@ -91,7 +91,9 @@ class CRule:
     """Closed-form family for the gap exponent sequence c(j).
 
     kind "affine":    c(j) = slope*j + offset, slope > 0, offset >= 0
-    kind "factorial": c(j) = (j + shift)!  with integer shift >= 0
+    kind "factorial": c(j) = (j + shift)!  with integer 0 <= shift < 170
+                      (from 170 on c(1) = 171! is inf and every gap has
+                      length 0)
     kind "explicit":  finite increasing positive prefix, no tail theory
     """
 
@@ -108,10 +110,10 @@ class CRule:
                 raise PreconditionFailure("affine rule needs finite slope > 0 "
                                           "and offset >= 0", field="c_rule")
         elif self.kind == "factorial":
-            if type(self.shift) is not int or self.shift < 0:
+            if type(self.shift) is not int or not 0 <= self.shift < 170:
                 raise PreconditionFailure(
-                    "factorial rule needs an integer shift >= 0",
-                    field="c_rule")
+                    "factorial rule needs an integer shift, 0 <= shift < "
+                    "170", field="c_rule")
         elif self.kind == "explicit":
             vals = tuple(float(v) for v in self.values)
             if not vals or not all(0.0 < v < math.inf for v in vals):

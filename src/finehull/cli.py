@@ -36,6 +36,9 @@ __all__ = ["main"]
 ENV_PREFIX = "FINEHULL_"
 # most logarithm sheets one blaschke --sheets=k0,k1 run may write
 MAX_SHEETS = 4096
+# largest sheet index |k| taken: every integer up to 2^53 is a double, so
+# 2 pi k is the rounded product of k and 2 pi
+MAX_SHEET_INDEX = 2 ** 53
 
 
 def _write_manifest(outdir: str, command: str, cfg: dict,
@@ -108,7 +111,6 @@ _PARAMS = {
         ("set", None, None, "path to a set JSON with shapes"),
         ("at", None, None, "evaluation point re,im"),
         ("n", int, 64, "number of greedy points"),
-        ("mesh", int, None, "boundary mesh size per shape"),
     ],
     "sample-e": [
         ("spec", None, None, "path to a gap spec JSON"),
@@ -468,7 +470,7 @@ def cmd_green(cfg: dict, outdir: str) -> list[str]:
         raise PreconditionFailure("set JSON needs 'shapes'", field="set")
     union = _union_from_obj({"shapes": obj["shapes"]})
     z = _point(cfg, "at")
-    model = pt.leja_points(union, n=cfg["n"], mesh_per_shape=cfg["mesh"])
+    model = pt.leja_points(union, n=cfg["n"])
     value = pt.green_eval(model, z)
     # d_k needs two nodes: none for k = 0
     rows = [(k, p.real, p.imag, model.d_seq[k - 1] if k else None)
@@ -524,17 +526,24 @@ def cmd_blaschke(cfg: dict, outdir: str) -> list[str]:
                 raise PreconditionFailure(
                     f"sheet range {k0},{k1} spans more than {MAX_SHEETS} "
                     "sheets", field="sheets")
+            if max(abs(k0), abs(k1)) > MAX_SHEET_INDEX:
+                raise PreconditionFailure(
+                    f"sheet indices need |k| <= 2^53, got {k0},{k1}",
+                    field="sheets")
         val = bl.eval_blaschke(spec, depth, z)
         _require_finite(val.log_mag, val.arg)
         try:
             tail = bl.blaschke_tail_bound(spec, depth, z)
         except PreconditionFailure:
+            tail = math.inf
+        if tail == math.inf:
             tail = None     # no certified bound: an empty cell
         out.append(("blaschke.csv", write_csv,
                     ["z_re", "z_im", "log_mag", "arg", "tail"],
                     [(z.real, z.imag, val.log_mag, val.arg, tail)]))
         if cfg["sheets"] is not None:
             spacing = bl.fb_sheet_spacing(spec, z, depth).to_complex()
+            _require_finite(spacing.real, spacing.imag)
             ks = range(k0, k1 + 1)
             sheets = []
             for k, v in zip(ks, bl.fb_sheets(spec, ks, z, depth)):

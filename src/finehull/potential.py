@@ -278,11 +278,9 @@ def union_capacity_bound(sets: CompactUnion) -> UnionBound:
     return _bound_from_invs(invs, sets.diameter_bound())
 
 
-def mesh_size(shape: Shape, n: int, mesh_per_shape: int | None = None) -> int:
+def mesh_size(shape: Shape, n: int) -> int:
     """Leja candidates on one meshable shape of an n-node model:
-    mesh_per_shape when given, else MESH_PER_NODE's size for its kind."""
-    if mesh_per_shape is not None:
-        return mesh_per_shape
+    MESH_PER_NODE's size for its kind."""
     a, b = MESH_PER_NODE[shape.kind]
     return a * n + b
 
@@ -319,17 +317,14 @@ def _log_mesh_factor(shape: Shape, n: int, m: int) -> float:
     Bernstein's |p'| <= n max |p| gives c = 1/(1 - pi n/m) when m > pi n,
     and the maximum principle carries it to the disk.  A full-turn arc is
     the unit circle with m - 1 distinct nodes; a partial arc has no factor
-    yet (UnsupportedShape, field shapes).  A mesh too coarse for its
-    factor is refused naming mesh.  The ratio, within 4 roundings of
+    yet (UnsupportedShape, field shapes).  The caller's m must pass the
+    factor's condition; mesh_size's sizes do (M = 4n on an interval, 8n
+    and 64n - 1 distinct circle nodes).  The ratio, within 4 roundings of
     exact, is moved toward the weaker factor by 2^-50 of itself, and the
     log up by 2^-50 (1 + log c) for sin, log1p and log.
     """
     if shape.kind == "interval":
         M = m - 1
-        if M <= n:
-            raise PreconditionFailure(
-                f"an interval mesh of {m} nodes bounds no polynomial of "
-                f"degree {n}: need m - 1 > n", field="mesh")
         log_c = -math.log(math.sin(
             0.5 * math.pi * (M - n) / M * (1.0 - 2.0 ** -50)))
     else:
@@ -339,12 +334,7 @@ def _log_mesh_factor(shape: Shape, n: int, m: int) -> float:
                     "a partial arc has no mesh-to-shape bound",
                     field="shapes")
             m -= 1              # the first and last nodes coincide
-        x = math.pi * n / m * (1.0 + 2.0 ** -50)
-        if not x < 1.0:
-            raise PreconditionFailure(
-                f"a circle mesh of {m} distinct nodes bounds no polynomial "
-                f"of degree {n}: need m > pi n", field="mesh")
-        log_c = -math.log1p(-x)
+        log_c = -math.log1p(-math.pi * n / m * (1.0 + 2.0 ** -50))
     return _up(log_c + 2.0 ** -50 * (1.0 + log_c))
 
 
@@ -394,8 +384,7 @@ class GreenModel:
     recorded alongside for diagnostics.  node_tol is the largest |ghat|
     over the candidate mesh itself, the natural clamping scale; it is
     read off the greedy loop's running log-product, so no nodes x mesh
-    matrix is formed.  mesh_sizes holds the candidate count of each
-    meshable shape of the support, in order.
+    matrix is formed.
     """
 
     support: CompactUnion
@@ -403,7 +392,6 @@ class GreenModel:
     d_seq: tuple[float, ...]
     cap_estimate: float
     node_tol: float
-    mesh_sizes: tuple[int, ...]
 
     @property
     def log_cap_estimate(self) -> float:
@@ -421,18 +409,17 @@ class GreenModel:
         half width.  Rounding is charged as _log_prod_upper states.
         Members carried only as tail_inv_log_caps have no place and are
         refused (UnsupportedShape, field tail_inv_log_caps), as are partial
-        arcs and meshes too coarse for their factor.
+        arcs.
         """
         if self.support.tail_inv_log_caps:
             raise UnsupportedShape("a member without a place bounds no "
                                    "polynomial", field="tail_inv_log_caps")
         n = len(self.points)
-        sizes = iter(self.mesh_sizes)
         bound = -math.inf
         covers = []
         for s in self.support.shapes:
             if s.meshable:
-                m = next(sizes)
+                m = mesh_size(s, n)
                 log_c = _log_mesh_factor(s, n, m)
                 bound = max(bound, _up(log_c + _log_prod_upper(
                     s.boundary_mesh(m), _slack(s), self.points)))
@@ -495,12 +482,10 @@ class _MeshBlock:
         np.add(self.logprod, dist, out=self.logprod)
 
 
-def leja_points(sets: CompactUnion, n: int = 64,
-                mesh_per_shape: int | None = None) -> GreenModel:
+def leja_points(sets: CompactUnion, n: int = 64) -> GreenModel:
     """Greedy max-product nodes on the union boundary.
 
-    Each meshable shape gets mesh_size(shape, n, mesh_per_shape)
-    candidates: mesh_per_shape (at least 2) when given, else 4n + 1
+    Each meshable shape gets mesh_size(shape, n) candidates: 4n + 1
     Chebyshev-Lobatto nodes on an interval, 8n on a disk and 64n on an
     arc (MESH_PER_NODE), sizes at which cap_upper's mesh-to-shape factors
     stay small.  Shapes below MESH_RESOLUTION are excluded (they are
@@ -519,14 +504,11 @@ def leja_points(sets: CompactUnion, n: int = 64,
     """
     if n < 2:
         raise PreconditionFailure("need n >= 2 nodes", field="n")
-    if mesh_per_shape is not None and mesh_per_shape < 2:
-        raise PreconditionFailure("need mesh >= 2 nodes per shape",
-                                  field="mesh")
     shapes = [s for s in sets.shapes if s.meshable]
     if not shapes:
         raise DegenerateSet("no meshable shapes in the union",
                             field="shapes")
-    sizes = [mesh_size(s, n, mesh_per_shape) for s in shapes]
+    sizes = [mesh_size(s, n) for s in shapes]
     if n * sum(sizes) > LEJA_MAX_WORK:
         raise PreconditionFailure(
             f"n={n} nodes over {sum(sizes)} candidates exceeds the "
@@ -570,8 +552,7 @@ def leja_points(sets: CompactUnion, n: int = 64,
     raw = logprod / n - math.log(cap_est)
     raw = raw[np.isfinite(raw)]
     node_tol = float(np.max(np.abs(raw))) if raw.size else 0.0
-    return GreenModel(sets, np.array(pts), tuple(d_seq), cap_est, node_tol,
-                      tuple(sizes))
+    return GreenModel(sets, np.array(pts), tuple(d_seq), cap_est, node_tol)
 
 
 def green_eval(model: GreenModel, z: complex) -> float:

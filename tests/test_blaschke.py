@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finehull.blaschke import (blaschke_sample_E, blaschke_spec_from_json,
-                               blaschke_tail_bound, build_blaschke_spec,
-                               certify_arc_point, disk_fine_sets,
-                               eval_blaschke, extra_zeros, fb_sheet,
-                               fb_sheet_spacing, radius_from_condition,
+from finehull.blaschke import (_radius, blaschke_sample_E,
+                               blaschke_spec_from_json, blaschke_tail_bound,
+                               build_blaschke_spec, certify_arc_point,
+                               disk_fine_sets, eval_blaschke, extra_zeros,
+                               fb_sheet, fb_sheet_spacing,
                                smallest_closing_N, van_der_corput)
 from finehull.cantor import MAX_DEPTH, CRule
 from finehull.errors import (BranchAtCut, DegenerateSet, NotInEN, PoleHit,
@@ -38,10 +38,10 @@ def test_van_der_corput_range_and_injectivity(j):
 
 def test_radius_solves_the_distance_condition():
     # 1/r - r = t places the pole at distance t from the zero's radius
-    r = radius_from_condition(1, CRule("explicit", values=(math.log(10.0),)))
+    r = _radius(-math.log(10.0))[0]
     assert r == pytest.approx(0.9512492197250393, rel=1e-15)
     t = math.exp(-5.0)
-    r5 = radius_from_condition(1, RULE5)
+    r5 = _radius(-RULE5.jcj(1))[0]
     assert r5 == pytest.approx(0.9966367014755749, rel=1e-15)
     assert (1.0 - r5 * r5) / r5 == pytest.approx(t, rel=1e-12)
     assert 1.0 - r5 == pytest.approx(t / 2.0, rel=5e-3)

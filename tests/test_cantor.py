@@ -37,6 +37,9 @@ def test_rule_validation():
     {"kind": "factorial", "shift": 2.7},
     {"kind": "factorial", "shift": True},
     {"kind": "factorial", "shift": 2.0},
+    # c(1) = (1 + shift)! is inf: every gap would have length 0
+    {"kind": "factorial", "shift": 170},
+    {"kind": "factorial", "shift": 10 ** 400},
     {"kind": "affine", "slope": math.inf},
     {"kind": "affine", "slope": 5.0, "offset": math.inf},
     {"kind": "explicit", "values": (1.0, 2.0, math.inf)},

@@ -116,8 +116,6 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     (["spec-build", "--depth", "x"], "depth"),
     (["spec-build", "--rule", "explicit", "--values", "a,b"], "values"),
     (["spec-build", "--slope", "nan"], "slope"),
-    (["green", "--set", "{shapes}", "--at", "3,0", "--n", "4",
-      "--mesh", "2"], "n"),
     (["hull-scan", "--spec", "{fact}", "--z", "nan,0",
       "--wrect=-1.5,1.5,-1.5,1.5"], "z"),
     (["hull-scan", "--spec", "{fact}", "--z", "2,0",
@@ -126,13 +124,20 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     # a point the branch refuses: off the H domain, outside E_N
     (["eval", "--spec", "{spec}", "--at", "2,0", "--branch", "h-plus"], "at"),
     (["eval", "--spec", "{spec}", "--at", "2,0", "--branch", "fine"], "at"),
-    (["green", "--set", "{shapes}", "--at", "3,0", "--mesh", "1"], "mesh"),
-    (["green", "--set", "{shapes}", "--at", "3,0", "--mesh", "0"], "mesh"),
-    (["green", "--set", "{shapes}", "--at", "3,0", "--mesh=-3"], "mesh"),
+    # the mesh is fixed per shape kind: --mesh is an unknown flag
+    (["green", "--set", "{shapes}", "--at", "3,0", "--mesh", "4"], "mesh"),
     (["green", "--set", "{shapes}", "--at", "3,0", "--n", "100000"], "n"),
     (["capacity", "--set", "{fineset}"], "N"),
     (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2", "--sheets=0,1e9"],
      "sheets"),
+    # sheet indices past 2^53: 2 pi k overflows, or only the sheets do
+    (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2",
+      f"--sheets={10 ** 400},{10 ** 400}"], "sheets"),
+    (["blaschke", "--spec", "{disk}", "--at", "0.3,0.2",
+      f"--sheets={10 ** 308},{10 ** 308}"], "sheets"),
+    # 2 pi i B_4 overflows while sheet 0 is finite
+    (["blaschke", "--spec", "{order1023}", "--at=1.9988,0", "--sheets=0,0"],
+     "at"),
     (["sample-e", "--spec", "{spec}", "--depth", "6", "--leja-n", "100000"],
      "leja_n"),
     (["blaschke", "--spec", "{disk}", "--sample-depth", "1",
@@ -161,6 +166,11 @@ def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
      "rule"),
     # the condition sum 1/(j c_j) overflows
     (["spec-build", "--slope=2.225073858507e-311", "--depth=0"], "rule"),
+    # c(1) = (1 + shift)! is inf from shift 170 on
+    (["spec-build", "--rule", "factorial", "--shift", str(10 ** 400),
+      "--depth", "1"], "rule"),
+    (["spec-build", "--rule", "factorial", "--shift", str(10 ** 400),
+      "--depth", "0"], "rule"),
     (["hull-scan", "--spec", "{fact}", "--z", "2,0",
       "--wrect=-1.5,1.5,-1.5,1.5", "--depth", "0"], "depth"),
     # refused before a weight list of that length is built
@@ -232,6 +242,8 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
         "kind": "factorial", "shift": 2}}))
     order = tmp_path / "order.json"
     order.write_text(json.dumps({**disk_obj, "l": 10 ** 400}))
+    order1023 = tmp_path / "order1023.json"
+    order1023.write_text(json.dumps({**disk_obj, "N": 4, "l": 1023}))
     weak = tmp_path / "weak.json"
     weak.write_text(json.dumps({
         **json.loads(pathlib.Path(spec).read_text()),
@@ -240,7 +252,7 @@ def test_malformed_input_exits_one_with_field(tmp_path, capsys, argv,
              "fact": str(tmp_path / "fact" / "spec.json"),
              "fineset": str(fineset), "disk": str(disk), "deep": str(deep),
              "extras": str(extras), "order": str(order),
-             "dfact": str(dfact)}
+             "order1023": str(order1023), "dfact": str(dfact)}
     out = tmp_path / "bad"
     rc, stdout = run([a.format(**paths) for a in argv] + ["--out", str(out)],
                      capsys)
@@ -291,6 +303,9 @@ SPEC_JSON = {"a0": 0.0, "b0": 1.0, "N": 8,
     (["capacity"], [1], "set"),
     (["capacity"], 3, "set"),
     (["green", "--at", "3,0"], "shapes", "set"),
+    # the 17 candidates round to fewer than 5 distinct doubles
+    (["green", "--at", "3,0", "--n", "4"],
+     {"shapes": [{"kind": "interval", "a": 1e6, "b": 1e6 + 2.5e-10}]}, "n"),
     # a fine-set depth is refused, not truncated to 2
     (["capacity"], {"spec": SPEC_JSON, "N": 2.5}, "N"),
 ])
@@ -655,18 +670,30 @@ def _disk_spec(tmp_path, slope, offset, N):
     return str(path)
 
 
-def test_blaschke_refused_tail_is_an_empty_cell(tmp_path, capsys):
+_THETA5 = 0.5 * math.pi * 0.625          # van_der_corput(5) = 5/8
+
+
+@pytest.mark.parametrize("slope, offset, N, extras, at, depth", [
     # at the argument of would-be zero 5 of a depth-4 spec a distance
-    # condition past N = 4 fails: no certified tail, and no NaN either
-    theta = 0.5 * math.pi * 0.625          # van_der_corput(5) = 5/8
-    out = tmp_path / "refused"
-    rc, _ = run(["blaschke", "--spec", _disk_spec(tmp_path, 0.05, 1.0, 4),
-                 "--at", f"{math.cos(theta)!r},{math.sin(theta)!r}",
-                 "--depth", "4", "--out", str(out)], capsys)
+    # condition past N = 4 fails: the bound is refused
+    (0.05, 1.0, 4, 0, f"{math.cos(_THETA5)!r},{math.sin(_THETA5)!r}", "4"),
+    # 1e-10 from extra 1's pole the bound is inf
+    (5.0, 0.0, 12, 3, "-1.414213562273095,-1.4142135623730951", "0"),
+], ids=["refused", "infinite"])
+def test_blaschke_refused_tail_is_an_empty_cell(tmp_path, capsys, slope,
+                                                offset, N, extras, at,
+                                                depth):
+    # no certified tail, and no NaN or inf either
+    spec = tmp_path / "spec.json"
+    with open(_disk_spec(tmp_path, slope, offset, N)) as fh:
+        spec.write_text(json.dumps({**json.load(fh), "extras": extras}))
+    out = tmp_path / "out"
+    rc, _ = run(["blaschke", "--spec", str(spec), f"--at={at}",
+                 "--depth", depth, "--out", str(out)], capsys)
     assert rc == 0
     header, row = (out / "blaschke.csv").read_text().splitlines()
     assert header.split(",")[-1] == "tail"
-    assert row.endswith(",") and "nan" not in row
+    assert row.endswith(",") and "nan" not in row and "inf" not in row
 
 
 def test_capacity_of_a_disk_chain_without_meshable_disks(tmp_path, capsys):

@@ -47,8 +47,10 @@ junk = st.recursive(
 texts = _mostly(numbers.map(repr), st.sampled_from(["x", "", "1,2"]))
 points = _mostly(st.tuples(numbers, numbers).map(
     lambda p: f"{p[0]!r},{p[1]!r}"), texts)
+# a decimal integer past the double range
+HUGE = str(10 ** 400)
 ints = _mostly(st.integers(-1, 12).map(str),
-               st.sampled_from(["x", "1.5", "131073", "1000000000"]))
+               st.sampled_from(["x", "1.5", "131073", "1000000000", HUGE]))
 
 
 def _obj(required, **optional):
@@ -125,7 +127,7 @@ commands = st.one_of(
         lambda t: (["eval", "--spec", t[0], f"--at={t[1]}", *t[2]], None)),
     _command(["capacity", "--set", "{f}"], sets),
     st.tuples(points, _mostly(shape_sets, sets)).map(
-        lambda t: (["green", "--set", "{f}", "--n", "4", "--mesh", "8",
+        lambda t: (["green", "--set", "{f}", "--n", "4",
                     f"--at={t[0]}"], t[1])),
     _command(["sample-e", "--spec", "{s8}"], st.none(), depth=ints,
              samples=st.sampled_from(["1", "4", "0", "x"]),
@@ -140,7 +142,8 @@ commands = st.one_of(
                     *t[2]], None)),
     st.tuples(points, disk_specs, _flags(
         depth=ints, sheets=_mostly(st.just("-2,2"),
-                                   st.sampled_from(["0,5000", "x"])),
+                                   st.sampled_from(["0,5000", "x",
+                                                    f"{HUGE},{HUGE}"])),
         sample_depth=_mostly(st.sampled_from(["1", "2"]), st.just("x")))).map(
         lambda t: (["blaschke", "--spec", "{f}", f"--at={t[0]}",
                     "--samples", "2", "--leja-n", "4", *t[2]], t[1])),
@@ -184,6 +187,9 @@ def _run(argv):
 
 
 DISK_1E400 = '{"shapes": [{"kind": "disk", "center": 0, "radius": 1e400}]}'
+DISK_SLOPE5 = {"alpha": 0.0, "beta": 1.5707963267948966,
+               "c_rule": {"kind": "affine", "slope": 5.0, "offset": 0.0},
+               "N": 12}
 
 
 @settings(max_examples=150, deadline=None,
@@ -199,8 +205,8 @@ DISK_1E400 = '{"shapes": [{"kind": "disk", "center": 0, "radius": 1e400}]}'
 @example(case=(["eval", "--spec", "{s8}", "--at", "1,0"], None))
 # non-finite or overflowing shape parameters
 @example(case=(["capacity", "--set", "{f}"], DISK_1E400))
-@example(case=(["green", "--set", "{f}", "--at", "3,0", "--n", "4",
-                "--mesh", "4"], DISK_1E400))
+@example(case=(["green", "--set", "{f}", "--at", "3,0", "--n", "4"],
+               DISK_1E400))
 @example(case=(["capacity", "--set", "{f}"], '{"shapes": [{"kind": "disk", '
                                              '"center": 0, "log_radius": '
                                              '1e400}]}'))
@@ -212,9 +218,8 @@ DISK_1E400 = '{"shapes": [{"kind": "disk", "center": 0, "radius": 1e400}]}'
                                              '"radius": 1}]}'))
 @example(case=(["capacity", "--set", "{f}"], {"shapes": [
     {"kind": "interval", "a": -1e308, "b": 1e308}]}))
-@example(case=(["green", "--set", "{f}", "--at", "3,0", "--n", "4",
-                "--mesh", "4"], {"shapes": [
-                    {"kind": "interval", "a": -1e308, "b": 1e308}]}))
+@example(case=(["green", "--set", "{f}", "--at", "3,0", "--n", "4"],
+               {"shapes": [{"kind": "interval", "a": -1e308, "b": 1e308}]}))
 # malformed JSON structure
 @example(case=(["capacity", "--set", "{f}"], {"shapes": [1]}))
 @example(case=(["capacity", "--set", "{f}"],
@@ -251,6 +256,19 @@ DISK_1E400 = '{"shapes": [{"kind": "disk", "center": 0, "radius": 1e400}]}'
                 "--wrect=-1,1,-1,1", "--config", "{f}"], {"res": None}))
 @example(case=(["sample-e", "--spec", "{s8}", "--depth", "1", "--config",
                 "{f}"], {"samples": None}))
+# integers past the double range ended in exit 2: a factorial shift and
+# sheet indices
+@example(case=(["spec-build", "--rule", "factorial", "--shift", HUGE,
+                "--depth", "1"], None))
+@example(case=(["blaschke", "--spec", "{f}", "--at", "0.3,0.2",
+                f"--sheets={HUGE},{HUGE}"], DISK_SLOPE5))
+# non-finite artifacts: an infinite tail 1e-10 from extra 1's pole, and
+# a sheet spacing 2 pi i B that overflows while sheet 0 is finite
+@example(case=(["blaschke", "--spec", "{f}", "--depth", "0",
+                "--at=-1.414213562273095,-1.4142135623730951"],
+               {**DISK_SLOPE5, "extras": 3}))
+@example(case=(["blaschke", "--spec", "{f}", "--at=1.9988,0",
+                "--sheets=0,0"], {**DISK_SLOPE5, "N": 4, "l": 1023}))
 def test_every_command_exits_zero_or_one_with_a_field(files, case):
     argv, payload = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -121,16 +121,16 @@ def test_fine_witness_nonnegative(x, y):
     assert fine_witness_u(_MODEL_F, _MODEL_J, complex(x, y)) >= 0.0
 
 
-def _candidates(sets, n, mesh=None):
+def _candidates(sets, n):
     """The Leja candidates of every meshable shape, each of the size
     leja_points gives it."""
-    return np.concatenate([s.boundary_mesh(mesh_size(s, n, mesh))
+    return np.concatenate([s.boundary_mesh(mesh_size(s, n))
                            for s in sets.shapes if s.meshable])
 
 
-def _dense_leja(sets, n, mesh=None):
+def _dense_leja(sets, n):
     """Leja model with node_tol from the full nodes x mesh matrix."""
-    cands = _candidates(sets, n, mesh)
+    cands = _candidates(sets, n)
     idx = int(np.argmax(np.abs(cands)))
     pts = [cands[idx]]
     with np.errstate(divide="ignore"):
@@ -159,12 +159,11 @@ _SPECF = build_cantor_spec(0.0, 1.0, CRule("factorial", shift=2), N=16)
 
 @pytest.mark.parametrize("spec", [SPEC5, _SPECF], ids=["affine5", "fact"])
 @pytest.mark.parametrize("which", ["FN", "JN"])
-@pytest.mark.parametrize("n, mesh", [(2, None), (8, None), (64, None),
-                                     (24, 96)])
-def test_leja_running_node_tol_matches_dense_matrix(spec, which, n, mesh):
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_leja_running_node_tol_matches_dense_matrix(spec, which, n):
     sets = getattr(cantor_fine_sets(spec, 2), which)
-    model = leja_points(sets, n=n, mesh_per_shape=mesh)
-    points, d_seq, cap_est, node_tol = _dense_leja(sets, n, mesh)
+    model = leja_points(sets, n=n)
+    points, d_seq, cap_est, node_tol = _dense_leja(sets, n)
     assert model.node_tol == node_tol
     assert model.cap_estimate == cap_est
     assert model.d_seq == d_seq
@@ -247,17 +246,17 @@ def test_flat_ratio_modulus_is_the_real_offset():
         assert np.array_equal(np.abs(a + 1j * b), np.abs(a))
 
 
-def test_leja_rejects_bad_mesh_and_caps_work():
+def test_leja_refuses_n():
     sets = CompactUnion((interval(0.0, 1.0),))
-    for mesh in (1, 0, -3):
+    # 4096 nodes over 4 * 4096 + 1 candidates passes the work cap
+    assert 4096 * mesh_size(sets.shapes[0], 4096) > LEJA_MAX_WORK
+    for n in (4096, 100000):
         with pytest.raises(PreconditionFailure) as exc:
-            leja_points(sets, n=4, mesh_per_shape=mesh)
-        assert exc.value.field == "mesh"
-    with pytest.raises(PreconditionFailure) as exc:
-        leja_points(sets, n=100000)
-    assert exc.value.field == "n"
-    with pytest.raises(PreconditionFailure) as exc:
-        leja_points(sets, n=64, mesh_per_shape=LEJA_MAX_WORK // 64 + 1)
+            leja_points(sets, n=n)
+        assert exc.value.field == "n"
+    # the 17 candidates round to fewer than 5 distinct doubles
+    with pytest.raises(DegenerateSet) as exc:
+        leja_points(CompactUnion((interval(1e6, 1e6 + 2.5e-10),)), n=4)
     assert exc.value.field == "n"
 
 
@@ -304,16 +303,12 @@ def test_leja_on_a_union_at_the_edge_of_the_doubles():
 @pytest.mark.parametrize("n", [2, 16, 64])
 def test_mesh_sizes_per_kind(n):
     # 4n Chebyshev-Lobatto intervals, 8n points on a circle, and 64n on
-    # an arc, which has no certified mesh-to-shape factor yet; an
-    # unmeshable shape takes no candidates
+    # an arc, which has no certified mesh-to-shape factor yet; the kind
+    # and n alone fix the size, so a tiny disk gets a disk's
     shapes = (interval(0.0, 1.0), disk(3.0, 0.5), disk(5.0, 1e-13),
               arc(0.0, 1.0))
-    model = leja_points(CompactUnion(shapes), n=n)
-    assert model.mesh_sizes == (4 * n + 1, 8 * n, 64 * n)
     assert [mesh_size(s, n) for s in shapes] == \
         [4 * n + 1, 8 * n, 8 * n, 64 * n]
-    override = leja_points(CompactUnion(shapes), n=n, mesh_per_shape=40)
-    assert override.mesh_sizes == (40, 40, 40)
 
 
 def _two_intervals(alpha, beta):
@@ -399,13 +394,17 @@ def test_log_sup_bound_holds_on_every_member():
 
 
 @pytest.mark.parametrize("shape, m", [
-    (interval(0.0, 1.0), 10), (disk(2.0 + 1.0j, 0.25), 33),
-    (arc(0.0, 2.0 * math.pi), 34)], ids=["interval", "disk", "circle"])
+    (interval(0.0, 1.0), 10), (disk(2.0 + 1.0j, 0.25), 32),
+    (arc(0.0, 2.0 * math.pi), 33)], ids=["interval", "disk", "circle"])
 def test_log_sup_bound_covers_the_shape_between_mesh_nodes(shape, m):
-    # on these coarse meshes |p| between the nodes passes its mesh maximum,
-    # and the mesh-to-shape factor carries the bound past it
+    # on meshes this coarse (M = 9 > 8 on the interval, 32 > 8 pi circle
+    # nodes) |p| between the nodes passes its mesh maximum, and the
+    # mesh-to-shape factor carries the mesh bound past it
     mpmath = pytest.importorskip("mpmath")
-    model = leja_points(CompactUnion((shape,)), n=8, mesh_per_shape=m)
+    nodes = leja_points(CompactUnion((shape,)), n=8).points
+    bound = potential._log_mesh_factor(shape, 8, m) + \
+        potential._log_prod_upper(shape.boundary_mesh(m),
+                                  potential._slack(shape), nodes)
     t = np.linspace(0.0, 1.0, 4001)
     if shape.kind == "interval":
         samples = shape.a + (shape.b - shape.a) * t
@@ -414,11 +413,11 @@ def test_log_sup_bound_covers_the_shape_between_mesh_nodes(shape, m):
             else (0.0, 1.0)
         samples = c + r * np.exp(2j * np.pi * t)
     with mpmath.workdps(50):
-        worst = max(_log_abs_p(mpmath, model.points, z) for z in samples)
-        at_mesh = max(_log_abs_p(mpmath, model.points, z)
+        worst = max(_log_abs_p(mpmath, nodes, z) for z in samples)
+        at_mesh = max(_log_abs_p(mpmath, nodes, z)
                       for z in shape.boundary_mesh(m))
         assert worst > at_mesh + 1e-3
-        assert worst <= model.log_sup_bound()
+        assert worst <= bound
 
 
 def test_cap_upper_refusals():
@@ -429,15 +428,6 @@ def test_cap_upper_refusals():
         leja_points(CompactUnion((interval(0.0, 1.0),),
                                  tail_inv_log_caps=(50.0,)), n=8).cap_upper
     assert exc.value.field == "tail_inv_log_caps"
-    # an interval mesh needs m - 1 > n, a circle mesh m > pi n
-    for shape, coarse, fine in ((interval(0.0, 1.0), 9, 10),
-                                (disk(0.0, 1.0), 25, 26),
-                                (arc(0.0, 2.0 * math.pi), 26, 27)):
-        sets = CompactUnion((shape,))
-        with pytest.raises(PreconditionFailure) as exc:
-            leja_points(sets, n=8, mesh_per_shape=coarse).cap_upper
-        assert exc.value.field == "mesh"
-        assert leja_points(sets, n=8, mesh_per_shape=fine).cap_upper > 0.0
 
 
 def _scanned_candidates(spec, N):
