@@ -180,8 +180,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the FINEHULL_* variables that name a setting; any command accepts the
+# settings of another, so one environment serves every command
+_ENV_KEYS = frozenset(ENV_PREFIX + name.upper()
+                      for params in (*_PARAMS.values(), _COMMON)
+                      for name, _, _, _ in params)
+
+
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Defaults < config file < environment < explicit flags."""
+    """Defaults < config file < environment < explicit flags; a
+    FINEHULL_* variable that names no setting of any command is refused."""
     params = _PARAMS[command] + _COMMON
     cfg = {name: default for name, _, default, _ in params}
     if args.config is not None:
@@ -203,6 +211,11 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
                 raise PreconditionFailure(f"unknown config key {key!r}",
                                           field=key)
             cfg[key] = value
+    for key in os.environ:
+        if key.startswith(ENV_PREFIX) and key not in _ENV_KEYS:
+            raise PreconditionFailure(
+                f"environment variable {key} names no setting of any "
+                "command", field=key[len(ENV_PREFIX):].lower())
     for name, _, _, _ in params:
         env = os.environ.get(ENV_PREFIX + name.upper())
         if env is not None:

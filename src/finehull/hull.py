@@ -42,10 +42,11 @@ __all__ = [
 SENTINEL = -1.0e6
 # largest w-grid side fiber_scan accepts: a scan holds two float
 # res x res grids (the values and the partitioned copy its median reads),
-# 16 B per cell, so ~64 MB at 2048; the band buffers add 2 x 128 kB
+# 16 B per cell, so ~64 MB at 2048; the five band buffers (the field, a
+# second field or run sum, and the half field, floored sum and term of
+# bands within reach of a kink) add 5 x 128 kB
 MAX_RES = 2048
-# cells per band of rows the scan's field and term buffers cover (16 rows
-# at 1024)
+# cells per band of rows the scan's buffers cover (16 rows at 1024)
 BAND_CELLS = 16384
 # coordinates below 2^(_FREE_EXP - 1) leave a field unscaled: a squared
 # axis offset stays below 2^500 and the product of two sums below 2^1002
@@ -323,6 +324,41 @@ def _median(vals: np.ndarray) -> float:
     return float((0.0 + part[:k].max() + part[k]) / 2.0)
 
 
+class _GroupSum:
+    """The terms of one field group as one function of lam = log(field).
+
+    Term n is scale_n max(lam/2 + shift + log|Q_n|, floor_n).  At and
+    above the top kink 2 max_n (floor_n - shift - log|Q_n|) no floor is
+    active, so the sum is slope lam + icpt there; only cells below it
+    take the floored sum term by term.
+    """
+
+    def __init__(self, shift: float, group: list) -> None:
+        self.shift, self.group = shift, group
+        self.slope = math.fsum(0.5 * s for _, _, s in group)
+        self.icpt = math.fsum(s * (shift + log_q) for log_q, _, s in group)
+        self.kink = max(2.0 * (floor - shift - log_q)
+                        for log_q, floor, _ in group)
+
+    def write(self, lam, out, half, total, tmp) -> None:
+        """out = the group's sum over the cells of lam; half, total and
+        tmp are scratch of lam's shape."""
+        np.multiply(lam, self.slope, out=out)
+        np.add(out, self.icpt, out=out)
+        if lam.min() < self.kink:
+            np.multiply(lam, 0.5, out=half)
+            if self.shift:
+                np.add(half, self.shift, out=half)
+            for i, (log_q, floor, scale) in enumerate(self.group):
+                t = tmp if i else total
+                np.add(half, log_q, out=t)
+                np.maximum(t, floor, out=t)
+                np.multiply(t, scale, out=t)
+                if i:
+                    total += t
+            np.copyto(out, total, where=lam < self.kink)
+
+
 def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
                sq: bool = False, delta: float = 20.0) -> HullGrid:
     """Evaluate the potential over a w-grid and classify certified dips.
@@ -338,8 +374,12 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
     log|w - s_n| + log|w + s_n| with s_n = sqrt(f_n(z)).  Consecutive
     terms whose target double (f_n, or s_n) is the same share one
     distance field, half the log of an outer sum of squared axis offsets
-    (with sq, a product of two such sums): one log per cell and distinct
-    target, plus an add, floor, scale and accumulate pass per term.  The
+    (with sq, a product of two such sums).  The terms of one target sum
+    to slope log(field) + icpt wherever no floor is active, at and above
+    the top kink (see _GroupSum): one log plus a scale and a shift pass
+    per cell and distinct target.  Only a band of rows whose field
+    reaches below the kink also takes the add, floor, scale and
+    accumulate passes per term, for its cells below the kink.  The
     passes run over one band of about BAND_CELLS cells at a time, and
     local minima are tested only in the window of cells within reach of
     a target.  The offsets are scaled by a power of two, 2^0 unless a
@@ -360,10 +400,9 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
         raise PreconditionFailure("empty w-rectangle", field="wrect")
     terms = [(f, log_q, hps.floor(n), hps.term_scale(n)) for n, (f, log_q)
              in enumerate(_scan_terms(hps.spec, hps.M, z)[1:], 1)]
-    vals = np.zeros((res, res))
+    vals = np.empty((res, res))
     rows = max(1, BAND_CELLS // res)
-    fbuf = np.empty((rows, res))
-    tbuf = np.empty((rows, res))
+    buf = np.empty((5, rows, res))
     clamped = 0
     try:
         # only a side past the largest double, whose linspace step
@@ -379,27 +418,25 @@ def fiber_scan(hps: HullPotentialSpec, z: complex, wrect, res: int,
                 axes = [np.square(xk - t.real), np.square(yk - t.imag)]
                 if sq:
                     axes += [np.square(xk + t.real), np.square(yk + t.imag)]
-                fields.append((axes, (2 * k if sq else k) * _LOG2,
-                               [tm[1:] for tm in group]))
+                fields.append((axes, _GroupSum((2 * k if sq else k) * _LOG2,
+                                               [tm[1:] for tm in group])))
             for r0 in range(0, res, rows):
                 r1 = min(r0 + rows, res)
-                fb, tb, band = fbuf[:r1 - r0], tbuf[:r1 - r0], vals[r0:r1]
-                for axes, shift, group in fields:
-                    np.add(axes[0], axes[1][r0:r1, None], out=fb)
+                lam, tb, *scratch = buf[:, :r1 - r0]
+                band = vals[r0:r1]
+                for i, (axes, gs) in enumerate(fields):
+                    np.add(axes[0], axes[1][r0:r1, None], out=lam)
                     if sq:
                         np.add(axes[2], axes[3][r0:r1, None], out=tb)
-                        np.multiply(fb, tb, out=fb)
-                    np.log(fb, out=fb)
-                    np.multiply(fb, 0.5, out=fb)
-                    if shift:
-                        np.add(fb, shift, out=fb)
-                    for log_q, floor, scale in group:
-                        np.add(fb, log_q, out=tb)
-                        np.maximum(tb, floor, out=tb)
-                        np.multiply(tb, scale, out=tb)
-                        band += tb
-                clamped += int(np.count_nonzero(band < SENTINEL))
-                np.maximum(band, SENTINEL, out=band)
+                        np.multiply(lam, tb, out=lam)
+                    np.log(lam, out=lam)
+                    out = tb if i else band     # the first group writes
+                    gs.write(lam, out, *scratch)
+                    if i:
+                        band += out
+                if band.min() < SENTINEL:
+                    clamped += int(np.count_nonzero(band < SENTINEL))
+                    np.maximum(band, SENTINEL, out=band)
     except FloatingPointError as e:
         raise PreconditionFailure("the grid or the potential on the window "
                                   "is not finite", field="wrect") from e

@@ -100,6 +100,35 @@ def test_env_overrides_defaults_and_flags_override_env(tmp_path, capsys,
     assert spec_from_json((out / "spec.json").read_text()).max_index == 3
 
 
+@pytest.mark.parametrize("key, field", [
+    # the removed green --mesh, a misspelt depth, a name read as upper case
+    ("FINEHULL_MESH", "mesh"), ("FINEHULL_DEPHT", "depht"),
+    ("FINEHULL_n", "n"),
+])
+def test_an_environment_variable_naming_no_setting_is_refused(
+        tmp_path, capsys, monkeypatch, key, field):
+    (tmp_path / "set.json").write_text(json.dumps(SHAPE_SET))
+    monkeypatch.setenv(key, "4")
+    out = tmp_path / "green"
+    rc, stdout = run(["green", "--set", str(tmp_path / "set.json"),
+                      "--at", "3,0", "--out", str(out)], capsys)
+    assert rc == 1, stdout
+    payload = json.loads(stdout)
+    assert payload["field"] == field and key in payload["message"]
+    assert not out.exists()
+
+
+def test_a_setting_of_another_command_in_the_environment_is_accepted(
+        tmp_path, capsys, monkeypatch):
+    spec = _spec_path(tmp_path, capsys)
+    monkeypatch.setenv("FINEHULL_RES", "64")        # a hull-scan setting
+    rc, stdout = run(["eval", "--spec", spec, "--at", "2,0",
+                      "--out", str(tmp_path / "eval")], capsys)
+    assert rc == 0, stdout
+    manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+    assert "res" not in manifest["config"]
+
+
 def test_threads_and_out_never_reach_the_manifest(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"

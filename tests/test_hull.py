@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finehull import cli
 from finehull.artifacts import write_csv, write_grid_csv
@@ -215,37 +215,71 @@ def _argwhere_nearest(vals, xs, ys, t, reach):
     return None if best is None else best[1]
 
 
-def _full_grid_scan(hps, z, wrect, res, sq, delta):
-    """(values, median, clamped, dips) of the factored potential over the
-    whole grid at once, every term with its own distance field.
+def _run_fields(hps, z, wrect, res, sq):
+    """[(t, lam, terms)], one per run of consecutive terms whose target
+    double t is the same: lam is the log of the run's distance field over
+    the whole grid and terms = [(log|Q_n(z)|, floor_n, scale_n)].
 
-    Term n is scale_n max(log|Q_n(z)| + log|W - f_n(z)|, floor_n), f_n
-    from eval_partial_product and log|Q_n| summed in log space; with sq,
-    log|W - f_n| = log|w - s_n| + log|w + s_n|, s_n = sqrt(f_n).  Each
-    log|.| is half the log of a sum of squared axis offsets (with sq, of
-    a product of two sums): the unscaled field of windows whose
-    coordinates and targets lie below 2^240.  The median is np.median's
-    and the dip search that of _argwhere_nearest.
+    f_n comes from eval_partial_product and log|Q_n| is summed in log
+    space; the target is f_n, or with sq s_n = sqrt(f_n), whose field is
+    the product of the sums of squared axis offsets from s_n and -s_n.
+    The windows' coordinates and targets lie below 2^240, so no field is
+    scaled and the power-of-two shift is 0.
     """
     x0, x1, y0, y1 = wrect
     xs, ys = grid_axes(wrect, res)
     spec = hps.spec
-    vals = np.zeros((res, res))
     log_q = LogComplex.from_difference(z, spec.a0).log_mag
+    runs = []
+    for n in range(1, hps.M + 1):
+        log_q += LogComplex.from_difference(z, spec.b[n - 1]).log_mag
+        f = eval_partial_product(spec, n, z)
+        t = (f.sqrt() if sq else f).to_complex()
+        if not runs or runs[-1][0] != t:
+            runs.append((t, []))
+        runs[-1][1].append((log_q, hps.floor(n), hps.term_scale(n)))
+    out = []
     with np.errstate(divide="ignore"):
-        for n in range(1, hps.M + 1):
-            log_q += LogComplex.from_difference(z, spec.b[n - 1]).log_mag
-            f = eval_partial_product(spec, n, z)
-            t = (f.sqrt() if sq else f).to_complex()
+        for t, terms in runs:
             assert max(map(abs, (x0, x1, y0, y1, t.real, t.imag))) < 2.0 ** 240
             field = np.square(xs - t.real)[None, :] + \
                 np.square(ys - t.imag)[:, None]
             if sq:
                 field *= np.square(xs + t.real)[None, :] + \
                     np.square(ys + t.imag)[:, None]
-            field = 0.5 * np.log(field)
-            vals += hps.term_scale(n) * np.maximum(field + log_q,
-                                                   hps.floor(n))
+            out.append((t, np.log(field), terms))
+    return out
+
+
+def _floored_sum(lam, terms):
+    """sum_n scale_n max(lam/2 + log|Q_n|, floor_n), term by term."""
+    total = None
+    for log_q, floor, scale in terms:
+        t = scale * np.maximum(0.5 * lam + log_q, floor)
+        total = t if total is None else total + t
+    return total
+
+
+def _full_grid_scan(hps, z, wrect, res, sq, delta):
+    """(values, median, clamped, dips) of the factored potential over the
+    whole grid at once, one run of terms with the same target at a time.
+
+    At and above its top kink 2 max_n (floor_n - log|Q_n|) no floor of a
+    run is active, and its sum is slope lam + icpt with slope the fsum of
+    scale_n/2 and icpt that of scale_n log|Q_n|; below the kink it is
+    the floored sum term by term.  The runs add in order.  The median is
+    np.median's and the dip search that of _argwhere_nearest.
+    """
+    x0, x1, y0, y1 = wrect
+    xs, ys = grid_axes(wrect, res)
+    vals = None
+    for _, lam, terms in _run_fields(hps, z, wrect, res, sq):
+        slope = math.fsum(0.5 * s for _, _, s in terms)
+        icpt = math.fsum(s * log_q for log_q, _, s in terms)
+        kink = max(2.0 * (floor - log_q) for log_q, floor, _ in terms)
+        run = np.where(lam < kink, _floored_sum(lam, terms),
+                       slope * lam + icpt)
+        vals = run if vals is None else vals + run
     clamped = int(np.sum(vals < SENTINEL))
     np.maximum(vals, SENTINEL, out=vals)
     median = float(np.median(vals))
@@ -258,6 +292,31 @@ def _full_grid_scan(hps, z, wrect, res, sq, delta):
             dips.append(Dip(t, best, depth))
     dips.sort(key=lambda p: (p.w.real, p.w.imag))
     return vals, median, clamped, tuple(dips)
+
+
+# how far a scan value may sit from the term-by-term sum, in units of
+# u T with T = sum_n scale_n (|lam/2| + |shift| + |log|Q_n|| + |floor_n|):
+# the term-by-term sum rounds each term at most 3 times and adds M terms
+# with M - 1 roundings; a run's slope lam + icpt rounds at most 4 times
+# with its fsum inputs, a kink rounded by 2 more lets a floor lie below
+# it, and the M runs at most add with M - 1 roundings.  That is at most
+# 2 (M + 4) u T, and 24 u T while M <= 8.
+_SUM_ROUNDINGS = 24
+
+
+def _term_by_term_values(hps, z, wrect, res, sq):
+    """(values, T): the potential summed term by term from 0, as scans
+    summed it before the runs, clamped at SENTINEL; and T of
+    _SUM_ROUNDINGS per cell, with |lam/2| read as 0 on a target."""
+    assert hps.M <= 8
+    vals, T = np.zeros((res, res)), np.zeros((res, res))
+    for _, lam, terms in _run_fields(hps, z, wrect, res, sq):
+        half = np.where(np.isinf(lam), 0.0, 0.5 * np.abs(lam))
+        for log_q, floor, scale in terms:
+            vals += scale * np.maximum(0.5 * lam + log_q, floor)
+            T += scale * (half + abs(log_q) + abs(floor))
+    np.maximum(vals, SENTINEL, out=vals)
+    return vals, T
 
 
 def _targets(hps, z, sq):
@@ -333,6 +392,51 @@ def test_banded_scan_matches_full_grid_at_res_1000(M, sq):
     _assert_scan_matches_full_grid(
         hps, 2.0 + 0.0j, _wrect_around(t, 1000, 998.2, 1.1, 1e-3), 1000, sq,
         -math.inf)
+
+
+SPEC0 = build_cantor_spec(0.0, 1.0, CRule("factorial", shift=0), N=16)
+# just right of SPEC0's first gap: f_1, f_2 and f_3 = ... = f_8 are three
+# different doubles, so a scan there takes three runs
+_Z3 = SPEC0.b[0] + 1e-3
+_RUN_BASES = [(SPECF, 2.0 + 0.0j), (SPECF, 0.3 + 0.2j), (SPEC0, _Z3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_RUN_BASES), st.integers(1, 8), st.booleans(),
+       st.integers(0, 5), st.sampled_from([64, 257]),
+       st.sampled_from(["node", "near"]),
+       st.sampled_from([1e-13, 1e-12, 3e-9, 1e-3]),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(_RUN_BASES[0], 8, False, 0, 257, "node", 1e-12, 0.0, 0.0)
+@example(_RUN_BASES[1], 8, True, 1, 64, "node", 1e-13, 0.0, 0.0)
+@example(_RUN_BASES[2], 8, False, 2, 257, "near", 1e-12, 0.4, 0.6)
+@example(_RUN_BASES[2], 8, True, 5, 64, "node", 1e-3, 0.0, 0.0)
+def test_scan_matches_term_by_term_sum_within_rounding(base, M, sq, which,
+                                                       res, place, cell, fu,
+                                                       fv):
+    # a target on the first node or anywhere inside; cells of 1e-12 and
+    # below reach under the top kink of a run, where floors are active
+    spec, z = base
+    hps = make_hull_spec(spec, M)
+    runs = _run_fields(hps, z, WRECT, 64, sq)
+    if spec is SPEC0 and M >= 3:
+        assert len(runs) == 3
+    k = which % len(runs)
+    t = runs[k][0] * (-1 if sq and which % 2 else 1)
+    u, v = (0.0, 0.0) if place == "node" else \
+        (1.0 + fu * (res - 3), 1.0 + fv * (res - 3))
+    grid = _assert_scan_matches_full_grid(
+        hps, z, _wrect_around(t, res, u, v, cell), res, sq, -math.inf)
+    xs, ys = grid_axes(grid.wrect, res)
+    runs = _run_fields(hps, z, grid.wrect, res, sq)
+    if place == "node":
+        assert complex(xs[0], ys[0]) == t and runs[k][1][0, 0] == -math.inf
+    if cell <= 1e-12:
+        assert any((lam < max(2.0 * (floor - log_q)
+                              for log_q, floor, _ in terms)).any()
+                   for _, lam, terms in runs)
+    ref, T = _term_by_term_values(hps, z, grid.wrect, res, sq)
+    assert (np.abs(grid.values - ref) <= _SUM_ROUNDINGS * U * T).all()
 
 
 @settings(max_examples=100, deadline=None)
